@@ -238,8 +238,7 @@ CampaignResult run_campaign(const std::string& fault_plan) {
   spec.live_subscriber = [delivered](const ldms::StreamMessage& msg) {
     delivered->push_back(to_seconds(msg.deliver_time));
   };
-  CampaignResult c;
-  c.run = exp::run_experiment(spec);
+  CampaignResult c{exp::run_experiment(spec), {}};
   c.deliver_s = std::move(*delivered);
   return c;
 }

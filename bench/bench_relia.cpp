@@ -70,8 +70,7 @@ ModeResult run_mode(relia::DeliveryMode mode, std::size_t nodes,
   spec.connector.delivery = mode;
   spec.fault_plan = relia::parse_fault_plan(kReferencePlan);
 
-  ModeResult out;
-  out.run = exp::run_experiment(spec);
+  ModeResult out{exp::run_experiment(spec), 0, 0.0};
   out.delivered = out.run.messages - out.run.seq_lost;
   out.bytes_per_event =
       out.run.events_published

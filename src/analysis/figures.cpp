@@ -94,7 +94,7 @@ std::uint64_t find_anomalous_job(const DataFrame& job_summary,
   if (jobs.size() < 3) return 0;
   std::vector<double> durs;
   for (const auto& [id, d] : jobs) durs.push_back(d);
-  const double med = percentile(durs, 50.0);
+  const double med = SortedQuantiles(std::move(durs)).percentile(50.0);
   std::uint64_t worst = 0;
   double worst_dev = -1.0;
   for (const auto& [id, d] : jobs) {

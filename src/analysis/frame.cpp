@@ -241,8 +241,8 @@ DataFrame DataFrame::group_by(const std::vector<std::string>& key_cols,
         std::vector<double> values;
         values.reserve(idx.size());
         for (std::size_t r : idx) values.push_back(get_number(r, spec.column));
-        col.push_back(
-            percentile(std::move(values), spec.op == Agg::kP50 ? 50 : 95));
+        col.push_back(SortedQuantiles(std::move(values))
+                          .percentile(spec.op == Agg::kP50 ? 50 : 95));
         continue;
       }
       RunningStats stats;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <utility>
 
+#include "core/schema_darshan.hpp"
 #include "obs/registry.hpp"
 
 namespace dlc::core {
@@ -25,6 +27,84 @@ json::NumberFormat number_format_for(FormatMode mode) {
       return json::NumberFormat::kNull;
   }
   return json::NumberFormat::kSnprintf;
+}
+
+/// Writes Table I field `F` of event `e`'s connector message, opening
+/// the `seg` list before the first seg member.  MET fields (exe, file)
+/// ride only on opens.  Data ops report the real access; open/close
+/// leave off/len at their missing default, just like the paper's sample
+/// open message.
+template <Field F>
+void write_member(json::Writer& w, const darshan::IoEvent& e,
+                  const darshan::Runtime& runtime, const SimEpoch& epoch) {
+  constexpr const FieldSpec& f = field_spec(F);
+  if constexpr (f.fig3 == kTopFieldCount) {
+    w.key("seg");
+    w.begin_array();
+    w.begin_object();
+  }
+  const bool is_meta = e.op == darshan::Op::kOpen;
+  const bool data_op =
+      e.op == darshan::Op::kRead || e.op == darshan::Op::kWrite;
+  const auto& job = runtime.job();
+  switch (F) {
+    case Field::kModule:
+      return w.member(f.key, darshan::module_name(e.module));
+    case Field::kUid:
+      return w.member(f.key, job.uid());
+    case Field::kProducerName:
+      return w.member(f.key,
+                      job.producer_name(static_cast<std::size_t>(e.rank)));
+    case Field::kSwitches:
+      return w.member(f.key, e.switches);
+    case Field::kFile:
+      return w.member(f.key, is_meta && e.file_path
+                                 ? std::string_view(*e.file_path)
+                                 : kNotAvailable);
+    case Field::kRank:
+      return w.member(f.key, std::int64_t{e.rank});
+    case Field::kFlushes:
+      return w.member(f.key, e.flushes);
+    case Field::kRecordId:
+      return w.member(f.key, e.record_id);
+    case Field::kExe:
+      return w.member(f.key, is_meta ? std::string_view(runtime.config().exe)
+                                     : kNotAvailable);
+    case Field::kMaxByte:
+      return w.member(f.key, e.max_byte);
+    case Field::kType:
+      return w.member(f.key, is_meta ? "MET" : "MOD");
+    case Field::kJobId:
+      return w.member(f.key, job.job_id());
+    case Field::kOp:
+      return w.member(f.key, darshan::op_name(e.op));
+    case Field::kCnt:
+      return w.member(f.key, e.cnt);
+    case Field::kSegOff:
+      return w.member(f.key, data_op ? static_cast<std::int64_t>(e.offset)
+                                     : missing_int(f));
+    case Field::kSegPtSel:
+      return w.member(f.key, e.h5.pt_sel);
+    case Field::kSegDur:
+      return w.member(f.key, to_seconds(e.end - e.start));
+    case Field::kSegLen:
+      return w.member(f.key, data_op ? static_cast<std::int64_t>(e.length)
+                                     : missing_int(f));
+    case Field::kSegNdims:
+      return w.member(f.key, e.h5.ndims);
+    case Field::kSegRegHslab:
+      return w.member(f.key, e.h5.reg_hslab);
+    case Field::kSegIrregHslab:
+      return w.member(f.key, e.h5.irreg_hslab);
+    case Field::kSegDataSet:
+      return w.member(f.key, e.h5.data_set.empty()
+                                 ? kNotAvailable
+                                 : std::string_view(e.h5.data_set));
+    case Field::kSegNpoints:
+      return w.member(f.key, e.h5.npoints);
+    case Field::kSegTimestamp:
+      return w.member(f.key, epoch.to_epoch_seconds(e.end));
+  }
 }
 
 }  // namespace
@@ -91,51 +171,13 @@ void DarshanLdmsConnector::format_message(json::Writer& w,
                                           const darshan::IoEvent& e,
                                           const darshan::Runtime& runtime,
                                           const SimEpoch& epoch) {
-  // Field order follows the Fig. 3 sample message.
-  const bool is_meta = e.op == darshan::Op::kOpen;
-  const auto& job = runtime.job();
-
   w.reset();
   w.begin_object();
-  w.member("uid", job.uid());
-  w.member("exe", is_meta ? std::string_view(runtime.config().exe)
-                          : std::string_view("N/A"));
-  w.member("job_id", job.job_id());
-  w.member("rank", std::int64_t{e.rank});
-  w.member("ProducerName",
-           job.producer_name(static_cast<std::size_t>(e.rank)));
-  w.member("file", is_meta && e.file_path
-               ? std::string_view(*e.file_path)
-               : std::string_view("N/A"));
-  w.member("record_id", e.record_id);
-  w.member("module", darshan::module_name(e.module));
-  w.member("type", is_meta ? "MET" : "MOD");
-  w.member("max_byte", e.max_byte);
-  w.member("switches", e.switches);
-  w.member("flushes", e.flushes);
-  w.member("cnt", e.cnt);
-  w.member("op", darshan::op_name(e.op));
-  w.key("seg");
-  w.begin_array();
-  w.begin_object();
-  w.member("data_set",
-           e.h5.data_set.empty() ? std::string_view("N/A")
-                                 : std::string_view(e.h5.data_set));
-  w.member("pt_sel", e.h5.pt_sel);
-  w.member("irreg_hslab", e.h5.irreg_hslab);
-  w.member("reg_hslab", e.h5.reg_hslab);
-  w.member("ndims", e.h5.ndims);
-  w.member("npoints", e.h5.npoints);
-  // Data ops report the real access; open/close use the -1 sentinels just
-  // like the paper's sample open message.
-  const bool data_op =
-      e.op == darshan::Op::kRead || e.op == darshan::Op::kWrite;
-  w.member("off", data_op ? static_cast<std::int64_t>(e.offset)
-                          : std::int64_t{-1});
-  w.member("len", data_op ? static_cast<std::int64_t>(e.length)
-                          : std::int64_t{-1});
-  w.member("dur", to_seconds(e.end - e.start));
-  w.member("timestamp", epoch.to_epoch_seconds(e.end));
+  // One write per Table I field, in Fig. 3 order, unrolled at compile
+  // time.
+  [&]<std::size_t... I>(std::index_sequence<I...>) {
+    (write_member<kFig3Order[I]>(w, e, runtime, epoch), ...);
+  }(std::make_index_sequence<kDarshanFieldCount>());
   w.end_object();
   w.end_array();
   w.end_object();
@@ -252,10 +294,9 @@ SimDuration DarshanLdmsConnector::on_event(const darshan::IoEvent& e) {
       publish_payload(*daemon, ldms::PayloadFormat::kBinary, std::move(frame),
                       1, trace_ptr);
     } else {
-      // The trace member is appended *after* format_message so the
-      // schema-parity lint keeps seeing the exact Fig. 3 field sequence
-      // there (and event_bytes above stays the pre-trace size, keeping
-      // the modelled format cost identical for sampled events).
+      // The trace member is appended *after* format_message, so
+      // event_bytes above stays the pre-trace size and the modelled
+      // format cost is identical for sampled events.
       std::string payload = writer_.str();
       if (trace_ptr != nullptr) obs::append_trace_member(&payload, trace);
       publish_payload(*daemon,

@@ -12,26 +12,22 @@ namespace dlc::core {
 
 namespace {
 
-std::int64_t geti(const json::Value& v, std::string_view k,
-                  std::int64_t fallback = -1) {
-  return v.get_int(k, fallback);
+// Fast-path slot tables: the keys of the top-level and the per-seg
+// fields, each in table order.  Duplicate keys overwrite their slot —
+// the same last-wins rule json::parse applies via insert_or_assign.
+template <bool Seg>
+constexpr auto field_keys() {
+  std::array<std::string_view,
+             Seg ? kDarshanFieldCount - kTopFieldCount : kTopFieldCount>
+      keys{};
+  std::size_t n = 0;
+  for (const FieldSpec& f : kDarshanFields) {
+    if (f.in_seg == Seg) keys[n++] = f.key;
+  }
+  return keys;
 }
-
-std::string gets(const json::Value& v, std::string_view k) {
-  return v.get_string(k, "N/A");
-}
-
-// Fast-path field tables: top-level connector message fields and per-seg
-// fields, in stable slot order (NOT schema order; rows are assembled from
-// slots below).  Duplicate keys overwrite their slot — the same last-wins
-// rule json::parse applies via insert_or_assign.
-constexpr std::array<std::string_view, 14> kTopFields = {
-    "module", "uid",      "ProducerName", "switches", "file",
-    "rank",   "flushes",  "record_id",    "exe",      "max_byte",
-    "type",   "job_id",   "op",           "cnt"};
-constexpr std::array<std::string_view, 10> kSegFields = {
-    "off",       "pt_sel",      "dur",      "len",     "ndims",
-    "reg_hslab", "irreg_hslab", "data_set", "npoints", "timestamp"};
+constexpr auto kTopKeys = field_keys<false>();
+constexpr auto kSegKeys = field_keys<true>();
 
 template <std::size_t N>
 int field_slot(const std::array<std::string_view, N>& table,
@@ -40,6 +36,40 @@ int field_slot(const std::array<std::string_view, N>& table,
     if (table[i] == key) return static_cast<int>(i);
   }
   return -1;
+}
+
+/// A scanned token as field `f`'s value (its missing default when the
+/// token is absent or of the wrong kind).
+dsos::Value token_value(const FieldSpec& f, const json::Token& t) {
+  switch (f.type) {
+    case dsos::AttrType::kInt64:
+      return t.as_int(missing_int(f));
+    case dsos::AttrType::kUint64:
+      return t.as_uint(0);
+    case dsos::AttrType::kDouble:
+    case dsos::AttrType::kTimestamp:
+      return t.as_double(0.0);
+    case dsos::AttrType::kString:
+      return std::string(t.as_string(kNotAvailable));
+  }
+  return {};
+}
+
+/// Member `f.key` of DOM object `obj` as field `f`'s value, with the same
+/// fallbacks as token_value.
+dsos::Value dom_value(const FieldSpec& f, const json::Value& obj) {
+  switch (f.type) {
+    case dsos::AttrType::kInt64:
+      return obj.get_int(f.key, missing_int(f));
+    case dsos::AttrType::kUint64:
+      return obj.get_uint(f.key, 0);
+    case dsos::AttrType::kDouble:
+    case dsos::AttrType::kTimestamp:
+      return obj.get_double(f.key, 0.0);
+    case dsos::AttrType::kString:
+      return obj.get_string(f.key, std::string(kNotAvailable));
+  }
+  return {};
 }
 
 }  // namespace
@@ -51,8 +81,8 @@ bool decode_message_fast(const dsos::SchemaPtr& schema,
   json::Scanner sc(payload);
   if (!sc.enter_object()) return false;
 
-  std::array<json::Token, kTopFields.size()> top;
-  std::array<std::string, kTopFields.size()> top_scratch;
+  std::array<json::Token, kTopKeys.size()> top;
+  std::array<std::string, kTopKeys.size()> top_scratch;
   std::string key_scratch;
   std::string_view seg_span;
   bool have_seg = false;
@@ -67,7 +97,7 @@ bool decode_message_fast(const dsos::SchemaPtr& schema,
       seg_is_array = sc.peek_array();
       if (!sc.value_span(seg_span)) return false;
       have_seg = true;
-    } else if (const int slot = field_slot(kTopFields, key); slot >= 0) {
+    } else if (const int slot = field_slot(kTopKeys, key); slot >= 0) {
       if (!sc.scan_token(top[slot], top_scratch[slot])) return false;
     } else {
       if (!sc.skip_value()) return false;
@@ -80,8 +110,8 @@ bool decode_message_fast(const dsos::SchemaPtr& schema,
 
   json::Scanner segs(seg_span);
   if (!segs.enter_array()) return false;
-  std::array<json::Token, kSegFields.size()> seg;
-  std::array<std::string, kSegFields.size()> seg_scratch;
+  std::array<json::Token, kSegKeys.size()> seg;
+  std::array<std::string, kSegKeys.size()> seg_scratch;
   for (;;) {
     const int e = segs.next_element();
     if (e < 0) return false;
@@ -97,43 +127,21 @@ bool decode_message_fast(const dsos::SchemaPtr& schema,
       const int r = segs.next_member(key, key_scratch);
       if (r < 0) return false;
       if (r == 0) break;
-      if (const int slot = field_slot(kSegFields, key); slot >= 0) {
+      if (const int slot = field_slot(kSegKeys, key); slot >= 0) {
         if (!segs.scan_token(seg[slot], seg_scratch[slot])) return false;
       } else {
         if (!segs.skip_value()) return false;
       }
     }
 
-    // Same value/fallback ladder as decode_message, in schema order.
+    // Slots hold each group's fields in table order.
     std::vector<dsos::Value> values;
-    values.reserve(schema->attrs().size());
-    const auto str = [](const json::Token& t) {
-      return std::string(t.as_string("N/A"));
-    };
-    values.emplace_back(str(top[0]));                 // module
-    values.emplace_back(top[1].as_uint(0));           // uid
-    values.emplace_back(str(top[2]));                 // ProducerName
-    values.emplace_back(top[3].as_int(-1));           // switches
-    values.emplace_back(str(top[4]));                 // file
-    values.emplace_back(top[5].as_int(0));            // rank
-    values.emplace_back(top[6].as_int(-1));           // flushes
-    values.emplace_back(top[7].as_uint(0));           // record_id
-    values.emplace_back(str(top[8]));                 // exe
-    values.emplace_back(top[9].as_int(-1));           // max_byte
-    values.emplace_back(str(top[10]));                // type
-    values.emplace_back(top[11].as_uint(0));          // job_id
-    values.emplace_back(str(top[12]));                // op
-    values.emplace_back(top[13].as_int(0));           // cnt
-    values.emplace_back(seg[0].as_int(-1));           // seg_off
-    values.emplace_back(seg[1].as_int(-1));           // seg_pt_sel
-    values.emplace_back(seg[2].as_double(0.0));       // seg_dur
-    values.emplace_back(seg[3].as_int(-1));           // seg_len
-    values.emplace_back(seg[4].as_int(-1));           // seg_ndims
-    values.emplace_back(seg[5].as_int(-1));           // seg_reg_hslab
-    values.emplace_back(seg[6].as_int(-1));           // seg_irreg_hslab
-    values.emplace_back(str(seg[7]));                 // seg_data_set
-    values.emplace_back(seg[8].as_int(-1));           // seg_npoints
-    values.emplace_back(seg[9].as_double(0.0));       // seg_timestamp
+    values.reserve(kDarshanFieldCount);
+    std::size_t next_top = 0, next_seg = 0;
+    for (const FieldSpec& f : kDarshanFields) {
+      values.push_back(
+          token_value(f, f.in_seg ? seg[next_seg++] : top[next_top++]));
+    }
     out.push_back(dsos::make_object(schema, std::move(values)));
   }
   return true;
@@ -151,31 +159,10 @@ std::vector<dsos::Object> decode_message(const dsos::SchemaPtr& schema,
   for (const json::Value& s : seg->as_array()) {
     if (!s.is_object()) continue;
     std::vector<dsos::Value> values;
-    values.reserve(schema->attrs().size());
-    values.emplace_back(gets(*doc, "module"));
-    values.emplace_back(doc->get_uint("uid", 0));
-    values.emplace_back(gets(*doc, "ProducerName"));
-    values.emplace_back(geti(*doc, "switches"));
-    values.emplace_back(gets(*doc, "file"));
-    values.emplace_back(geti(*doc, "rank", 0));
-    values.emplace_back(geti(*doc, "flushes"));
-    values.emplace_back(doc->get_uint("record_id", 0));
-    values.emplace_back(gets(*doc, "exe"));
-    values.emplace_back(geti(*doc, "max_byte"));
-    values.emplace_back(gets(*doc, "type"));
-    values.emplace_back(doc->get_uint("job_id", 0));
-    values.emplace_back(gets(*doc, "op"));
-    values.emplace_back(geti(*doc, "cnt", 0));
-    values.emplace_back(geti(s, "off"));
-    values.emplace_back(geti(s, "pt_sel"));
-    values.emplace_back(s.get_double("dur", 0.0));
-    values.emplace_back(geti(s, "len"));
-    values.emplace_back(geti(s, "ndims"));
-    values.emplace_back(geti(s, "reg_hslab"));
-    values.emplace_back(geti(s, "irreg_hslab"));
-    values.emplace_back(gets(s, "data_set"));
-    values.emplace_back(geti(s, "npoints"));
-    values.emplace_back(s.get_double("timestamp", 0.0));
+    values.reserve(kDarshanFieldCount);
+    for (const FieldSpec& f : kDarshanFields) {
+      values.push_back(dom_value(f, f.in_seg ? s : *doc));
+    }
     out.push_back(dsos::make_object(schema, std::move(values)));
   }
   return out;
@@ -243,9 +230,9 @@ bool DarshanDecoder::decode_frame_fast(std::string_view payload) {
       scratch_traces_.clear();
       return false;
     }
-    // Trusted construction: the cursor's row assembly is pinned to the
-    // schema by the parity lint, so the make_object validation pass is
-    // pure overhead here.
+    // Trusted construction: the cursor sets each field with its Table I
+    // type checked at compile time, so the make_object validation pass
+    // is pure overhead here.
     scratch_rows_.push_back(
         dsos::make_object_unchecked(schema_, std::move(values)));
     values = {};

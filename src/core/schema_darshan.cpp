@@ -3,43 +3,26 @@
 namespace dlc::core {
 
 dsos::SchemaPtr darshan_data_schema() {
-  using dsos::AttrType;
-  return dsos::SchemaBuilder("darshan_data")
-      .attr("module", AttrType::kString)
-      .attr("uid", AttrType::kUint64)
-      .attr("ProducerName", AttrType::kString)
-      .attr("switches", AttrType::kInt64)
-      .attr("file", AttrType::kString)
-      .attr("rank", AttrType::kInt64)
-      .attr("flushes", AttrType::kInt64)
-      .attr("record_id", AttrType::kUint64)
-      .attr("exe", AttrType::kString)
-      .attr("max_byte", AttrType::kInt64)
-      .attr("type", AttrType::kString)
-      .attr("job_id", AttrType::kUint64)
-      .attr("op", AttrType::kString)
-      .attr("cnt", AttrType::kInt64)
-      .attr("seg_off", AttrType::kInt64)
-      .attr("seg_pt_sel", AttrType::kInt64)
-      .attr("seg_dur", AttrType::kDouble)
-      .attr("seg_len", AttrType::kInt64)
-      .attr("seg_ndims", AttrType::kInt64)
-      .attr("seg_reg_hslab", AttrType::kInt64)
-      .attr("seg_irreg_hslab", AttrType::kInt64)
-      .attr("seg_data_set", AttrType::kString)
-      .attr("seg_npoints", AttrType::kInt64)
-      .attr("seg_timestamp", AttrType::kTimestamp)
-      .index("job_rank_time", {"job_id", "rank", "seg_timestamp"})
+  dsos::SchemaBuilder builder("darshan_data");
+  for (const FieldSpec& f : kDarshanFields) {
+    builder.attr((f.in_seg ? "seg_" : "") + std::string(f.key), f.type);
+  }
+  return builder.index("job_rank_time", {"job_id", "rank", "seg_timestamp"})
       .index("job_time_rank", {"job_id", "seg_timestamp", "rank"})
       .index("time", {"seg_timestamp"})
       .build();
 }
 
 const char* darshan_csv_header() {
-  return "#module,uid,ProducerName,switches,file,rank,flushes,record_id,exe,"
-         "max_byte,type,job_id,op,cnt,seg:off,seg:pt_sel,seg:dur,seg:len,"
-         "seg:ndims,seg:reg_hslab,seg:irreg_hslab,seg:data_set,seg:npoints,"
-         "seg:timestamp";
+  static const std::string header = [] {
+    std::string h = "#";
+    for (const FieldSpec& f : kDarshanFields) {
+      if (h.size() > 1) h += ',';
+      h += (f.in_seg ? "seg:" : "") + std::string(f.key);
+    }
+    return h;
+  }();
+  return header.c_str();
 }
 
 }  // namespace dlc::core

@@ -121,9 +121,9 @@ class IngestExecutor {
 
  private:
   struct Worker {
-    // Lock hierarchy: IngestWorker is acquired BEFORE SpscRing (the
-    // wakeup predicate polls queue sizes under m); see DESIGN.md
-    // "Concurrency invariants & lock hierarchy".
+    // Lock hierarchy: IngestWorker is a leaf (the wakeup predicate polls
+    // the rings' lock-free sizes under m); see DESIGN.md "Concurrency
+    // invariants & lock hierarchy".
     util::Mutex m{"IngestWorker"};
     util::CondVar cv;
     // atomic-protocol: kind=gauge pairs=IngestExecutor::stats
@@ -150,10 +150,9 @@ class IngestExecutor {
   // One queue of event batches per shard.  Every queue is a strict
   // 1-producer/1-consumer edge — submit() is single-threaded by contract
   // (the decoder thread, which is also the drain() caller) and worker
-  // (shard % workers) is the only consumer — so the lock-free SpscRing
-  // replaces the old BoundedQueue: steady-state enqueue/dequeue never
-  // touches a mutex, and each Container keeps its single-writer
-  // invariant.
+  // (shard % workers) is the only consumer — so each is a lock-free
+  // SpscRing: steady-state enqueue/dequeue never touches a mutex, and
+  // each Container keeps its single-writer invariant.
   std::vector<std::unique_ptr<SpscRing<Batch>>> queues_;
   std::vector<Batch> pending_;  // caller-side batch buffers
   std::vector<std::unique_ptr<Worker>> workers_;

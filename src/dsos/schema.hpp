@@ -9,6 +9,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -26,6 +27,14 @@ std::string_view attr_type_name(AttrType t);
 
 /// A typed attribute value.  Timestamps use the double alternative.
 using Value = std::variant<std::int64_t, std::uint64_t, double, std::string>;
+
+/// The Value alternative that holds an attribute of type `T`.
+template <AttrType T>
+using ValueOf = std::conditional_t<
+    T == AttrType::kInt64, std::int64_t,
+    std::conditional_t<T == AttrType::kUint64, std::uint64_t,
+                       std::conditional_t<T == AttrType::kString,
+                                          std::string, double>>>;
 
 /// True when `v`'s alternative is compatible with `t`.
 bool value_matches_type(const Value& v, AttrType t);
@@ -111,9 +120,9 @@ struct Object {
 Object make_object(SchemaPtr schema, std::vector<Value> values);
 
 /// Trusted-builder variant that skips the per-value type validation.
-/// Only for hot paths whose value order/types are pinned by the schema-
-/// parity lint (the wire FrameCursor rows); everything else should pay
-/// for make_object.
+/// Only for rows whose value types are fixed at compile time (the wire
+/// FrameCursor rows, built with core::set_field); everything else should
+/// pay for make_object.
 inline Object make_object_unchecked(SchemaPtr schema,
                                     std::vector<Value> values) {
   return Object{std::move(schema), std::move(values)};

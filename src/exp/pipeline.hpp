@@ -99,6 +99,14 @@ struct ExperimentSpec {
 };
 
 struct RunResult {
+  RunResult() = default;
+  RunResult(RunResult&&) = default;
+  /// Replacing a live result would release `dsos` before `rollups` and
+  /// `anomalies` (declaration order), and the old rollup engine detaches
+  /// through the freed cluster.  Construct a fresh result instead.
+  RunResult& operator=(RunResult&&) = delete;
+  RunResult& operator=(const RunResult&) = delete;
+
   double runtime_s = 0.0;
   std::uint64_t events = 0;    // darshan-instrumented events
   std::uint64_t messages = 0;  // connector messages published

@@ -95,11 +95,6 @@ void LdmsDaemon::add_outage(SimTime start, SimTime end) {
   outages_.push_back({start, end});
 }
 
-void LdmsDaemon::set_outage(SimTime start, SimTime end) {
-  outages_.clear();
-  add_outage(start, end);
-}
-
 void LdmsDaemon::restart_at(SimTime t) {
   truncate_windows(outages_, t);
   for (const auto& r : routes_) truncate_windows(r->outages, t);

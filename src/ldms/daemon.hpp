@@ -97,8 +97,6 @@ class LdmsDaemon {
   /// transport outage.  Windows accumulate; a FaultPlan may crash the
   /// same daemon repeatedly.
   void add_outage(SimTime start, SimTime end);
-  /// Replaces all outage windows with one (legacy single-window API).
-  void set_outage(SimTime start, SimTime end);
   /// Operator restart at `t`: truncates any daemon-wide or route window
   /// covering `t` (later scheduled windows are untouched).
   void restart_at(SimTime t);

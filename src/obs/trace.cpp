@@ -4,27 +4,6 @@
 
 namespace dlc::obs {
 
-// Indexed by Hop; doubles as the per-hop metric suffix
-// (dlc.trace.hop.<name>_ns) and the spans-dump hop label.
-const std::array<std::string_view, kHopCount> kHopNames = {
-    "intercepted",      // Hop::kIntercepted
-    "published",        // Hop::kPublished
-    "bus_enqueued",     // Hop::kBusEnqueued
-    "daemon_forwarded",  // Hop::kDaemonForwarded
-    "aggregated",       // Hop::kAggregated
-    "decoded",          // Hop::kDecoded
-    "ingest_enqueued",  // Hop::kIngestEnqueued
-    "committed",        // Hop::kCommitted
-};
-
-// Canonical payload-side field list (the source-side hops; transport and
-// ingest hops ride the message envelope / are stamped downstream).
-const std::array<std::string_view, kTraceFieldCount> kTraceFields = {
-    "id",           // trace id, nonzero when sampled
-    "intercepted",  // absolute virtual ns of Darshan interception
-    "published",    // absolute virtual ns of the connector publish
-};
-
 bool TraceContext::complete() const {
   for (const std::int64_t t : hops) {
     if (t == kHopUnset) return false;
@@ -51,29 +30,36 @@ void append_trace_member(std::string* payload_json, const TraceContext& t) {
   if (payload_json == nullptr) return;
   const std::size_t close = payload_json->rfind('}');
   if (close == std::string::npos) return;
+  const std::string values[] = {std::to_string(t.id),
+                                std::to_string(t.hop(Hop::kIntercepted)),
+                                std::to_string(t.hop(Hop::kPublished))};
+  static_assert(std::size(values) == kTraceFields.size());
   std::string member;
   member.reserve(80);
   if (close > 0 && (*payload_json)[close - 1] != '{') member += ',';
-  member += "\"trace\":{\"id\":";
-  member += std::to_string(t.id);
-  member += ",\"intercepted\":";
-  member += std::to_string(t.hop(Hop::kIntercepted));
-  member += ",\"published\":";
-  member += std::to_string(t.hop(Hop::kPublished));
+  member += "\"trace\":{";
+  for (std::size_t i = 0; i < kTraceFields.size(); ++i) {
+    if (i != 0) member += ',';
+    member += '"';
+    member += kTraceFields[i];
+    member += "\":";
+    member += values[i];
+  }
   member += '}';
   payload_json->insert(close, member);
 }
 
 namespace {
 
-// Parses the integer immediately following `key` (searched at or after
+// Parses the integer value of member `key` (searched at or after
 // `from`).  Compact writer output: no whitespace between ':' and digits.
 template <typename Int>
 bool int_after(std::string_view text, std::string_view key, std::size_t from,
                Int* out) {
-  const std::size_t at = text.find(key, from);
+  const std::string quoted = "\"" + std::string(key) + "\":";
+  const std::size_t at = text.find(quoted, from);
   if (at == std::string_view::npos) return false;
-  const char* first = text.data() + at + key.size();
+  const char* first = text.data() + at + quoted.size();
   const char* last = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(first, last, *out);
   return ec == std::errc() && ptr != first;
@@ -88,9 +74,9 @@ bool parse_trace_member(std::string_view payload_json, TraceContext* out) {
   std::uint64_t id = 0;
   std::int64_t intercepted = 0;
   std::int64_t published = 0;
-  if (!int_after(payload_json, "\"id\":", at, &id) ||
-      !int_after(payload_json, "\"intercepted\":", at, &intercepted) ||
-      !int_after(payload_json, "\"published\":", at, &published)) {
+  if (!int_after(payload_json, kTraceFields[0], at, &id) ||
+      !int_after(payload_json, kTraceFields[1], at, &intercepted) ||
+      !int_after(payload_json, kTraceFields[2], at, &published)) {
     return false;
   }
   if (id == 0) return false;

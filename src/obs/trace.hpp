@@ -19,6 +19,7 @@
 // identical to a build without this subsystem.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -29,7 +30,7 @@
 namespace dlc::obs {
 
 /// The eight pipeline stages a sampled event is stamped at, in pipeline
-/// order.  Kept in sync with kHopNames (lint_schema_parity.py checks).
+/// order.  kCommitted stays last: kHopCount derives from it.
 enum class Hop : std::uint8_t {
   kIntercepted = 0,      // Darshan wrapper sees the I/O call
   kPublished = 1,        // connector hands the payload to ldmsd
@@ -41,10 +42,19 @@ enum class Hop : std::uint8_t {
   kCommitted = 7,        // object inserted into its DSOS shard
 };
 
-inline constexpr std::size_t kHopCount = 8;
+inline constexpr std::size_t kHopCount =
+    static_cast<std::size_t>(Hop::kCommitted) + 1;
 
-/// Dotted-metric / JSON names for each hop, indexed by Hop.
-extern const std::array<std::string_view, kHopCount> kHopNames;
+/// Dotted-metric / JSON names for each hop, indexed by Hop; also the
+/// per-hop metric suffix (dlc.trace.hop.<name>_ns) and the spans-dump
+/// hop label.
+inline constexpr std::array<std::string_view, kHopCount> kHopNames = {
+    "intercepted",      "published",  "bus_enqueued",    "daemon_forwarded",
+    "aggregated",       "decoded",    "ingest_enqueued", "committed",
+};
+static_assert(std::ranges::none_of(
+                  kHopNames, [](std::string_view n) { return n.empty(); }),
+              "every Hop needs a name");
 
 /// Sentinel for a hop that has not been stamped yet.
 inline constexpr std::int64_t kHopUnset =
@@ -91,12 +101,14 @@ struct TraceContext {
 // --- JSON envelope block -------------------------------------------------
 //
 // The payload-side half of the context is serialized as a trailing
-// `"trace"` member of the connector's JSON envelope.  Field list is the
-// canonical kTraceFields; lint_schema_parity.py diffs it against the
-// writer, the parser and the wire-codec block.
+// `"trace"` member of the connector's JSON envelope (and as the wire
+// codec's trace block): the trace id, then the source-side hops, each
+// keyed by its hop name.  Transport and ingest hops ride the message
+// envelope or are stamped downstream.
 
-inline constexpr std::size_t kTraceFieldCount = 3;
-extern const std::array<std::string_view, kTraceFieldCount> kTraceFields;
+inline constexpr std::array<std::string_view, 3> kTraceFields = {
+    "id", kHopNames[static_cast<std::size_t>(Hop::kIntercepted)],
+    kHopNames[static_cast<std::size_t>(Hop::kPublished)]};
 
 /// Appends `,"trace":{...}` before the closing brace of a rendered JSON
 /// object.  No-op if `payload_json` does not end in an object.

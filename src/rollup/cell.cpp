@@ -126,28 +126,18 @@ std::size_t CellKeyHash::operator()(const CellKey& k) const {
 }
 
 dsos::SchemaPtr rollup_cell_schema() {
-  using dsos::AttrType;
-  static const dsos::SchemaPtr schema =
-      dsos::SchemaBuilder("rollup_cell")
-          .attr("policy", AttrType::kString)          // rollupcell:policy
-          .attr("job_id", AttrType::kUint64)          // rollupcell:job_id
-          .attr("ProducerName", AttrType::kString)    // rollupcell:ProducerName
-          .attr("rank", AttrType::kInt64)             // rollupcell:rank
-          .attr("op", AttrType::kString)              // rollupcell:op
-          .attr("module", AttrType::kString)          // rollupcell:module
-          .attr("bucket", AttrType::kTimestamp)       // rollupcell:bucket
-          .attr("bucket_w", AttrType::kDouble)        // rollupcell:bucket_w
-          .attr("count", AttrType::kUint64)           // rollupcell:count
-          .attr("bytes", AttrType::kUint64)           // rollupcell:bytes
-          .attr("dur_sum", AttrType::kDouble)         // rollupcell:dur_sum
-          .attr("dur_min", AttrType::kDouble)         // rollupcell:dur_min
-          .attr("dur_max", AttrType::kDouble)         // rollupcell:dur_max
-          .attr("dur_hist", AttrType::kString)        // rollupcell:dur_hist
-          .attr("shard", AttrType::kUint64)           // rollupcell-extra:shard
-          .attr("watermark", AttrType::kTimestamp)  // rollupcell-extra:watermark
-          .index("policy_bucket", {"policy", "bucket"})
-          .index("policy_job_bucket", {"policy", "job_id", "bucket"})
-          .build();
+  static const dsos::SchemaPtr schema = [] {
+    dsos::SchemaBuilder builder("rollup_cell");
+    for (const CellField& f : kRollupCellFields) {
+      builder.attr(std::string(f.name), f.type);
+    }
+    for (const CellField& f : kRollupRowExtraFields) {
+      builder.attr(std::string(f.name), f.type);
+    }
+    return builder.index("policy_bucket", {"policy", "bucket"})
+        .index("policy_job_bucket", {"policy", "job_id", "bucket"})
+        .build();
+  }();
   return schema;
 }
 
@@ -155,53 +145,37 @@ dsos::Object cell_to_row(const dsos::SchemaPtr& schema,
                          std::string_view policy, const CellKey& key,
                          double bucket_w, const CellAgg& agg,
                          std::uint64_t shard, double watermark) {
-  std::vector<dsos::Value> values;
-  values.reserve(kRollupCellFieldCount + kRollupRowExtraFieldCount);
-  values.emplace_back(std::string(policy));                  // rollupcell:policy
-  values.emplace_back(key.job);                              // rollupcell:job_id
-  values.emplace_back(key.producer);              // rollupcell:ProducerName
-  values.emplace_back(key.rank);                             // rollupcell:rank
-  values.emplace_back(key.op);                               // rollupcell:op
-  values.emplace_back(key.module);                           // rollupcell:module
-  values.emplace_back(static_cast<double>(key.bucket) * bucket_w);
-  // ^ rollupcell:bucket
-  values.emplace_back(bucket_w);                           // rollupcell:bucket_w
-  values.emplace_back(agg.count);                            // rollupcell:count
-  values.emplace_back(agg.bytes);                            // rollupcell:bytes
-  values.emplace_back(agg.dur_sum);                         // rollupcell:dur_sum
-  values.emplace_back(agg.dur_min);                         // rollupcell:dur_min
-  values.emplace_back(agg.dur_max);                         // rollupcell:dur_max
-  values.emplace_back(agg.dur_hist.encode());              // rollupcell:dur_hist
-  values.emplace_back(shard);                          // rollupcell-extra:shard
-  values.emplace_back(watermark);                  // rollupcell-extra:watermark
-  return dsos::make_object(schema, std::move(values));
+  return dsos::make_object(
+      schema, {std::string(policy), key.job, key.producer, key.rank, key.op,
+               key.module, static_cast<double>(key.bucket) * bucket_w,
+               bucket_w, agg.count, agg.bytes, agg.dur_sum, agg.dur_min,
+               agg.dur_max, agg.dur_hist.encode(), shard, watermark});
 }
 
 bool row_to_cell(const dsos::Object& row, RollupCell& cell,
                  std::uint64_t& shard, double& watermark) {
-  cell.policy = row.as_string("policy");                     // rollupcell:policy
-  cell.key.job = row.as_uint("job_id");                      // rollupcell:job_id
+  cell.policy = row.as_string("policy");
+  cell.key.job = row.as_uint("job_id");
   cell.key.producer = row.as_string("ProducerName");
-  // ^ rollupcell:ProducerName
-  cell.key.rank = row.as_int("rank");                        // rollupcell:rank
-  cell.key.op = row.as_string("op");                         // rollupcell:op
-  cell.key.module = row.as_string("module");                 // rollupcell:module
-  cell.bucket_start = row.as_double("bucket");               // rollupcell:bucket
-  cell.bucket_w = row.as_double("bucket_w");               // rollupcell:bucket_w
+  cell.key.rank = row.as_int("rank");
+  cell.key.op = row.as_string("op");
+  cell.key.module = row.as_string("module");
+  cell.bucket_start = row.as_double("bucket");
+  cell.bucket_w = row.as_double("bucket_w");
   if (!(cell.bucket_w > 0)) return false;
   cell.key.bucket =
       static_cast<std::int64_t>(std::llround(cell.bucket_start / cell.bucket_w));
   cell.agg = CellAgg{};
-  cell.agg.count = row.as_uint("count");                     // rollupcell:count
-  cell.agg.bytes = row.as_uint("bytes");                     // rollupcell:bytes
-  cell.agg.dur_sum = row.as_double("dur_sum");              // rollupcell:dur_sum
-  cell.agg.dur_min = row.as_double("dur_min");              // rollupcell:dur_min
-  cell.agg.dur_max = row.as_double("dur_max");              // rollupcell:dur_max
+  cell.agg.count = row.as_uint("count");
+  cell.agg.bytes = row.as_uint("bytes");
+  cell.agg.dur_sum = row.as_double("dur_sum");
+  cell.agg.dur_min = row.as_double("dur_min");
+  cell.agg.dur_max = row.as_double("dur_max");
   if (!SparseLogHist::decode(row.as_string("dur_hist"), cell.agg.dur_hist)) {
-    return false;                                          // rollupcell:dur_hist
+    return false;
   }
-  shard = row.as_uint("shard");                        // rollupcell-extra:shard
-  watermark = row.as_double("watermark");          // rollupcell-extra:watermark
+  shard = row.as_uint("shard");
+  watermark = row.as_double("watermark");
   return true;
 }
 

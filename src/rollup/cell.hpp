@@ -8,11 +8,13 @@
 // materialised as `rollup_cell` DSOS rows so the PR 6 tiered store
 // persists them and retention expires them like any other schema.
 //
-// The field list is a lint surface: kRollupCellFields below, the schema
-// builder, cell_to_row/row_to_cell's `// rollupcell:` tags and the
-// websvc JSON response must all agree (tools/lint_schema_parity.py).
+// kRollupCellFields below declares the row once: rollup_cell_schema()
+// is built from it and the policy dimensions (policy.hpp) are derived
+// from its key fields.  The row codec and the /api/rollup/<policy>
+// response follow its order, pinned by golden fixtures and a websvc test.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -24,18 +26,39 @@
 
 namespace dlc::rollup {
 
-/// Canonical rollup cell field list, in row/JSON order.
-inline constexpr const char* kRollupCellFields[] = {
-    "policy",  "job_id", "ProducerName", "rank",    "op",
-    "module",  "bucket", "bucket_w",     "count",   "bytes",
-    "dur_sum", "dur_min", "dur_max",     "dur_hist",
+struct CellField {
+  std::string_view name;
+  dsos::AttrType type;
+  bool dim;  // a policy-keyable dimension (a CellKey member)
 };
-inline constexpr std::size_t kRollupCellFieldCount = 14;
+
+/// The served cell's fields, in row/JSON order.
+inline constexpr std::array<CellField, 14> kRollupCellFields = [] {
+  using T = dsos::AttrType;
+  return std::array<CellField, 14>{{
+      {"policy", T::kString, false},
+      {"job_id", T::kUint64, true},
+      {"ProducerName", T::kString, true},
+      {"rank", T::kInt64, true},
+      {"op", T::kString, true},
+      {"module", T::kString, true},
+      {"bucket", T::kTimestamp, false},
+      {"bucket_w", T::kDouble, false},
+      {"count", T::kUint64, false},
+      {"bytes", T::kUint64, false},
+      {"dur_sum", T::kDouble, false},
+      {"dur_min", T::kDouble, false},
+      {"dur_max", T::kDouble, false},
+      {"dur_hist", T::kString, false},
+  }};
+}();
 
 /// Row-only bookkeeping attrs (not part of the served cell): the raw
 /// shard the cell aggregated and the seal watermark it records.
-inline constexpr const char* kRollupRowExtraFields[] = {"shard", "watermark"};
-inline constexpr std::size_t kRollupRowExtraFieldCount = 2;
+inline constexpr std::array<CellField, 2> kRollupRowExtraFields = {{
+    {"shard", dsos::AttrType::kUint64, false},
+    {"watermark", dsos::AttrType::kTimestamp, false},
+}};
 
 /// Sparse counterpart of obs::LogHistogram: same util/stats.hpp
 /// log-bucket geometry (4 sub-buckets per octave), but stored as sorted

@@ -20,18 +20,30 @@
 // typo'd config fails loudly instead of silently rolling up nothing.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "rollup/cell.hpp"
+
 namespace dlc::rollup {
 
-/// Dimensions a policy may key or match on, in canonical order (the
-/// subset of Table I fields the Fig. 5–9 panels group by).
-inline constexpr const char* kRollupDims[] = {
-    "job_id", "ProducerName", "rank", "op", "module",
-};
-inline constexpr std::size_t kRollupDimCount = 5;
+/// Dimensions a policy may key or match on: the rollup cell's key fields,
+/// in cell order (the subset of Table I fields the Fig. 5–9 panels group
+/// by).
+inline constexpr std::size_t kRollupDimCount =
+    std::ranges::count_if(kRollupCellFields, &CellField::dim);
+inline constexpr std::array<std::string_view, kRollupDimCount> kRollupDims =
+    [] {
+      std::array<std::string_view, kRollupDimCount> dims{};
+      std::size_t n = 0;
+      for (const CellField& f : kRollupCellFields) {
+        if (f.dim) dims[n++] = f.name;
+      }
+      return dims;
+    }();
 
 bool is_rollup_dim(std::string_view name);
 

@@ -41,16 +41,4 @@ bool store_mode_from_name(std::string_view name, StoreMode& out) {
   return true;
 }
 
-const std::array<std::string_view, kWalDataFrameFieldCount>
-    kWalDataFrameFields = {
-        "type", "crc", "first_seq", "count", "block",
-};
-
-const std::array<std::string_view, kSegmentHeaderFieldCount>
-    kSegmentHeaderFields = {
-        "version",  "segment_id", "shard",          "first_seq",
-        "last_seq", "row_count",  "min_time",       "max_time",
-        "created_unix_s", "replaces", "schemas", "zones",
-};
-
 }  // namespace dlc::store

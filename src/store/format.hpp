@@ -13,14 +13,11 @@
 //                     (metadata + schema defs + zone maps), CRC'd data
 //                     block (wire/objblock encoding).
 //
-// The canonical field lists here are the single source of truth for the
-// frame/header shape; tools/lint_schema_parity.py diffs them against the
-// `walframe:` / `seghdr:` tags on the writer and reader in wal.cpp /
-// segment.cpp, so the durable format cannot drift from its
-// encode/decode sites silently.
+// Both byte layouts are frozen formats, pinned by the golden fixtures in
+// tests/golden/ (wal.bin, segment.bin): a writer or reader that drifts
+// from them fails the build's tests rather than a recovery.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 
@@ -48,15 +45,5 @@ enum class StoreMode : std::uint8_t {
 
 std::string_view store_mode_name(StoreMode m);
 bool store_mode_from_name(std::string_view name, StoreMode& out);
-
-/// Canonical WAL data-frame field order (see wal.cpp `walframe:` tags).
-inline constexpr std::size_t kWalDataFrameFieldCount = 5;
-extern const std::array<std::string_view, kWalDataFrameFieldCount>
-    kWalDataFrameFields;
-
-/// Canonical segment header field order (see segment.cpp `seghdr:` tags).
-inline constexpr std::size_t kSegmentHeaderFieldCount = 12;
-extern const std::array<std::string_view, kSegmentHeaderFieldCount>
-    kSegmentHeaderFields;
 
 }  // namespace dlc::store

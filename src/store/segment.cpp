@@ -81,22 +81,22 @@ void derive_from_rows(SegmentMeta* meta,
 
 std::string encode_header(const SegmentMeta& meta) {
   std::string h;
-  wire::put_varint(h, kSegmentVersion);        // seghdr:version
-  wire::put_varint(h, meta.id);                // seghdr:segment_id
-  wire::put_varint(h, meta.shard);             // seghdr:shard
-  wire::put_varint(h, meta.first_seq);         // seghdr:first_seq
-  wire::put_varint(h, meta.last_seq);          // seghdr:last_seq
-  wire::put_varint(h, meta.row_count);         // seghdr:row_count
-  wire::put_double(h, meta.min_time);          // seghdr:min_time
-  wire::put_double(h, meta.max_time);          // seghdr:max_time
-  wire::put_varint(h, meta.created_unix_s);    // seghdr:created_unix_s
-  wire::put_varint(h, meta.replaces.size());   // seghdr:replaces
+  wire::put_varint(h, kSegmentVersion);
+  wire::put_varint(h, meta.id);
+  wire::put_varint(h, meta.shard);
+  wire::put_varint(h, meta.first_seq);
+  wire::put_varint(h, meta.last_seq);
+  wire::put_varint(h, meta.row_count);
+  wire::put_double(h, meta.min_time);
+  wire::put_double(h, meta.max_time);
+  wire::put_varint(h, meta.created_unix_s);
+  wire::put_varint(h, meta.replaces.size());
   for (const std::uint64_t id : meta.replaces) wire::put_varint(h, id);
-  wire::put_varint(h, meta.schemas.size());    // seghdr:schemas
+  wire::put_varint(h, meta.schemas.size());
   for (const dsos::SchemaPtr& schema : meta.schemas) {
     wire::put_schema_def(h, *schema);
   }
-  wire::put_varint(h, meta.zones.size());      // seghdr:zones
+  wire::put_varint(h, meta.zones.size());
   for (const SegmentZone& z : meta.zones) {
     wire::put_varint(h, z.schema_idx);
     wire::put_varint(h, z.attr_id);
@@ -112,29 +112,29 @@ std::string encode_header(const SegmentMeta& meta) {
 
 bool decode_header(std::string_view bytes, SegmentMeta* meta) {
   wire::Reader r(bytes);
-  const std::uint64_t version = r.varint();    // seghdr:version
+  const std::uint64_t version = r.varint();
   if (!r.ok() || version != kSegmentVersion) return false;
-  meta->id = r.varint();                       // seghdr:segment_id
-  meta->shard = r.varint();                    // seghdr:shard
-  meta->first_seq = r.varint();                // seghdr:first_seq
-  meta->last_seq = r.varint();                 // seghdr:last_seq
-  meta->row_count = r.varint();                // seghdr:row_count
-  meta->min_time = r.raw_double();             // seghdr:min_time
-  meta->max_time = r.raw_double();             // seghdr:max_time
-  meta->created_unix_s = r.varint();           // seghdr:created_unix_s
-  const std::uint64_t replaces = r.varint();   // seghdr:replaces
+  meta->id = r.varint();
+  meta->shard = r.varint();
+  meta->first_seq = r.varint();
+  meta->last_seq = r.varint();
+  meta->row_count = r.varint();
+  meta->min_time = r.raw_double();
+  meta->max_time = r.raw_double();
+  meta->created_unix_s = r.varint();
+  const std::uint64_t replaces = r.varint();
   if (!r.ok() || replaces > r.remaining()) return false;
   for (std::uint64_t i = 0; i < replaces; ++i) {
     meta->replaces.push_back(r.varint());
   }
-  const std::uint64_t schemas = r.varint();    // seghdr:schemas
+  const std::uint64_t schemas = r.varint();
   if (!r.ok() || schemas > r.remaining()) return false;
   for (std::uint64_t i = 0; i < schemas; ++i) {
     dsos::SchemaPtr schema = wire::get_schema_def(r);
     if (schema == nullptr) return false;
     meta->schemas.push_back(std::move(schema));
   }
-  const std::uint64_t zones = r.varint();      // seghdr:zones
+  const std::uint64_t zones = r.varint();
   if (!r.ok() || zones > r.remaining()) return false;
   for (std::uint64_t i = 0; i < zones; ++i) {
     SegmentZone z;

@@ -28,8 +28,8 @@ std::uint32_t get_u32(std::string_view bytes) {
 /// Assembles one frame body: type, CRC-32 of the payload, payload.
 std::string frame_body(std::uint8_t type, std::string_view payload) {
   std::string body;
-  body.push_back(static_cast<char>(type));       // walframe:type
-  put_u32(body, util::crc32(payload));           // walframe:crc
+  body.push_back(static_cast<char>(type));
+  put_u32(body, util::crc32(payload));
   body.append(payload.data(), payload.size());
   return body;
 }
@@ -52,9 +52,9 @@ bool WalWriter::append_group(std::uint64_t first_seq,
                              const std::vector<const dsos::Object*>& rows,
                              std::size_t torn_frame_bytes) {
   std::string payload;
-  wire::put_varint(payload, first_seq);   // walframe:first_seq
-  wire::put_varint(payload, rows.size());  // walframe:count
-  payload += wire::encode_object_block(rows);  // walframe:block
+  wire::put_varint(payload, first_seq);
+  wire::put_varint(payload, rows.size());
+  payload += wire::encode_object_block(rows);
   const std::string body = frame_body(kWalFrameData, payload);
   if (torn_frame_bytes != 0) {
     seg_.append_partial(body, torn_frame_bytes);
@@ -81,10 +81,10 @@ bool replay_wal(const std::string& path, WalReplay* out) {
     const auto status = seg.read_next(body);
     if (status != relia::FileSegment::ReadStatus::kOk) break;
     if (body.size() < 5) break;
-    const auto type = static_cast<std::uint8_t>(body[0]);  // walframe:type
+    const auto type = static_cast<std::uint8_t>(body[0]);
     const std::uint32_t crc = get_u32(std::string_view(body).substr(1, 4));
     const std::string_view payload = std::string_view(body).substr(5);
-    if (util::crc32(payload) != crc) break;  // walframe:crc
+    if (util::crc32(payload) != crc) break;
     if (type == kWalFrameSchema) {
       wire::Reader r(payload);
       dsos::SchemaPtr schema = wire::get_schema_def(r);
@@ -94,13 +94,13 @@ bool replay_wal(const std::string& path, WalReplay* out) {
       }
     } else if (type == kWalFrameData) {
       wire::Reader r(payload);
-      const std::uint64_t first_seq = r.varint();  // walframe:first_seq
-      const std::uint64_t count = r.varint();      // walframe:count
+      const std::uint64_t first_seq = r.varint();
+      const std::uint64_t count = r.varint();
       if (!r.ok() || count == 0) break;
       std::vector<dsos::Object> rows;
       const std::string_view block =
           payload.substr(payload.size() - r.remaining());
-      if (!wire::decode_object_block(block, resolve, &rows) ||  // walframe:block
+      if (!wire::decode_object_block(block, resolve, &rows) ||
           rows.size() != count) {
         break;
       }

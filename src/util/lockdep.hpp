@@ -4,7 +4,7 @@
 // Every instrumented acquisition records "lock class H was held while
 // acquiring lock class L" edges into a process-global directed graph,
 // keyed by the lock-class name given at util::Mutex construction (all
-// BoundedQueue mutexes are one class, like Linux lockdep classes).  A new
+// SpscRing mutexes are one class, like Linux lockdep classes).  A new
 // edge that closes a cycle means two code paths take the same classes in
 // opposite orders — a potential deadlock even if the schedules observed
 // so far never interleaved badly.  This is the property TSan cannot see:

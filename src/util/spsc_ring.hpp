@@ -1,15 +1,15 @@
 // Lock-free single-producer/single-consumer bounded ring queue.
 //
-// BoundedQueue (queue.hpp) serialises every push and pop behind one
-// mutex; that is the right tool for multi-producer edges (the bus fanout)
-// but it is the dominant cost on the ingest hot path, where every edge is
-// exactly one producer thread feeding exactly one consumer thread — the
-// decoder thread filling a shard writer's queue, or a bus callback
-// feeding a forwarder worker.  SpscRing is a drop-in replacement for
-// those edges: the fast path is two cache-line-padded monotonic indices
-// published with release/acquire stores, no lock, no syscall.
+// A mutex-guarded queue serialises every push and pop behind one lock,
+// the dominant cost on the ingest hot path, where every edge is exactly
+// one producer thread feeding exactly one consumer thread — the decoder
+// thread filling a shard writer's queue, or a bus callback feeding a
+// forwarder worker.  SpscRing serves those edges: the fast path is two
+// cache-line-padded monotonic indices published with release/acquire
+// stores, no lock, no syscall.  tests/bounded_queue.hpp keeps the
+// mutex-guarded queue it replaced as the test oracle.
 //
-// Contract parity with BoundedQueue (what makes the swap provable):
+// Contract (shared with that oracle):
 //   * try_push(item, bytes) / push_wait(item, bytes, waited*) /
 //     pop() / try_pop() / close() / size() / size_bytes(), with the same
 //     semantics: push_wait returns false immediately when capacity()==0
@@ -29,8 +29,7 @@
 // be called from any thread.  close() is a producer-quiesce protocol,
 // not a barrier: a push that already passed its closed-check may land
 // concurrently with close() — callers stop the producer before relying
-// on a sealed queue (both deployments join/unsubscribe first), exactly
-// as they already had to under BoundedQueue to avoid losing items.
+// on a sealed queue (both deployments join/unsubscribe first).
 //
 // Memory ordering (DESIGN.md section 9 walks the proof):
 //   * Slots are published by storing tail_ with memory_order_release
@@ -80,8 +79,8 @@ template <typename T, typename P>
 class SpscRingT {
  public:
   /// `capacity` = max queued items; `capacity_bytes` additionally caps
-  /// the queued payload bytes when nonzero (same accounting as
-  /// BoundedQueue: the caller passes each item's size to push).
+  /// the queued payload bytes when nonzero (the caller passes each
+  /// item's size to push).
   explicit SpscRingT(std::size_t capacity, std::size_t capacity_bytes = 0)
       : capacity_(capacity),
         capacity_bytes_(capacity_bytes),

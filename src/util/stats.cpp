@@ -80,10 +80,6 @@ double SortedQuantiles::percentile(double p) const {
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
 }
 
-double percentile(std::vector<double> values, double p) {
-  return SortedQuantiles(std::move(values)).percentile(p);
-}
-
 std::uint32_t log_bucket_index(std::uint64_t v) {
   if (v == 0) return 0;
   const auto octave = static_cast<std::uint32_t>(std::bit_width(v) - 1);

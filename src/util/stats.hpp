@@ -42,12 +42,10 @@ class RunningStats {
 /// Two-sided t-distribution 97.5% quantile for `dof` degrees of freedom.
 double t_quantile_975(std::size_t dof);
 
-/// Sort-once multi-quantile extractor.  The old free `percentile()`
-/// re-copied and re-sorted the sample on every call; batch callers that
-/// need several quantiles of the same sample (p50 + p95 in a group-by,
-/// p50/p99 in benches) construct this once and query it repeatedly.
-/// Quantiles are exact linear-interpolated order statistics — identical
-/// values to the historical `percentile()` implementation.
+/// Sort-once multi-quantile extractor: callers that need several
+/// quantiles of the same sample (p50 + p95 in a group-by, p50/p99 in
+/// benches) construct this once and query it repeatedly.  Quantiles are
+/// exact linear-interpolated order statistics.
 class SortedQuantiles {
  public:
   explicit SortedQuantiles(std::vector<double> values);
@@ -60,13 +58,6 @@ class SortedQuantiles {
  private:
   std::vector<double> sorted_;
 };
-
-/// Linear-interpolated percentile of an unsorted sample.  Thin shim over
-/// SortedQuantiles kept for the existing one-shot call sites; multi-
-/// quantile callers should construct SortedQuantiles (exact) or an
-/// obs::LogHistogram (streaming, approximate) instead of calling this in
-/// a loop — each call still pays a full sort.
-double percentile(std::vector<double> values, double p);
 
 // --- Log-bucket geometry -------------------------------------------------
 //

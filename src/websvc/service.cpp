@@ -602,27 +602,25 @@ Response DashboardService::api_rollup_cells(const std::string& policy,
     const bool has_dur = cell.agg.count > 0 &&
                          cell.agg.dur_min <= cell.agg.dur_max;
     w.begin_object();
-    w.member("policy", cell.policy);               // rollupcell:policy
-    w.member("job_id", cell.key.job);              // rollupcell:job_id
-    w.member("ProducerName",                       // rollupcell:ProducerName
-             cell.key.producer);
-    w.member("rank", cell.key.rank);               // rollupcell:rank
-    w.member("op", cell.key.op);                   // rollupcell:op
-    w.member("module", cell.key.module);           // rollupcell:module
-    w.key("bucket");                               // rollupcell:bucket
+    w.member("policy", cell.policy);
+    w.member("job_id", cell.key.job);
+    w.member("ProducerName", cell.key.producer);
+    w.member("rank", cell.key.rank);
+    w.member("op", cell.key.op);
+    w.member("module", cell.key.module);
+    w.key("bucket");
     w.value_double(cell.bucket_start, 9);
-    w.key("bucket_w");                             // rollupcell:bucket_w
+    w.key("bucket_w");
     w.value_double(cell.bucket_w, 9);
-    w.member("count", cell.agg.count);             // rollupcell:count
-    w.member("bytes", cell.agg.bytes);             // rollupcell:bytes
-    w.key("dur_sum");                              // rollupcell:dur_sum
+    w.member("count", cell.agg.count);
+    w.member("bytes", cell.agg.bytes);
+    w.key("dur_sum");
     w.value_double(cell.agg.dur_sum, 9);
-    w.key("dur_min");                              // rollupcell:dur_min
+    w.key("dur_min");
     w.value_double(has_dur ? cell.agg.dur_min : 0.0, 9);
-    w.key("dur_max");                              // rollupcell:dur_max
+    w.key("dur_max");
     w.value_double(has_dur ? cell.agg.dur_max : 0.0, 9);
-    w.member("dur_hist",                           // rollupcell:dur_hist
-             cell.agg.dur_hist.encode());
+    w.member("dur_hist", cell.agg.dur_hist.encode());
     // Convenience quantiles off the histogram (nanoseconds).
     w.key("dur_p50_ns");
     w.value_double(cell.agg.dur_hist.percentile(50.0), 3);

@@ -1,5 +1,6 @@
 #include "wire/codec.hpp"
 
+#include "core/schema_darshan.hpp"
 #include "wire/varint.hpp"
 
 namespace dlc::wire {
@@ -13,8 +14,8 @@ constexpr std::uint8_t kHasFile = 1u << 0;
 constexpr std::uint8_t kHasH5 = 1u << 1;
 constexpr std::uint8_t kHasDataSet = 1u << 2;
 /// Event carries a pipeline-trace block (sampled events only; see
-/// obs/trace.hpp).  Field list mirrors obs::kTraceFields — the trailing
-/// `// trace:` comments are checked by tools/lint_schema_parity.py.
+/// obs/trace.hpp): the trace id, then the first source hop absolute and
+/// the second as a delta from it.
 constexpr std::uint8_t kHasTrace = 1u << 3;
 
 bool h5_traced(const darshan::Hdf5Info& h5) {
@@ -41,6 +42,16 @@ bool read_interned(Reader& r, std::vector<std::string>& table,
     return true;
   }
   return false;
+}
+
+/// Reads one interning-table reference into string field `F` of `row`.
+template <core::Field F>
+bool read_string(Reader& r, std::vector<std::string>& table,
+                 std::vector<dsos::Value>& row) {
+  std::string s;
+  if (!read_interned(r, table, s)) return false;
+  core::set_field<F>(row, std::move(s));
+  return true;
 }
 
 }  // namespace
@@ -115,11 +126,9 @@ void FrameEncoder::add(const darshan::IoEvent& e, std::string_view producer,
   if (flags & kHasDataSet) put_interned(e.h5.data_set);
   if (traced) {
     const std::int64_t intercepted = trace->hop(obs::Hop::kIntercepted);
-    put_varint(buf_, trace->id);  // trace:id
-    put_zigzag(buf_, intercepted);  // trace:intercepted
-    put_zigzag(buf_,
-               trace->hop(obs::Hop::kPublished) -
-                   intercepted);  // trace:published (delta from first hop)
+    put_varint(buf_, trace->id);
+    put_zigzag(buf_, intercepted);
+    put_zigzag(buf_, trace->hop(obs::Hop::kPublished) - intercepted);
   }
   ++event_count_;
 }
@@ -159,106 +168,72 @@ FrameCursor::FrameCursor(std::string_view payload) : r_(payload) {
 
 int FrameCursor::next(std::vector<dsos::Value>& values,
                       obs::TraceContext* trace) {
-  // Single source of truth for binary event decode: decode_frame wraps
-  // this loop body, and the core decoder's fast path walks it directly.
-  // The local aliases keep the statement shapes the schema-parity lint
-  // extracts (r.<read>() field reads, values.emplace_back row assembly).
-  Reader& r = r_;
-  std::vector<std::string>& table = table_;
-  if (!ok_ || !r.ok()) return -1;
-  if (r.done()) return 0;
+  if (!ok_ || !r_.ok()) return -1;
+  if (r_.done()) return 0;
 
-  const std::uint8_t flags = r.byte();
-  const std::uint8_t module_byte = r.byte();
-  const std::uint8_t op_byte = r.byte();
-  if (!r.ok() || module_byte >= darshan::kModuleCount ||
+  const std::uint8_t flags = r_.byte();
+  const std::uint8_t module_byte = r_.byte();
+  const std::uint8_t op_byte = r_.byte();
+  if (!r_.ok() || module_byte >= darshan::kModuleCount ||
       op_byte >= darshan::kOpCount) {
     return -1;
   }
   const auto op = static_cast<darshan::Op>(op_byte);
-  const bool is_meta = op == darshan::Op::kOpen;
-  const bool data_op = op == darshan::Op::kRead || op == darshan::Op::kWrite;
 
-  const std::int64_t rank = r.zigzag();
-  const std::uint64_t record_id = r.varint();
-  std::string producer, file = "N/A", data_set = "N/A";
-  if (!read_interned(r, table, producer)) return -1;
-  if ((flags & kHasFile) && !read_interned(r, table, file)) return -1;
-  const std::int64_t max_byte = r.zigzag();
-  const std::int64_t switches = r.zigzag();
-  const std::int64_t flushes = r.zigzag();
-  const std::int64_t cnt = r.zigzag();
-  std::int64_t off = -1, len = -1;
-  if (data_op) {
-    off = static_cast<std::int64_t>(r.varint());
-    len = static_cast<std::int64_t>(r.varint());
+  // Fields the event does not carry keep their Table I missing default
+  // ("N/A" exe/file/data_set, -1 off/len and HDF5 counters), exactly as
+  // the JSON decoders fill them.
+  using core::Field;
+  using core::set_field;
+  values = core::darshan_default_row();
+  set_field<Field::kModule>(values, std::string(darshan::module_name(
+                                        static_cast<darshan::Module>(
+                                            module_byte))));
+  set_field<Field::kUid>(values, uid_);
+  set_field<Field::kJobId>(values, job_id_);
+  set_field<Field::kOp>(values, std::string(darshan::op_name(op)));
+  const bool is_meta = op == darshan::Op::kOpen;
+  set_field<Field::kType>(values, std::string(is_meta ? "MET" : "MOD"));
+  if (is_meta) set_field<Field::kExe>(values, exe_);
+
+  set_field<Field::kRank>(values, r_.zigzag());
+  set_field<Field::kRecordId>(values, r_.varint());
+  if (!read_string<Field::kProducerName>(r_, table_, values)) return -1;
+  if ((flags & kHasFile) && !read_string<Field::kFile>(r_, table_, values)) {
+    return -1;
   }
-  const SimDuration dur = r.zigzag();
-  const SimTime end = prev_end_ + r.zigzag();
-  prev_end_ = end;
-  std::int64_t pt_sel = -1, irreg = -1, reg = -1, ndims = -1, npoints = -1;
+  set_field<Field::kMaxByte>(values, r_.zigzag());
+  set_field<Field::kSwitches>(values, r_.zigzag());
+  set_field<Field::kFlushes>(values, r_.zigzag());
+  set_field<Field::kCnt>(values, r_.zigzag());
+  if (op == darshan::Op::kRead || op == darshan::Op::kWrite) {
+    set_field<Field::kSegOff>(values, static_cast<std::int64_t>(r_.varint()));
+    set_field<Field::kSegLen>(values, static_cast<std::int64_t>(r_.varint()));
+  }
+  set_field<Field::kSegDur>(values, to_seconds(r_.zigzag()));
+  prev_end_ += r_.zigzag();
+  set_field<Field::kSegTimestamp>(values,
+                                  epoch_seconds_ + to_seconds(prev_end_));
   if (flags & kHasH5) {
-    pt_sel = r.zigzag();
-    irreg = r.zigzag();
-    reg = r.zigzag();
-    ndims = r.zigzag();
-    npoints = r.zigzag();
+    set_field<Field::kSegPtSel>(values, r_.zigzag());
+    set_field<Field::kSegIrregHslab>(values, r_.zigzag());
+    set_field<Field::kSegRegHslab>(values, r_.zigzag());
+    set_field<Field::kSegNdims>(values, r_.zigzag());
+    set_field<Field::kSegNpoints>(values, r_.zigzag());
   }
-  if ((flags & kHasDataSet) && !read_interned(r, table, data_set)) return -1;
+  if ((flags & kHasDataSet) &&
+      !read_string<Field::kSegDataSet>(r_, table_, values)) {
+    return -1;
+  }
   obs::TraceContext block;
   if (flags & kHasTrace) {
-    block.id = r.varint();  // trace:id
-    const std::int64_t intercepted = r.zigzag();  // trace:intercepted
-    const std::int64_t published =
-        intercepted + r.zigzag();  // trace:published (delta from first hop)
+    block.id = r_.varint();
+    const std::int64_t intercepted = r_.zigzag();
     block.stamp(obs::Hop::kIntercepted, intercepted);
-    block.stamp(obs::Hop::kPublished, published);
+    block.stamp(obs::Hop::kPublished, intercepted + r_.zigzag());
   }
-  if (!r.ok()) return -1;
+  if (!r_.ok()) return -1;
   if (trace != nullptr) *trace = block;
-
-  // Frame-header context, aliased so the row expressions below read (and
-  // lint) the same as they always have.
-  const std::uint64_t uid = uid_;
-  const std::uint64_t job_id = job_id_;
-  const double epoch_seconds = epoch_seconds_;
-  const std::string& exe = exe_;
-
-  // Schema (Table I) attribute order, matching core::decode_message
-  // exactly.  The trailing field comments are load-bearing:
-  // tools/lint_schema_parity.py checks this sequence against the
-  // canonical schema in src/core/schema_darshan.cpp and cross-checks
-  // each line's expression tokens against the named field.
-  values.clear();
-  values.reserve(24);  // Table I arity
-  values.emplace_back(std::string(darshan::module_name(
-      static_cast<darshan::Module>(module_byte))));   // module
-  values.emplace_back(uid);                           // uid
-  values.emplace_back(std::move(producer));           // ProducerName
-  values.emplace_back(switches);                      // switches
-  values.emplace_back(std::move(file));               // file
-  values.emplace_back(rank);                          // rank
-  values.emplace_back(flushes);                       // flushes
-  values.emplace_back(record_id);                     // record_id
-  values.emplace_back(is_meta ? exe
-                              : std::string("N/A"));  // exe
-  values.emplace_back(max_byte);                      // max_byte
-  values.emplace_back(std::string(is_meta ? "MET"
-                                          : "MOD"));  // type
-  values.emplace_back(job_id);                        // job_id
-  values.emplace_back(std::string(darshan::op_name(op)));  // op
-  values.emplace_back(cnt);                           // cnt
-  values.emplace_back(off);                           // seg_off
-  values.emplace_back(pt_sel);                        // seg_pt_sel
-  values.emplace_back(to_seconds(dur));               // seg_dur
-  values.emplace_back(len);                           // seg_len
-  values.emplace_back(ndims);                         // seg_ndims
-  values.emplace_back(reg);                           // seg_reg_hslab
-  values.emplace_back(irreg);                         // seg_irreg_hslab
-  values.emplace_back(std::move(data_set));           // seg_data_set
-  values.emplace_back(npoints);                       // seg_npoints
-  values.emplace_back(epoch_seconds +
-                      to_seconds(end));               // seg_timestamp
   return 1;
 }
 

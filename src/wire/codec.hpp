@@ -115,9 +115,9 @@ std::uint64_t decode_frame_seq(std::string_view payload);
 /// decode_frame below is a thin wrapper over it, and the core decoder's
 /// binary FAST PATH walks it directly, feeding rows straight into the
 /// ingest executor with per-frame (not per-event) trace/metric stamping.
-/// tools/lint_schema_parity.py anchors its wire-decoder surface on
-/// FrameCursor::next, so both consumers stay schema-true by
-/// construction.
+/// Rows start from the Table I defaults (core/schema_darshan.hpp) and the
+/// cursor sets, by field id, only the fields an event carries, so both
+/// consumers stay schema-true by construction.
 ///
 /// Lifetime: the cursor borrows `payload`; it must outlive the cursor.
 class FrameCursor {
@@ -129,7 +129,7 @@ class FrameCursor {
   /// Header sequence number (0 when !ok()).
   std::uint64_t frame_seq() const { return frame_seq_; }
 
-  /// Decodes the next event: clears and refills `values` in schema
+  /// Decodes the next event: replaces `values` with its row in schema
   /// (Table I) order; `trace`, when non-null, receives the event's
   /// pipeline-trace block (an unsampled context, id 0, when the event
   /// carries none).  Returns 1 on an event, 0 at a clean end of frame,

@@ -43,19 +43,19 @@ bool get_interned(Reader& r, std::vector<std::string>& table,
 
 void put_value(std::string& out, const dsos::Value& v, dsos::AttrType t) {
   switch (t) {
-    case dsos::AttrType::kInt64:  // objval:int64
+    case dsos::AttrType::kInt64:
       put_zigzag(out, std::get<std::int64_t>(v));
       break;
-    case dsos::AttrType::kUint64:  // objval:uint64
+    case dsos::AttrType::kUint64:
       put_varint(out, std::get<std::uint64_t>(v));
       break;
-    case dsos::AttrType::kDouble:  // objval:double
+    case dsos::AttrType::kDouble:
       put_double(out, std::get<double>(v));
       break;
-    case dsos::AttrType::kTimestamp:  // objval:timestamp
+    case dsos::AttrType::kTimestamp:
       put_double(out, std::get<double>(v));
       break;
-    case dsos::AttrType::kString:  // objval:string
+    case dsos::AttrType::kString:
       put_string(out, std::get<std::string>(v));
       break;
   }
@@ -63,19 +63,19 @@ void put_value(std::string& out, const dsos::Value& v, dsos::AttrType t) {
 
 bool get_value(Reader& r, dsos::AttrType t, dsos::Value& out) {
   switch (t) {
-    case dsos::AttrType::kInt64:  // objval:int64
+    case dsos::AttrType::kInt64:
       out = r.zigzag();
       break;
-    case dsos::AttrType::kUint64:  // objval:uint64
+    case dsos::AttrType::kUint64:
       out = r.varint();
       break;
-    case dsos::AttrType::kDouble:  // objval:double
+    case dsos::AttrType::kDouble:
       out = r.raw_double();
       break;
-    case dsos::AttrType::kTimestamp:  // objval:timestamp
+    case dsos::AttrType::kTimestamp:
       out = r.raw_double();
       break;
-    case dsos::AttrType::kString:  // objval:string
+    case dsos::AttrType::kString:
       out = std::string(r.string());
       break;
   }

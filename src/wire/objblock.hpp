@@ -20,9 +20,10 @@
 // header, so recovery needs no out-of-band schema registry.
 //
 // Single-value helpers (put_value/get_value) also serve the persisted
-// zone maps in segment headers.  lint_schema_parity.py diffs the
-// `objval:` tags in both against the AttrType enum, so a type added to
-// the schema layer cannot silently miss the durable format.
+// zone maps in segment headers.  Both switch over every dsos::AttrType
+// with no default, and the build treats a missing case as an error
+// (-Werror=switch), so a type added to the schema layer cannot silently
+// miss the durable format.
 #pragma once
 
 #include <functional>

@@ -2,6 +2,8 @@
 // campaign statistics, overhead calculus, figure datasets, table printer.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "analysis/figures.hpp"
 #include "exp/campaign.hpp"
 #include "exp/figdata.hpp"
@@ -11,6 +13,13 @@
 
 namespace dlc::exp {
 namespace {
+
+// Assigning over a live RunResult would release its cluster before the
+// rollup engine that still points into it; results are only ever built
+// fresh or moved into containers.
+static_assert(!std::is_move_assignable_v<RunResult>);
+static_assert(!std::is_copy_assignable_v<RunResult>);
+static_assert(std::is_move_constructible_v<RunResult>);
 
 ExperimentSpec tiny_mpiio(simfs::FsKind fs) {
   ExperimentSpec spec = mpi_io_test_spec(fs, /*collective=*/false);

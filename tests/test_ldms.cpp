@@ -236,30 +236,27 @@ TEST(Threaded, ForwardsAcrossRealThreads) {
 }
 
 TEST(Threaded, SaturationConservesMessagesAcrossProducers) {
-  // Many producers hammer a deliberately tiny queue while the worker
-  // drains concurrently.  Whatever the interleaving: every published
-  // message is either forwarded exactly once or counted dropped — no
-  // loss without accounting, no duplication.
+  // One publisher thread (the forwarder's SpscRing admits exactly one)
+  // hammers a deliberately tiny queue while the worker drains it
+  // concurrently.  Whatever the interleaving: every published message is
+  // either forwarded exactly once or counted dropped — no loss without
+  // accounting, no duplication.
   StreamBus from, to;
   std::atomic<std::uint64_t> received{0};
   to.subscribe("t", [&](const StreamMessage&) {
     received.fetch_add(1, std::memory_order_relaxed);
   });
-  constexpr std::size_t kProducers = 4;
-  constexpr std::uint64_t kPerProducer = 5'000;
+  constexpr std::uint64_t kMessages = 20'000;
   {
     ThreadedForwarder fwd(from, to, "t", /*queue_capacity=*/8);
-    std::vector<std::thread> producers;
-    for (std::size_t p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&from] {
-        for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-          from.publish(make_msg("t", "payload"));
-        }
-      });
-    }
-    for (auto& t : producers) t.join();
+    std::thread publisher([&from] {
+      for (std::uint64_t i = 0; i < kMessages; ++i) {
+        from.publish(make_msg("t", "payload"));
+      }
+    });
+    publisher.join();
     fwd.stop();
-    EXPECT_EQ(fwd.forwarded() + fwd.dropped(), kProducers * kPerProducer);
+    EXPECT_EQ(fwd.forwarded() + fwd.dropped(), kMessages);
     EXPECT_EQ(received.load(), fwd.forwarded());
     EXPECT_GT(fwd.forwarded(), 0u);
   }
@@ -609,7 +606,7 @@ TEST(Daemon, OutageDropsNewArrivalsButDrainsQueue) {
   agg.bus().subscribe("t", [&](const StreamMessage&) { ++received; });
 
   // Aggregator link down between t=1s and t=3s.
-  sampler.set_outage(dlc::kSecond, 3 * dlc::kSecond);
+  sampler.add_outage(dlc::kSecond, 3 * dlc::kSecond);
   auto proc = [](dlc::sim::Engine& eng, LdmsDaemon& d) -> dlc::sim::Task<void> {
     d.publish("t", PayloadFormat::kString, "before");   // t=0: delivered
     co_await eng.delay(2 * dlc::kSecond);

@@ -152,17 +152,18 @@ TEST(LogHistogram, PercentileWithinOneBucketOfExact) {
 }
 
 TEST(LogHistogram, StatsPercentileShimStillExact) {
-  // Satellite check: util::percentile kept its exact linear-interpolation
-  // semantics after becoming a shim over SortedQuantiles.
-  std::vector<double> v = {5.0, 1.0, 3.0, 2.0, 4.0};
-  EXPECT_DOUBLE_EQ(percentile(v, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 50.0), 3.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 100.0), 5.0);
-  EXPECT_DOUBLE_EQ(percentile(v, 25.0), 2.0);
-  SortedQuantiles q(v);
-  for (const double p : {0.0, 12.5, 25.0, 50.0, 75.0, 99.0, 100.0}) {
-    EXPECT_DOUBLE_EQ(q.percentile(p), percentile(v, p)) << p;
-  }
+  // The exact counterpart of the streaming histogram: SortedQuantiles
+  // (which replaced the free util::percentile) returns linear-
+  // interpolated order statistics of an unsorted sample, at rank
+  // p/100 * (n - 1) over the sorted values {1, 2, 3, 4, 5}.
+  const SortedQuantiles q(std::vector<double>{5.0, 1.0, 3.0, 2.0, 4.0});
+  EXPECT_DOUBLE_EQ(q.percentile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(q.percentile(12.5), 1.5);
+  EXPECT_DOUBLE_EQ(q.percentile(25.0), 2.0);
+  EXPECT_DOUBLE_EQ(q.percentile(50.0), 3.0);
+  EXPECT_DOUBLE_EQ(q.percentile(75.0), 4.0);
+  EXPECT_DOUBLE_EQ(q.percentile(99.0), 4.96);
+  EXPECT_DOUBLE_EQ(q.percentile(100.0), 5.0);
 }
 
 // ------------------------------------------------------- TraceContext -----

@@ -11,6 +11,7 @@
 #include <limits>
 #include <random>
 
+#include "bounded_queue.hpp"
 #include "core/connector.hpp"
 #include "core/decoder.hpp"
 #include "core/schema_darshan.hpp"
@@ -21,7 +22,7 @@
 #include "simfs/nfs.hpp"
 #include "simhpc/cluster.hpp"
 #include "simhpc/job.hpp"
-#include "util/queue.hpp"
+#include "util/spsc_ring.hpp"
 #include "wire/codec.hpp"
 
 namespace dlc {
@@ -308,35 +309,53 @@ TEST(BoundedQueueProperty, HugeItemCostCannotWrapPastTheCap) {
   EXPECT_EQ(q.size_bytes(), 30u);
 }
 
+TEST(SpscRingProperty, HugeItemCostCannotWrapPastTheCap) {
+  SpscRing<int> q(16, 100);
+  ASSERT_TRUE(q.try_push(1, 30));
+  EXPECT_FALSE(q.try_push(2, std::numeric_limits<std::size_t>::max() - 10));
+  EXPECT_FALSE(q.try_push(3, std::numeric_limits<std::size_t>::max()));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.size_bytes(), 30u);
+}
+
 class QueueByteCapProperty : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(QueueByteCapProperty, AccountingStaysExactUnderRandomChurn) {
+  // The lock-free ring and its BoundedQueue oracle see the same churn;
+  // both must match the model step for step.
   const std::size_t cap_bytes = GetParam();
-  BoundedQueue<std::size_t> q(64, cap_bytes);
+  SpscRing<std::size_t> ring(64, cap_bytes);
+  BoundedQueue<std::size_t> oracle(64, cap_bytes);
   std::mt19937 rng(static_cast<unsigned>(cap_bytes) * 7919u + 1u);
   std::uniform_int_distribution<std::size_t> cost(0, cap_bytes / 2 + 3);
-  std::deque<std::size_t> model;  // byte costs the queue must be holding
+  std::deque<std::size_t> model;  // byte costs the queues must be holding
   std::size_t model_bytes = 0;
   for (int step = 0; step < 2000; ++step) {
     if (rng() % 3 != 0) {
       const std::size_t c = cost(rng);
       const bool fits =
           model.size() < 64 && c <= cap_bytes - model_bytes;
-      EXPECT_EQ(q.try_push(c, c), fits);
+      EXPECT_EQ(ring.try_push(c, c), fits);
+      EXPECT_EQ(oracle.try_push(c, c), fits);
       if (fits) {
         model.push_back(c);
         model_bytes += c;
       }
     } else if (!model.empty()) {
-      const auto popped = q.try_pop();
-      ASSERT_TRUE(popped.has_value());
-      EXPECT_EQ(*popped, model.front());  // FIFO order preserved
+      const auto from_ring = ring.try_pop();
+      const auto from_oracle = oracle.try_pop();
+      ASSERT_TRUE(from_ring.has_value());
+      ASSERT_TRUE(from_oracle.has_value());
+      EXPECT_EQ(*from_ring, model.front());  // FIFO order preserved
+      EXPECT_EQ(*from_oracle, model.front());
       model_bytes -= model.front();
       model.pop_front();
     }
-    EXPECT_EQ(q.size(), model.size());
-    EXPECT_EQ(q.size_bytes(), model_bytes);
-    EXPECT_LE(q.size_bytes(), cap_bytes);
+    EXPECT_EQ(ring.size(), model.size());
+    EXPECT_EQ(ring.size_bytes(), model_bytes);
+    EXPECT_EQ(oracle.size(), model.size());
+    EXPECT_EQ(oracle.size_bytes(), model_bytes);
+    EXPECT_LE(ring.size_bytes(), cap_bytes);
   }
 }
 

@@ -14,9 +14,9 @@
 #include <thread>
 #include <vector>
 
+#include "bounded_queue.hpp"
 #include "util/format.hpp"
 #include "util/lockdep.hpp"
-#include "util/queue.hpp"
 #include "util/rng.hpp"
 #include "util/spsc_ring.hpp"
 #include "util/stats.hpp"
@@ -189,11 +189,11 @@ TEST(Stats, TQuantileTable) {
 }
 
 TEST(Stats, PercentileInterpolates) {
-  std::vector<double> v{10, 20, 30, 40};
-  EXPECT_DOUBLE_EQ(percentile(v, 0), 10);
-  EXPECT_DOUBLE_EQ(percentile(v, 100), 40);
-  EXPECT_DOUBLE_EQ(percentile(v, 50), 25);
-  EXPECT_DOUBLE_EQ(percentile({}, 50), 0);
+  const SortedQuantiles q(std::vector<double>{10, 20, 30, 40});
+  EXPECT_DOUBLE_EQ(q.percentile(0), 10);
+  EXPECT_DOUBLE_EQ(q.percentile(100), 40);
+  EXPECT_DOUBLE_EQ(q.percentile(50), 25);
+  EXPECT_DOUBLE_EQ(SortedQuantiles(std::vector<double>{}).percentile(50), 0);
 }
 
 // Degenerate-case pins for the log-bucket quantile interpolation: the
@@ -403,6 +403,9 @@ TEST(Strings, CsvEscapeRoundTrip) {
 }
 
 // --------------------------------------------------------------- queue ----
+//
+// BoundedQueue (tests/bounded_queue.hpp) is the reference SpscRing is
+// checked against; these tests pin its contract.
 
 TEST(Queue, DropsOnOverflow) {
   BoundedQueue<int> q(2);
@@ -584,14 +587,13 @@ TEST(Queue, CloseWakesAllBlockedPoppers) {
 
 // ----------------------------------------------------------- spsc ring ----
 //
-// SpscRing replaced BoundedQueue on the 1-producer/1-consumer ingest
-// edges (DESIGN.md section 9), advertising contract parity with the
-// queue's push/pop/close semantics.  These tests mirror the Queue suite
-// above within the SPSC thread contract (at most one thread per side;
-// close() from anywhere), plus ring-specific boundaries: index
-// wraparound, the non-power-of-two capacity bind, and a randomized
-// model-check of the full/empty transitions.  The whole suite runs under
-// TSan in CI alongside the Queue suite.
+// SpscRing is the bounded hand-off queue of every 1-producer/1-consumer
+// edge (DESIGN.md section 9), with the BoundedQueue contract above.
+// These tests mirror the Queue suite within the SPSC thread contract (at
+// most one thread per side; close() from anywhere), plus ring-specific
+// boundaries: index wraparound, the non-power-of-two capacity bind, and
+// a randomized model-check of the full/empty transitions.  The whole
+// suite runs under TSan in CI alongside the Queue suite.
 
 TEST(SpscRing, FifoOrderAndOverflow) {
   SpscRing<int> q(2);
@@ -865,8 +867,9 @@ TEST(Lockdep, TransitiveCycleThroughThreeClasses) {
 }
 
 TEST(Lockdep, DistinctInstancesOfOneClassShareOrdering) {
-  // Two BoundedQueues are the same lock class: an order established on
-  // one instance pair constrains every other pair (Linux-lockdep rule).
+  // Two mutexes given one class name are the same lock class: an order
+  // established on one instance pair constrains every other pair
+  // (Linux-lockdep rule).
   lockdep::reset();
   int q1 = 0, q2 = 0;
   lockdep::on_acquire(&q1, "Q");

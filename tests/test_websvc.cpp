@@ -2,11 +2,13 @@
 // modules, the HTTP server round-trip, dashboard rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "core/schema_darshan.hpp"
 #include "dsos/ingest.hpp"
 #include "json/parser.hpp"
+#include "json/scan.hpp"
 #include "rollup/engine.hpp"
 #include "util/cpu.hpp"
 #include "rollup/policy.hpp"
@@ -279,6 +281,47 @@ TEST(Service, RollupStatusCellsAndPanelSource) {
       json::parse(service.handle("/api/panel?module=fig5&job=1,2").body);
   ASSERT_TRUE(served.has_value());
   EXPECT_EQ(served->get_string("source"), "rollup:op_counts");
+}
+
+TEST(Service, RollupCellMembersFollowTheCellFieldTable) {
+  auto db = demo_db();
+  rollup::RollupEngineConfig cfg;
+  cfg.policies = rollup::default_rollup_policies();
+  rollup::RollupEngine engine(cfg);
+  engine.attach(*db);
+  engine.flush();
+  DashboardService service(db);
+  service.set_rollup(&engine);
+  const Response res = service.handle("/api/rollup/op_counts");
+  ASSERT_EQ(res.status, 200);
+
+  // Scan the first cell's members in wire order (json::Value sorts keys).
+  json::Scanner doc(res.body);
+  ASSERT_TRUE(doc.enter_object());
+  std::string_view key, cells_span;
+  std::string scratch;
+  while (doc.next_member(key, scratch) == 1 && key != "cells") {
+    ASSERT_TRUE(doc.skip_value());
+  }
+  ASSERT_EQ(key, "cells");
+  ASSERT_TRUE(doc.value_span(cells_span));
+  json::Scanner cells(cells_span);
+  ASSERT_TRUE(cells.enter_array());
+  ASSERT_EQ(cells.next_element(), 1);
+  ASSERT_TRUE(cells.enter_object());
+  std::vector<std::string> members;
+  while (cells.next_member(key, scratch) == 1) {
+    members.emplace_back(key);
+    ASSERT_TRUE(cells.skip_value());
+  }
+  ASSERT_GE(members.size(), rollup::kRollupCellFields.size());
+  for (std::size_t i = 0; i < rollup::kRollupCellFields.size(); ++i) {
+    EXPECT_EQ(members[i], rollup::kRollupCellFields[i].name) << i;
+  }
+  for (const rollup::CellField& extra : rollup::kRollupRowExtraFields) {
+    EXPECT_EQ(std::count(members.begin(), members.end(), extra.name), 0)
+        << "row-only field served: " << extra.name;
+  }
 }
 
 TEST(Service, PanelFig9WithNoJobsRunsTheRegisteredRawModule) {

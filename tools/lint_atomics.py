@@ -2,8 +2,7 @@
 """Atomics-protocol lint: every lock-free primitive in src/ must be
 inventoried, tagged with the protocol it implements, and mirrored in the
 DESIGN.md section 10 protocol table — the atomics twin of the section 5c
-lock-hierarchy table, enforced the same way lint_schema_parity.py
-enforces schemas.
+lock-hierarchy table.
 
 What it checks
 --------------
@@ -233,9 +232,8 @@ def scan_operator_forms(lint, module_files, atomic_names_by_file):
 
     Scoped to the declaring file (the only place the name is
     unambiguously the atomic): a same-named plain member in another
-    file — BoundedQueue's mutex-guarded `bytes_` next to SpscRing's
-    atomic `bytes_`, a Snapshot struct mirroring its shard's counter
-    names — cannot false-positive.  Member access on a different object
+    file — a Snapshot struct mirroring its shard's counter names —
+    cannot false-positive.  Member access on a different object
     (`out.count += ...`) and typed declarations (`int count = 0;`) are
     likewise skipped."""
     for relpath, names in atomic_names_by_file.items():
