@@ -12,8 +12,8 @@
 // then verifies the two clusters are BYTE-IDENTICAL under a full
 // job_rank_time query (fatal on mismatch, --check or not: determinism is
 // correctness, not performance).  A second phase measures zone-map
-// pruning on a time-rotated PartitionedStore and limit pushdown on the
-// cluster k-way merge.
+// pruning over eight time-windowed dsos::Containers and limit pushdown
+// on the cluster k-way merge.
 //
 // Two further phases measure the multi-million-events/sec hot path:
 //
@@ -47,6 +47,7 @@
 // gates out of sanitizer builds), and pruned queries no slower than
 // unpruned.  Scale knob: DLC_INGEST_EVENTS.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -61,7 +62,7 @@
 #include "darshan/events.hpp"
 #include "dsos/cluster.hpp"
 #include "dsos/ingest.hpp"
-#include "dsos/partition.hpp"
+#include "dsos/container.hpp"
 #include "exp/table.hpp"
 #include "json/writer.hpp"
 #include "util/cpu.hpp"
@@ -510,26 +511,32 @@ int main(int argc, char** argv) {
   std::printf("  vs committed JSON baseline %.0f ev/s: %.2fx\n\n",
               kCommittedParallelEps, hot_speedup);
 
-  // Phase 2: zone-map pruning on a time-rotated partitioned store.  Each
-  // partition holds one timestamp window, and the filter targets the last
-  // window — with zone maps every older partition is skipped.
+  // Phase 2: zone-map pruning over time-windowed containers.  Each
+  // partition is one Container holding one timestamp window, and the
+  // filter targets the last window — with zone maps every older
+  // partition is skipped.
   constexpr std::size_t kPartitions = 8;
-  dsos::PartitionedStore store("w0");
-  store.register_schema(schema);
+  std::array<dsos::Container, kPartitions> windows;
+  for (dsos::Container& w : windows) w.register_schema(schema);
   {
     std::vector<dsos::Object> rows;
     const std::size_t per_part = (events + kPartitions - 1) / kPartitions;
     std::size_t in_part = 0, part = 0;
     for (const std::string& p : payloads) {
       if (in_part == per_part && part + 1 < kPartitions) {
-        store.rotate("w" + std::to_string(++part));
+        ++part;
         in_part = 0;
       }
       decode_payload(schema, p, rows);
-      for (auto& obj : rows) store.insert(std::move(obj));
+      for (auto& obj : rows) windows[part].insert(std::move(obj));
       ++in_part;
     }
   }
+  const auto zone_pruned = [&windows] {
+    std::uint64_t total = 0;
+    for (const dsos::Container& w : windows) total += w.zone_pruned();
+    return total;
+  };
   // Timestamps advance 1 ms per event: the filter selects the final 5% of
   // the time range, entirely inside the last partition.
   const double t_hi = 1.6e9 + 0.001 * static_cast<double>(events);
@@ -539,21 +546,23 @@ int main(int argc, char** argv) {
       {"seg_timestamp", dsos::Cmp::kLt, t_hi},
   };
   const auto time_queries = [&](bool zone_maps) {
-    store.set_zone_maps(zone_maps);
+    for (dsos::Container& w : windows) w.set_zone_maps(zone_maps);
     std::size_t hits = 0;
     const double t0 = now_seconds();
     for (std::size_t i = 0; i < query_iters; ++i) {
-      hits = store.query("darshan_data", "time", time_filter).size();
+      hits = 0;
+      for (const dsos::Container& w : windows) {
+        hits += w.select("darshan_data", "time", time_filter).size();
+      }
     }
     const double dt = now_seconds() - t0;
     return std::pair<double, std::size_t>(dt, hits);
   };
   const auto [unpruned_s, unpruned_hits] = time_queries(false);
-  const std::uint64_t pruned_before = store.zone_pruned();
+  const std::uint64_t pruned_before = zone_pruned();
   const auto [pruned_s, pruned_hits] = time_queries(true);
   const std::uint64_t pruned_parts =
-      (store.zone_pruned() - pruned_before) / query_iters;
-  store.set_zone_maps(true);
+      (zone_pruned() - pruned_before) / query_iters;
 
   std::printf("Partitioned time-range query (%zu partitions, last-window "
               "filter, %zu iterations):\n",

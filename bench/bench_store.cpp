@@ -1,7 +1,7 @@
 // Durable-store benchmark: the cost of durability and the payoff of
 // persisted zone maps, plus the crash-recovery acceptance bar.
 //
-// Phase 1 ingests the SAME event stream under each DARSHAN_LDMS_STORE_MODE
+// Phase 1 ingests the SAME event stream under each store::StoreMode
 // (memory / wal / tiered) with the store mounted under the DSOS container
 // API, timing insert + group-commit + final flush.  Each mode is timed
 // three times and the row reports the median run.  --check adds the fatal

@@ -2,35 +2,58 @@
 // out ("DSOS ... allows for interaction via a command line interface
 // which allows for fast query testing and data examination").
 //
-// With no arguments it runs a demo: generate a monitored IOR job, persist
-// the event database to disk, reload it, and walk through the query
-// commands.  With arguments it operates on a previously saved database:
+// With no arguments it runs a demo: generate a monitored IOR job, write
+// its event database through a tiered store::Store into
+// dlc_export/dsos_demo (replacing any earlier demo there), reopen that
+// directory into a fresh cluster, and walk through the query commands.
+// It exits 1 when the reopened row count differs from the rows stored.
+// With arguments it reopens a store directory written earlier (a missing
+// directory is an error, not created):
 //
 //   dsos_cmd <dir> schema                 # show schema and indices
 //   dsos_cmd <dir> count                  # object count per shard
 //   dsos_cmd <dir> query <index> [k=v]... # filtered, index-ordered rows
 //   dsos_cmd <dir> export <index>         # CSV to stdout
+//
+// Exit status: 0 ok, 1 the store cannot be opened or the demo's reopened
+// row count is wrong, 2 a bad command line (unknown command, condition
+// or value).
 #include <cstdio>
-#include <cstring>
+#include <exception>
+#include <filesystem>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/schema_darshan.hpp"
 #include "dsos/csv.hpp"
-#include "dsos/persist.hpp"
 #include "exp/specs.hpp"
+#include "store/store.hpp"
 #include "workloads/ior.hpp"
 
 using namespace dlc;
 
 namespace {
 
-dsos::ClusterConfig db_config() {
+/// The demo's event database: four dsosd shards routed by rank.  The
+/// store keeps one WAL and segment set per shard, so a reopen must use
+/// the same shard count.
+std::unique_ptr<dsos::DsosCluster> make_db() {
   dsos::ClusterConfig cfg;
   cfg.shard_count = 4;
   cfg.shard_attr = "rank";
   cfg.parallel_query = false;
+  auto db = std::make_unique<dsos::DsosCluster>(cfg);
+  db->register_schema(core::darshan_data_schema());
+  return db;
+}
+
+store::StoreConfig store_config(const std::string& dir, bool create_dir) {
+  store::StoreConfig cfg;
+  cfg.mode = store::StoreMode::kTiered;
+  cfg.dir = dir;
+  cfg.create_dir = create_dir;
   return cfg;
 }
 
@@ -40,28 +63,13 @@ bool parse_condition(const dsos::SchemaPtr& schema, const std::string& token,
   const std::size_t eq = token.find('=');
   if (eq == std::string::npos) return false;
   const std::string attr = token.substr(0, eq);
-  const std::string value = token.substr(eq + 1);
   const auto attr_id = schema->find_attr(attr);
   if (!attr_id) return false;
-  switch (schema->attrs()[*attr_id].type) {
-    case dsos::AttrType::kInt64:
-      filter.push_back({attr, dsos::Cmp::kEq,
-                        static_cast<std::int64_t>(std::atoll(value.c_str()))});
-      return true;
-    case dsos::AttrType::kUint64:
-      filter.push_back({attr, dsos::Cmp::kEq,
-                        static_cast<std::uint64_t>(
-                            std::strtoull(value.c_str(), nullptr, 10))});
-      return true;
-    case dsos::AttrType::kDouble:
-    case dsos::AttrType::kTimestamp:
-      filter.push_back({attr, dsos::Cmp::kEq, std::atof(value.c_str())});
-      return true;
-    case dsos::AttrType::kString:
-      filter.push_back({attr, dsos::Cmp::kEq, value});
-      return true;
-  }
-  return false;
+  auto value =
+      dsos::parse_value(schema->attrs()[*attr_id].type, token.substr(eq + 1));
+  if (!value) return false;
+  filter.push_back({attr, dsos::Cmp::kEq, std::move(*value)});
+  return true;
 }
 
 int run_command(dsos::DsosCluster& db, const std::vector<std::string>& args) {
@@ -135,18 +143,27 @@ int run_command(dsos::DsosCluster& db, const std::vector<std::string>& args) {
 
 int main(int argc, char** argv) {
   if (argc >= 3) {
-    auto db = dsos::load_cluster(argv[1], db_config());
-    if (!db) {
-      std::fprintf(stderr, "cannot load DSOS database from %s\n", argv[1]);
+    const auto db = make_db();
+    store::Store store(store_config(argv[1], /*create_dir=*/false));
+    try {
+      store.open(*db);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "cannot open DSOS store %s: %s\n", argv[1],
+                   e.what());
       return 1;
     }
-    std::vector<std::string> args(argv + 2, argv + argc);
+    const std::vector<std::string> args(argv + 2, argv + argc);
     return run_command(*db, args);
   }
 
-  // Demo mode: build, persist, reload, query.
-  std::printf("== dsos_cmd demo: monitored IOR job -> persisted DSOS -> "
+  // Demo mode: run the job into a store, reopen it, query.
+  std::printf("== dsos_cmd demo: monitored IOR job -> durable DSOS store -> "
               "CLI queries ==\n\n");
+  const std::string dir = "dlc_export/dsos_demo";
+  // A store reopened on an earlier demo's directory would recover that
+  // run's rows as well.
+  std::filesystem::remove_all(dir);
+
   exp::ExperimentSpec spec = exp::base_spec(simfs::FsKind::kLustre);
   workloads::IorConfig ior_cfg;
   ior_cfg.use_mpiio = true;
@@ -159,23 +176,30 @@ int main(int argc, char** argv) {
   spec.ranks_per_node = 2;
   spec.job_id = 5150;
   spec.decode_to_dsos = true;
-  spec.dsos_shards = 4;
-  const exp::RunResult result = exp::run_experiment(spec);
-  std::printf("IOR job: %.1fs, %llu events stored\n\n", result.runtime_s,
-              static_cast<unsigned long long>(result.stored));
+  std::uint64_t stored = 0;
+  {
+    const std::shared_ptr<dsos::DsosCluster> written = make_db();
+    store::Store store(store_config(dir, /*create_dir=*/true));
+    store.open(*written);
+    spec.shared_dsos = written;
+    const exp::RunResult result = exp::run_experiment(spec);
+    stored = result.stored;
+    std::printf("IOR job: %.1fs, %llu events stored\n\n", result.runtime_s,
+                static_cast<unsigned long long>(stored));
+    store.close();
+  }
 
-  const std::string dir = "dlc_export/dsos_demo";
-  if (!dsos::save_cluster(*result.dsos, dir)) {
-    std::fprintf(stderr, "persist failed\n");
+  const auto db = make_db();
+  store::Store store(store_config(dir, /*create_dir=*/false));
+  store.open(*db);
+  std::printf("wrote %s through the store and reopened it (%zu objects)\n\n",
+              dir.c_str(), db->total_objects());
+  if (db->total_objects() != stored) {
+    std::fprintf(stderr, "reopened %zu objects, stored %llu\n",
+                 db->total_objects(),
+                 static_cast<unsigned long long>(stored));
     return 1;
   }
-  auto db = dsos::load_cluster(dir, db_config());
-  if (!db) {
-    std::fprintf(stderr, "reload failed\n");
-    return 1;
-  }
-  std::printf("persisted to %s and reloaded (%zu objects)\n\n", dir.c_str(),
-              db->total_objects());
 
   std::printf("$ dsos_cmd %s count\n", dir.c_str());
   run_command(*db, {"count"});

@@ -130,18 +130,6 @@ struct ConnectorConfig {
   /// wire::FrameCursor; "off" keeps the validated decode_frame path.
   /// Rows are byte-identical either way.
   std::string fastpath = "auto";
-  /// Storage-side durability tier (env DARSHAN_LDMS_STORE_MODE):
-  /// "memory" (paper behaviour, nothing survives the process), "wal"
-  /// (every group commit durable), or "tiered" (WAL + sealed segments +
-  /// compaction + retention).  Plain strings here — core does not link
-  /// the store; whoever mounts a store::Store translates them.
-  std::string store_mode = "memory";
-  /// Directory for WAL and segment files (env DARSHAN_LDMS_STORE_DIR;
-  /// required when store_mode != "memory").
-  std::string store_dir;
-  /// Segment retention in seconds, 0 = keep forever
-  /// (env DARSHAN_LDMS_RETENTION).
-  std::uint64_t store_retention_s = 0;
   /// Storage-policy / rollup configuration
   /// (env DARSHAN_LDMS_ROLLUP_POLICIES).  Empty = rollups disabled;
   /// "default" = the built-in Fig. 5-9 policy set; otherwise a policy

@@ -203,29 +203,6 @@ EnvConfig connector_config_from_env(const EnvGetter& getenv_fn) {
       reject(cfg, "DARSHAN_LDMS_FASTPATH", mode);
     }
   }
-  if (const char* v = get("DARSHAN_LDMS_STORE_MODE")) {
-    const std::string mode(v);
-    if (mode == "memory" || mode == "wal" || mode == "tiered") {
-      cfg.connector.store_mode = mode;
-    } else {
-      reject(cfg, "DARSHAN_LDMS_STORE_MODE", mode);
-    }
-  }
-  if (const char* v = get("DARSHAN_LDMS_STORE_DIR")) {
-    if (*v != '\0') {
-      cfg.connector.store_dir = v;
-    } else {
-      reject(cfg, "DARSHAN_LDMS_STORE_DIR", "");
-    }
-  }
-  if (const char* v = get("DARSHAN_LDMS_RETENTION")) {
-    std::uint64_t n;
-    if (parse_u64(v, n)) {
-      cfg.connector.store_retention_s = n;
-    } else {
-      reject(cfg, "DARSHAN_LDMS_RETENTION", v);
-    }
-  }
   if (const char* v = get("DARSHAN_LDMS_ROLLUP_POLICIES")) {
     if (*v != '\0') {
       cfg.connector.rollup_policies = v;

@@ -25,12 +25,6 @@
 //                            published event carries an end-to-end trace
 //                            (0 = tracing off, 1 = every event;
 //                            default 64)
-//   DARSHAN_LDMS_STORE_MODE  memory | wal | tiered (storage-side
-//                            durability; default memory)
-//   DARSHAN_LDMS_STORE_DIR   WAL/segment directory (non-empty; required
-//                            by the store when mode != memory)
-//   DARSHAN_LDMS_RETENTION   segment retention, seconds (0 = keep
-//                            forever; tiered mode only)
 //   DARSHAN_LDMS_ROLLUP_POLICIES  storage-policy DSL (see
 //                            src/rollup/policy.hpp); "default" = the
 //                            built-in Fig. 5-9 set; unset = rollups off
@@ -62,6 +56,10 @@
 //                            bit-identical)
 //   DARSHAN_LDMS_FASTPATH    binary decode fast path: auto | on | off
 //                            (default auto = on)
+//
+// The raw event store's durability is not an environment setting:
+// whoever mounts a store::Store under the event database chooses its
+// StoreConfig (mode, directory, retention).
 //
 // Unparsable values (negative, overflowing, trailing garbage, out of
 // range) never take effect: the default is kept, the rejection is

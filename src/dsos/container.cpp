@@ -34,36 +34,6 @@ bool matches(const Object& obj, const Filter& filter) {
   return true;
 }
 
-// Moves are exempt from the lock discipline by contract: they only run
-// while the container is not yet (or no longer) shared.
-Container::Container(Container&& other) noexcept
-    : objects_(std::move(other.objects_)),
-      schemas_(std::move(other.schemas_)),
-      key_arena_(std::move(other.key_arena_)),
-      zone_maps_(other.zone_maps_),
-      sink_(other.sink_),
-      observers_(std::move(other.observers_)),
-      last_scanned_(other.last_scanned_),
-      zone_pruned_(other.zone_pruned_) {
-  other.sink_ = nullptr;
-  other.observers_.clear();
-}
-
-Container& Container::operator=(Container&& other) noexcept {
-  if (this == &other) return *this;
-  objects_ = std::move(other.objects_);
-  schemas_ = std::move(other.schemas_);
-  key_arena_ = std::move(other.key_arena_);
-  zone_maps_ = other.zone_maps_;
-  sink_ = other.sink_;
-  other.sink_ = nullptr;
-  observers_ = std::move(other.observers_);
-  other.observers_.clear();
-  last_scanned_ = other.last_scanned_;
-  zone_pruned_ = other.zone_pruned_;
-  return *this;
-}
-
 void Container::set_commit_sink(CommitSink* sink) {
   if (sink != nullptr && sink_ != nullptr && sink_ != sink) {
     throw std::logic_error(

@@ -6,9 +6,9 @@
 //     one dsosd shard, so this is the per-shard arena);
 //   * per-schema zone maps track min/max of every indexed attribute so a
 //     query whose filter cannot intersect the container's value range is
-//     answered without touching an index — this is what makes partition
-//     pruning work in PartitionedStore, where each partition is its own
-//     Container;
+//     answered without touching an index, so a query over many
+//     time-windowed Containers skips every window it cannot match
+//     (bench_ingest measures this);
 //   * queries accept an optional `limit` that is pushed down into the
 //     index scan when no residual filter remains.
 #pragma once
@@ -67,12 +67,11 @@ class Container {
  public:
   Container() = default;
 
-  /// Containers move only during single-threaded phases (partition load,
-  /// compaction) — the stats mutex is not movable, so the destination
-  /// starts with a fresh one and the counters are carried over.
-  Container(Container&& other) noexcept DLC_NO_THREAD_SAFETY_ANALYSIS;
-  Container& operator=(Container&& other) noexcept
-      DLC_NO_THREAD_SAFETY_ANALYSIS;
+  /// Not movable: an attached commit sink and the observers hold this
+  /// container's address (Store::open, RollupEngine), so a move would
+  /// leave them feeding from — or detaching — the wrong object.
+  Container(Container&&) = delete;
+  Container& operator=(Container&&) = delete;
 
   /// Registers a schema; objects of unregistered schemas are rejected.
   void register_schema(SchemaPtr schema);

@@ -1,6 +1,5 @@
 #include "dsos/csv.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <ostream>
 
@@ -47,34 +46,9 @@ std::optional<Object> csv_parse_row(const SchemaPtr& schema,
   std::vector<Value> values;
   values.reserve(fields.size());
   for (std::size_t i = 0; i < fields.size(); ++i) {
-    const std::string& f = fields[i];
-    switch (schema->attrs()[i].type) {
-      case AttrType::kInt64: {
-        std::int64_t v{};
-        const auto [p, ec] = std::from_chars(f.data(), f.data() + f.size(), v);
-        if (ec != std::errc() || p != f.data() + f.size()) return std::nullopt;
-        values.emplace_back(v);
-        break;
-      }
-      case AttrType::kUint64: {
-        std::uint64_t v{};
-        const auto [p, ec] = std::from_chars(f.data(), f.data() + f.size(), v);
-        if (ec != std::errc() || p != f.data() + f.size()) return std::nullopt;
-        values.emplace_back(v);
-        break;
-      }
-      case AttrType::kDouble:
-      case AttrType::kTimestamp: {
-        char* end = nullptr;
-        const double v = std::strtod(f.c_str(), &end);
-        if (end != f.c_str() + f.size()) return std::nullopt;
-        values.emplace_back(v);
-        break;
-      }
-      case AttrType::kString:
-        values.emplace_back(f);
-        break;
-    }
+    auto v = parse_value(schema->attrs()[i].type, fields[i]);
+    if (!v) return std::nullopt;
+    values.push_back(std::move(*v));
   }
   return make_object(schema, std::move(values));
 }

@@ -1,6 +1,8 @@
 #include "dsos/schema.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdlib>
 
 namespace dlc::dsos {
 
@@ -49,6 +51,40 @@ int compare_values(const Value& a, const Value& b) {
         return 0;
       },
       a);
+}
+
+namespace {
+
+template <typename Int>
+std::optional<Value> parse_int(const std::string& text) {
+  Int v{};
+  const char* end = text.data() + text.size();
+  const auto [p, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || p != end) return std::nullopt;
+  return std::make_optional<Value>(v);
+}
+
+}  // namespace
+
+std::optional<Value> parse_value(AttrType t, const std::string& text) {
+  switch (t) {
+    case AttrType::kInt64:
+      return parse_int<std::int64_t>(text);
+    case AttrType::kUint64:
+      return parse_int<std::uint64_t>(text);
+    case AttrType::kDouble:
+    case AttrType::kTimestamp: {
+      char* end = nullptr;
+      const double v = std::strtod(text.c_str(), &end);
+      if (text.empty() || end != text.c_str() + text.size()) {
+        return std::nullopt;
+      }
+      return std::make_optional<Value>(v);
+    }
+    case AttrType::kString:
+      return std::make_optional<Value>(text);
+  }
+  return std::nullopt;
 }
 
 Schema::Schema(std::string name, std::vector<AttrDef> attrs,

@@ -42,6 +42,12 @@ bool value_matches_type(const Value& v, AttrType t);
 /// Total order consistent with the index key encoding (same-type only).
 int compare_values(const Value& a, const Value& b);
 
+/// Parses `text` as a value of type `t`.  Integers must be decimal and in
+/// range; doubles must be non-empty and strtod must consume all of
+/// `text`; strings are taken verbatim.  nullopt when `text` is not such a
+/// value — CSV import, the websvc filters and dsos_cmd all parse here.
+std::optional<Value> parse_value(AttrType t, const std::string& text);
+
 struct AttrDef {
   std::string name;
   AttrType type = AttrType::kInt64;

@@ -28,17 +28,4 @@ std::string_view store_mode_name(StoreMode m) {
   return "?";
 }
 
-bool store_mode_from_name(std::string_view name, StoreMode& out) {
-  if (name == "memory") {
-    out = StoreMode::kMemory;
-  } else if (name == "wal") {
-    out = StoreMode::kWal;
-  } else if (name == "tiered") {
-    out = StoreMode::kTiered;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 }  // namespace dlc::store

@@ -1,7 +1,7 @@
 // On-disk format constants and canonical field lists for the durable
 // store.
 //
-// Two file kinds live in the store directory (DARSHAN_LDMS_STORE_DIR):
+// Two file kinds live in the store directory (StoreConfig::dir):
 //
 //   wal-<shard>.log   append-only write-ahead log, FileSegment-framed
 //                     records (8-byte LE length + body); each body is a
@@ -36,7 +36,8 @@ inline constexpr std::uint8_t kWalFrameSchema = 1;
 std::string wal_file_name(std::size_t shard);
 std::string segment_file_name(std::size_t shard, std::uint64_t id);
 
-/// Durability tier selected by DARSHAN_LDMS_STORE_MODE.
+/// Durability tier (StoreConfig::mode, chosen by whoever mounts the
+/// store).
 enum class StoreMode : std::uint8_t {
   kMemory = 0,  // paper behaviour: nothing survives the process
   kWal = 1,     // WAL only: every commit durable, no sealing
@@ -44,6 +45,5 @@ enum class StoreMode : std::uint8_t {
 };
 
 std::string_view store_mode_name(StoreMode m);
-bool store_mode_from_name(std::string_view name, StoreMode& out);
 
 }  // namespace dlc::store

@@ -361,7 +361,7 @@ RecoveryReport Store::open(dsos::DsosCluster& cluster) {
   if (config_.dir.empty()) {
     throw std::runtime_error(
         "store: wal/tiered mode needs a store directory "
-        "(DARSHAN_LDMS_STORE_DIR)");
+        "(StoreConfig::dir)");
   }
   if (!fs::exists(config_.dir)) {
     if (!config_.create_dir) {

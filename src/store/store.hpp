@@ -13,11 +13,12 @@
 // additionally serve query_cold(), which prunes on persisted zone maps
 // without decoding cold data blocks.
 //
-// Durability ladder (DARSHAN_LDMS_STORE_MODE):
+// Durability ladder (StoreConfig::mode, chosen by whoever mounts the
+// store):
 //   memory  — nothing attached; the paper's lose-it-all behaviour.
 //   wal     — group commits are durable; recovery replays the log.
 //   tiered  — wal + sealing + compaction + retention
-//             (DARSHAN_LDMS_RETENTION seconds over segment max_time).
+//             (StoreConfig::retention_s over segment max_time).
 //
 // Acknowledgement contract (at_least_once): a row is *acked* once a
 // commit covering it returns true.  Crash-injection campaigns
@@ -57,7 +58,7 @@ namespace dlc::store {
 
 struct StoreConfig {
   StoreMode mode = StoreMode::kMemory;
-  /// Store directory (DARSHAN_LDMS_STORE_DIR); required unless kMemory.
+  /// Store directory; required unless kMemory.
   std::string dir;
   /// Created when missing (false turns a missing dir into an open error).
   bool create_dir = true;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -61,9 +62,12 @@ std::string url_decode(const std::string& s) {
 }
 
 /// Builds an equality filter from the query params that name schema
-/// attributes (anything that is not a control key).
-dsos::Filter filter_from_params(const dsos::Schema& schema,
-                                const Params& params) {
+/// attributes (anything that is not a control key).  A value that does
+/// not parse as its attribute's type yields nullopt and sets `error` to a
+/// 400 naming the param.
+std::optional<dsos::Filter> filter_from_params(const dsos::Schema& schema,
+                                               const Params& params,
+                                               Response& error) {
   static const std::set<std::string> kControl = {"index", "limit", "module",
                                                  "schema"};
   dsos::Filter filter;
@@ -71,26 +75,12 @@ dsos::Filter filter_from_params(const dsos::Schema& schema,
     if (kControl.contains(key)) continue;
     const auto attr_id = schema.find_attr(key);
     if (!attr_id) continue;
-    switch (schema.attrs()[*attr_id].type) {
-      case dsos::AttrType::kInt64:
-        filter.push_back({key, dsos::Cmp::kEq,
-                          static_cast<std::int64_t>(
-                              std::strtoll(value.c_str(), nullptr, 10))});
-        break;
-      case dsos::AttrType::kUint64:
-        filter.push_back({key, dsos::Cmp::kEq,
-                          static_cast<std::uint64_t>(
-                              std::strtoull(value.c_str(), nullptr, 10))});
-        break;
-      case dsos::AttrType::kDouble:
-      case dsos::AttrType::kTimestamp:
-        filter.push_back(
-            {key, dsos::Cmp::kEq, std::strtod(value.c_str(), nullptr)});
-        break;
-      case dsos::AttrType::kString:
-        filter.push_back({key, dsos::Cmp::kEq, value});
-        break;
+    auto parsed = dsos::parse_value(schema.attrs()[*attr_id].type, value);
+    if (!parsed) {
+      error = bad_request("bad value for " + key + ": " + value);
+      return std::nullopt;
     }
+    filter.push_back({key, dsos::Cmp::kEq, std::move(*parsed)});
   }
   return filter;
 }
@@ -452,10 +442,14 @@ Response DashboardService::api_query(const Params& params) const {
 
   std::size_t limit = 1000;
   if (const auto it = params.find("limit"); it != params.end()) {
-    limit = static_cast<std::size_t>(
-        std::strtoull(it->second.c_str(), nullptr, 10));
+    const auto parsed = dsos::parse_value(dsos::AttrType::kUint64, it->second);
+    if (!parsed) return bad_request("bad value for limit: " + it->second);
+    limit = static_cast<std::size_t>(std::get<std::uint64_t>(*parsed));
   }
-  auto rows = db_->query(kSchema, index, filter_from_params(*schema, params));
+  Response error;
+  const auto filter = filter_from_params(*schema, params, error);
+  if (!filter) return error;
+  auto rows = db_->query(kSchema, index, *filter);
   const std::size_t total = rows.size();
   if (rows.size() > limit) rows.resize(limit);
 
@@ -538,8 +532,10 @@ Response DashboardService::api_csv(const Params& params) const {
   const std::string index =
       index_it != params.end() ? index_it->second : "time";
   if (!schema->find_index(index)) return bad_request("unknown index " + index);
-  const auto rows =
-      db_->query(kSchema, index, filter_from_params(*schema, params));
+  Response error;
+  const auto filter = filter_from_params(*schema, params, error);
+  if (!filter) return error;
+  const auto rows = db_->query(kSchema, index, *filter);
   std::ostringstream out;
   dsos::export_csv(out, *schema, rows);
   return Response{200, "text/csv", out.str()};

@@ -16,6 +16,9 @@
 //   /api/panel?module=fig9&job=2&bucket_s=10
 //                                       -> Grafana panel JSON
 //   /api/csv?index=time&job_id=2        -> text/csv export
+//   (/api/query and /api/csv answer 400, naming the param, when a filter
+//   value does not parse as its attribute's type or limit is not a
+//   non-negative integer)
 //   /metrics                            -> Prometheus text exposition of
 //                                          the obs registry (self-telemetry)
 //   /api/obs                            -> all registry instruments as

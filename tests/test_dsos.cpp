@@ -6,14 +6,13 @@
 #include <limits>
 #include <sstream>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "dsos/cluster.hpp"
 #include "dsos/container.hpp"
 #include "dsos/csv.hpp"
 #include "dsos/index.hpp"
-#include "dsos/partition.hpp"
-#include "dsos/persist.hpp"
 #include "dsos/schema.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -332,6 +331,8 @@ TEST(Csv, ParseRejectsBadRows) {
   EXPECT_FALSE(csv_parse_row(schema, "1,2").has_value());
   EXPECT_FALSE(csv_parse_row(schema, "x,0,0,op,0").has_value());
   EXPECT_FALSE(csv_parse_row(schema, "1,0,zebra,op,0").has_value());
+  EXPECT_FALSE(csv_parse_row(schema, "1,0,,op,0").has_value());
+  EXPECT_FALSE(csv_parse_row(schema, "-5,0,0,op,0").has_value());
 }
 
 TEST(Csv, ExportWritesAllRows) {
@@ -349,191 +350,13 @@ TEST(Csv, ExportWritesAllRows) {
 }
 
 
-// ------------------------------------------------------------- persist ----
+// ----------------------------------------------------------- container ----
 
-TEST(Persist, ContainerRoundTrip) {
-  Container original;
-  const auto schema = test_schema();
-  original.register_schema(schema);
-  Rng rng(55);
-  for (int i = 0; i < 200; ++i) {
-    original.insert(make_event(schema, 1 + static_cast<std::uint64_t>(i % 4),
-                               rng.uniform_int(0, 7), rng.uniform(0, 100),
-                               i % 2 ? "read" : "write", rng.uniform(0, 2)));
-  }
-
-  std::stringstream stream;
-  save_container(original, stream);
-  auto loaded = load_container(stream);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->size(), original.size());
-
-  // Queries over the rebuilt indices agree with the original.
-  const Filter filter{{"job_id", Cmp::kEq, std::uint64_t{2}},
-                      {"op", Cmp::kEq, std::string("read")}};
-  const auto a = original.select("events", "job_rank_time", filter);
-  const auto b = loaded->select("events", "job_rank_time", filter);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i]->as_double("timestamp"),
-                     b[i]->as_double("timestamp"));
-    EXPECT_EQ(a[i]->as_int("rank"), b[i]->as_int("rank"));
-  }
-}
-
-TEST(Persist, RejectsCorruptStreams) {
-  std::stringstream empty;
-  EXPECT_FALSE(load_container(empty).has_value());
-  std::stringstream garbage("garbage data here");
-  EXPECT_FALSE(load_container(garbage).has_value());
-
-  Container c;
-  const auto schema = test_schema();
-  c.register_schema(schema);
-  c.insert(make_event(schema, 1, 0, 1.0, "open", 0.0));
-  std::stringstream full;
-  save_container(c, full);
-  const std::string bytes = full.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() - 4));
-  EXPECT_FALSE(load_container(truncated).has_value());
-}
-
-TEST(Persist, ClusterRoundTripOnDisk) {
-  ClusterConfig cfg;
-  cfg.shard_count = 3;
-  cfg.shard_attr = "rank";
-  cfg.parallel_query = false;
-  DsosCluster cluster(cfg);
-  const auto schema = test_schema();
-  cluster.register_schema(schema);
-  Rng rng(66);
-  for (int i = 0; i < 100; ++i) {
-    cluster.insert(make_event(schema, 1, rng.uniform_int(0, 9),
-                              rng.uniform(0, 50), "write", 0.1));
-  }
-
-  const std::string dir = "/tmp/dlc_dsos_persist_test";
-  ASSERT_TRUE(save_cluster(cluster, dir));
-  auto loaded = load_cluster(dir, cfg);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->total_objects(), 100u);
-  // Shard contents preserved shard by shard.
-  for (std::size_t shard = 0; shard < 3; ++shard) {
-    EXPECT_EQ(loaded->shard(shard).container().size(),
-              cluster.shard(shard).container().size());
-  }
-  const auto a = cluster.query("events", "job_rank_time");
-  const auto b = loaded->query("events", "job_rank_time");
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i]->as_int("rank"), b[i]->as_int("rank"));
-  }
-}
-
-TEST(Persist, LoadClusterFailsOnMissingDir) {
-  EXPECT_FALSE(load_cluster("/tmp/definitely-not-a-dlc-dir", ClusterConfig{})
-                   .has_value());
-}
-
-
-// ----------------------------------------------------------- partition ----
-
-TEST(Partition, InsertsLandInPrimary) {
-  PartitionedStore store("2022-06");
-  const auto schema = test_schema();
-  store.register_schema(schema);
-  store.insert(make_event(schema, 1, 0, 1.0, "open", 0.0));
-  const auto parts = store.partitions();
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0].name, "2022-06");
-  EXPECT_EQ(parts[0].state, PartitionState::kPrimary);
-  EXPECT_EQ(parts[0].objects, 1u);
-}
-
-TEST(Partition, RotateRetargetsInsertsAndKeepsOldQueryable) {
-  PartitionedStore store("june");
-  const auto schema = test_schema();
-  store.register_schema(schema);
-  store.insert(make_event(schema, 1, 0, 1.0, "write", 0.1));
-  ASSERT_TRUE(store.rotate("july"));
-  EXPECT_EQ(store.primary(), "july");
-  store.insert(make_event(schema, 2, 0, 2.0, "write", 0.1));
-
-  const auto parts = store.partitions();
-  ASSERT_EQ(parts.size(), 2u);
-  EXPECT_EQ(parts[0].state, PartitionState::kActive);
-  EXPECT_EQ(parts[1].state, PartitionState::kPrimary);
-  EXPECT_EQ(parts[0].objects, 1u);
-  EXPECT_EQ(parts[1].objects, 1u);
-  // Both partitions answer queries, merged in index order.
-  const auto rows = store.query("events", "time");
-  ASSERT_EQ(rows.size(), 2u);
-  EXPECT_DOUBLE_EQ(rows[0]->as_double("timestamp"), 1.0);
-  EXPECT_DOUBLE_EQ(rows[1]->as_double("timestamp"), 2.0);
-  // Duplicate rotation target rejected.
-  EXPECT_FALSE(store.rotate("june"));
-}
-
-TEST(Partition, OfflineExcludesFromQueries) {
-  PartitionedStore store("a");
-  const auto schema = test_schema();
-  store.register_schema(schema);
-  store.insert(make_event(schema, 1, 0, 1.0, "write", 0.1));
-  store.rotate("b");
-  store.insert(make_event(schema, 2, 0, 2.0, "write", 0.1));
-
-  ASSERT_TRUE(store.set_offline("a"));
-  EXPECT_EQ(store.queryable_objects(), 1u);
-  EXPECT_EQ(store.query("events", "time").size(), 1u);
-  // Primary cannot go offline; unknown names fail.
-  EXPECT_FALSE(store.set_offline("b"));
-  EXPECT_FALSE(store.set_offline("zzz"));
-  // Reattach.
-  ASSERT_TRUE(store.set_active("a"));
-  EXPECT_EQ(store.query("events", "time").size(), 2u);
-  EXPECT_FALSE(store.set_active("b"));  // not offline
-}
-
-TEST(Partition, ArchiveAndRestoreRoundTrip) {
-  PartitionedStore store("old");
-  const auto schema = test_schema();
-  store.register_schema(schema);
-  for (int i = 0; i < 10; ++i) {
-    store.insert(make_event(schema, 1, i % 3, i * 1.0, "write", 0.1));
-  }
-  store.rotate("new");
-
-  // Archive the old partition to a stream, then drop it offline.
-  std::stringstream archive;
-  ASSERT_TRUE(store.save_partition("old", archive));
-  ASSERT_TRUE(store.set_offline("old"));
-  EXPECT_EQ(store.query("events", "time").size(), 0u);
-
-  // Restore it under a new name (e.g. on a different analysis host).
-  PartitionedStore other("current");
-  other.register_schema(schema);
-  ASSERT_TRUE(other.load_partition("restored-old", archive));
-  EXPECT_EQ(other.query("events", "time").size(), 10u);
-  const auto parts = other.partitions();
-  ASSERT_EQ(parts.size(), 2u);
-  EXPECT_EQ(parts[1].name, "restored-old");
-  EXPECT_EQ(parts[1].state, PartitionState::kActive);
-  // Name collisions are rejected.
-  std::stringstream again;
-  ASSERT_TRUE(other.save_partition("restored-old", again));
-  EXPECT_FALSE(other.load_partition("restored-old", again));
-}
-
-TEST(Partition, SchemaRegistrationCoversFuturePartitions) {
-  PartitionedStore store("p0");
-  const auto schema = test_schema();
-  store.register_schema(schema);
-  store.rotate("p1");
-  // Insert into the post-rotation primary works (schema was propagated).
-  store.insert(make_event(schema, 1, 0, 1.0, "open", 0.0));
-  EXPECT_EQ(store.queryable_objects(), 1u);
-}
-
+// An attached commit sink and the observers hold a container's address
+// (store::Store, rollup::RollupEngine), so it cannot move out from under
+// them.
+static_assert(!std::is_move_constructible_v<dsos::Container> &&
+              !std::is_move_assignable_v<dsos::Container>);
 
 TEST(Container, QueryPlannerPicksLongestEqualityPrefix) {
   Container c;

@@ -2,8 +2,8 @@
 //
 //   campaign of jobs (one anomalous) -> connector JSON -> LDMS multi-hop
 //   transport -> DSOS -> anomaly detection -> temporal drill-down ->
-//   metric correlation -> dashboard render over the web API -> persist ->
-//   reload -> identical answers.
+//   metric correlation -> dashboard render over the web API -> write
+//   through the durable store -> reopen -> identical answers.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -12,10 +12,10 @@
 #include "analysis/figures.hpp"
 #include "darshan/derived.hpp"
 #include "darshan/log_compress.hpp"
-#include "dsos/persist.hpp"
 #include "exp/figdata.hpp"
 #include "exp/specs.hpp"
 #include "json/parser.hpp"
+#include "store/store.hpp"
 #include "websvc/dashboard.hpp"
 #include "websvc/http.hpp"
 #include "workloads/mpi_io_test.hpp"
@@ -103,28 +103,53 @@ TEST_F(FullStory, DashboardServesTheAnomalyOverHttp) {
 }
 
 TEST_F(FullStory, PersistReloadAnswersIdentically) {
-  const std::string dir = "/tmp/dlc_integration_db";
-  ASSERT_TRUE(dsos::save_cluster(*dataset_->db, dir));
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "dlc_integration_db")
+          .string();
+  std::filesystem::remove_all(dir);
   dsos::ClusterConfig cfg;
   cfg.shard_count = dataset_->db->shard_count();
   cfg.shard_attr = "rank";
   cfg.parallel_query = true;
-  auto reloaded = dsos::load_cluster(dir, cfg);
-  ASSERT_TRUE(reloaded.has_value());
-  EXPECT_EQ(reloaded->total_objects(), dataset_->db->total_objects());
+  store::StoreConfig scfg;
+  scfg.mode = store::StoreMode::kTiered;
+  scfg.dir = dir;
+  {
+    // Every campaign row goes through a store onto disk, shard by shard,
+    // and ends in sealed segments.
+    dsos::DsosCluster written(cfg);
+    written.register_schema(
+        dataset_->db->shard(0).container().schema("darshan_data"));
+    store::Store store(scfg);
+    store.open(written);
+    for (std::size_t s = 0; s < dataset_->db->shard_count(); ++s) {
+      const dsos::Container& c = dataset_->db->shard(s).container();
+      for (std::size_t i = 0; i < c.size(); ++i) {
+        written.insert_at(s, c.object(i));
+      }
+    }
+    store.seal_all();
+    store.close();
+  }
+  dsos::DsosCluster reloaded(cfg);
+  scfg.create_dir = false;
+  store::Store store(scfg);
+  const store::RecoveryReport rep = store.open(reloaded);
+  EXPECT_EQ(rep.rows_from_segments, dataset_->db->total_objects());
+  EXPECT_EQ(reloaded.total_objects(), dataset_->db->total_objects());
 
   const dsos::Filter filter{
       {"job_id", dsos::Cmp::kEq, dataset_->anomalous_job},
       {"rank", dsos::Cmp::kEq, std::int64_t{3}}};
   const auto before =
       dataset_->db->query("darshan_data", "job_rank_time", filter);
-  const auto after = reloaded->query("darshan_data", "job_rank_time", filter);
+  const auto after = reloaded.query("darshan_data", "job_rank_time", filter);
   ASSERT_EQ(before.size(), after.size());
+  ASSERT_FALSE(before.empty());
   for (std::size_t i = 0; i < before.size(); ++i) {
-    EXPECT_EQ(before[i]->as_double("seg_timestamp"),
-              after[i]->as_double("seg_timestamp"));
-    EXPECT_EQ(before[i]->as_string("op"), after[i]->as_string("op"));
+    EXPECT_EQ(before[i]->values, after[i]->values);
   }
+  store.close();
   std::filesystem::remove_all(dir);
 }
 

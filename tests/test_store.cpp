@@ -653,6 +653,124 @@ TEST(Store, OpenGuardsFailLoudly) {
   EXPECT_THROW(st5.query_cold("darshan_data", {}), std::logic_error);
 }
 
+// ------------------------------------------------------------- persist ----
+// Whole-database round trips: a reopened store answers queries as the
+// database it was written from did.
+
+TEST(Persist, ContainerRoundTrip) {
+  const TempDir dir("persist_container");
+  const auto s = test_schema();
+  const StoreConfig cfg = store_config(dir.path(), StoreMode::kWal);
+  dsos::DsosCluster original(cluster_config(1));
+  original.register_schema(s);
+  {
+    Store st(cfg);
+    st.open(original);
+    for (std::uint64_t i = 0; i < 200; ++i) {
+      original.insert(row(s, 1 + i / 50, static_cast<std::int64_t>(i * 5 % 8),
+                          100.0 + static_cast<double>(i * 37 % 200) + 0.25,
+                          64 + i));
+    }
+    st.close();
+  }
+  dsos::DsosCluster loaded(cluster_config(1));
+  Store st(cfg);
+  st.open(loaded);
+  EXPECT_EQ(loaded.total_objects(), original.total_objects());
+  // A filtered query over the indices rebuilt on reopen agrees row for
+  // row with the container the rows were written from.
+  const dsos::Filter filter{{"job_id", dsos::Cmp::kEq, std::uint64_t{2}},
+                            {"op", dsos::Cmp::kEq, std::string("read")}};
+  const auto a = original.query("darshan_data", "job_rank_time", filter);
+  const auto b = loaded.query("darshan_data", "job_rank_time", filter);
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_FALSE(a.empty());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i]->values, b[i]->values);
+  }
+  st.close();
+}
+
+TEST(Persist, RejectsCorruptStreams) {
+  const auto s = test_schema();
+  // A WAL holding garbage yields no rows: its tail is torn at byte 0.
+  {
+    const TempDir dir("persist_garbage");
+    std::ofstream(dir.sub(wal_file_name(0)), std::ios::binary)
+        << "garbage data here";
+    dsos::DsosCluster db(cluster_config(1));
+    Store st(store_config(dir.path(), StoreMode::kWal));
+    const RecoveryReport rep = st.open(db);
+    EXPECT_EQ(rep.torn_tails, 1u);
+    EXPECT_EQ(db.total_objects(), 0u);
+    st.close();
+  }
+  // A sealed segment missing its last bytes is quarantined, not loaded.
+  const TempDir dir("persist_truncated");
+  const StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
+  {
+    dsos::DsosCluster db(cluster_config(1));
+    db.register_schema(s);
+    Store st(cfg);
+    st.open(db);
+    for (const auto& e : make_events(s, 20)) db.insert(e);
+    st.seal_all();
+    st.close();
+  }
+  const std::string seg = dir.sub(segment_file_name(0, 1));
+  ASSERT_TRUE(fsys::exists(seg));
+  fsys::resize_file(seg, fsys::file_size(seg) - 4);
+  dsos::DsosCluster db(cluster_config(1));
+  Store st(cfg);
+  const RecoveryReport rep = st.open(db);
+  EXPECT_EQ(rep.quarantined_segments, 1u);
+  EXPECT_EQ(rep.segments_loaded, 0u);
+  EXPECT_EQ(db.total_objects(), 0u);
+  EXPECT_TRUE(fsys::exists(seg + ".quarantined"));
+  st.close();
+}
+
+TEST(Persist, ClusterRoundTripOnDisk) {
+  const TempDir dir("persist_cluster");
+  const auto s = test_schema();
+  const StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
+  dsos::DsosCluster cluster(cluster_config(3));
+  cluster.register_schema(s);
+  {
+    Store st(cfg);
+    st.open(cluster);
+    for (std::uint64_t i = 0; i < 100; ++i) {
+      cluster.insert(row(s, 1, static_cast<std::int64_t>(i * 7 % 10),
+                         50.0 - static_cast<double>(i) * 0.5, 64 + i));
+    }
+    st.seal_all();
+    st.close();
+  }
+  dsos::DsosCluster loaded(cluster_config(3));
+  Store st(cfg);
+  const RecoveryReport rep = st.open(loaded);
+  EXPECT_EQ(rep.rows_from_segments, 100u);
+  EXPECT_EQ(loaded.total_objects(), 100u);
+  // Each row comes back on the shard it was written to.
+  for (std::size_t shard = 0; shard < 3; ++shard) {
+    EXPECT_EQ(loaded.shard(shard).container().size(),
+              cluster.shard(shard).container().size());
+  }
+  EXPECT_EQ(fingerprint(loaded), fingerprint(cluster));
+  st.close();
+}
+
+TEST(Persist, LoadClusterFailsOnMissingDir) {
+  const TempDir dir("persist_missing");
+  StoreConfig cfg = store_config(dir.sub("absent"), StoreMode::kTiered);
+  cfg.create_dir = false;
+  dsos::DsosCluster db(cluster_config(2));
+  Store st(cfg);
+  EXPECT_THROW(st.open(db), std::runtime_error);
+  EXPECT_FALSE(st.is_open());
+  EXPECT_FALSE(fsys::exists(dir.sub("absent")));
+}
+
 // ------------------------------------------------- crash campaigns --------
 
 /// Drives `events` into a fresh cluster+store on `dir` until an armed

@@ -110,6 +110,27 @@ TEST(Service, QueryRejectsUnknownIndex) {
   EXPECT_EQ(service.handle("/api/query?index=bogus").status, 400);
 }
 
+TEST(Service, QueryAndCsvRejectUnparsableValuesNamingTheParam) {
+  DashboardService service(demo_db());
+  const struct {
+    const char* url;
+    const char* param;
+  } cases[] = {
+      {"/api/query?index=job_rank_time&rank=abc", "rank"},
+      {"/api/query?index=job_rank_time&job_id=-5", "job_id"},
+      {"/api/query?limit=abc", "limit"},
+      {"/api/csv?index=time&rank=zz", "rank"},
+  };
+  for (const auto& c : cases) {
+    const Response r = service.handle(c.url);
+    EXPECT_EQ(r.status, 400) << c.url;
+    const auto doc = json::parse(r.body);
+    ASSERT_TRUE(doc.has_value()) << c.url;
+    EXPECT_NE(doc->get_string("error").find(c.param), std::string::npos)
+        << c.url << " -> " << r.body;
+  }
+}
+
 TEST(Service, PanelRunsFigureModules) {
   DashboardService service(demo_db());
   const Response r = service.handle("/api/panel?module=fig5&job=1,2");
