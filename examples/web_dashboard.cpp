@@ -1,5 +1,7 @@
 // HPC Web Services end to end: run a monitored campaign, serve the event
 // database over HTTP, and query it the way a Grafana data source would.
+// Exits 1 when the rendered dashboard does not parse or a panel carries
+// an "error" (ctest example_web_dashboard).
 #include <cstdio>
 
 #include "exp/figdata.hpp"
@@ -57,5 +59,22 @@ int main() {
               dashboard.size(),
               static_cast<unsigned long long>(service.requests_served()));
   server.stop();
-  return 0;
+
+  const auto doc = json::parse(dashboard);
+  const json::Value* panels = doc ? doc->find("panels") : nullptr;
+  if (panels == nullptr || !panels->is_array()) {
+    std::fprintf(stderr, "rendered dashboard does not parse\n");
+    return 1;
+  }
+  int failed = 0;
+  for (const json::Value& panel : panels->as_array()) {
+    if (panel.find("error") != nullptr) {
+      std::fprintf(stderr, "panel %s failed: %s\n",
+                   panel.get_string("title").c_str(),
+                   panel.get_string("error").c_str());
+      ++failed;
+    }
+  }
+  std::printf("%zu panels, %d failed\n", panels->as_array().size(), failed);
+  return failed == 0 ? 0 : 1;
 }

@@ -15,44 +15,60 @@ DataFrame DataFrame::from_objects(
   if (objs.empty()) return df;
   const dsos::Schema& schema = *objs.front()->schema;
   for (std::size_t a = 0; a < schema.attrs().size(); ++a) {
-    const auto& attr = schema.attrs()[a];
-    switch (attr.type) {
-      case dsos::AttrType::kInt64:
-      case dsos::AttrType::kUint64: {
-        IntCol col;
-        col.reserve(objs.size());
-        for (const auto* obj : objs) {
-          const auto& v = obj->values[a];
-          col.push_back(std::holds_alternative<std::int64_t>(v)
-                            ? std::get<std::int64_t>(v)
-                            : static_cast<std::int64_t>(
-                                  std::get<std::uint64_t>(v)));
-        }
-        df.add_int_column(attr.name, std::move(col));
-        break;
-      }
-      case dsos::AttrType::kDouble:
-      case dsos::AttrType::kTimestamp: {
-        DoubleCol col;
-        col.reserve(objs.size());
-        for (const auto* obj : objs) {
-          col.push_back(std::get<double>(obj->values[a]));
-        }
-        df.add_double_column(attr.name, std::move(col));
-        break;
-      }
-      case dsos::AttrType::kString: {
-        StringCol col;
-        col.reserve(objs.size());
-        for (const auto* obj : objs) {
-          col.push_back(std::get<std::string>(obj->values[a]));
-        }
-        df.add_string_column(attr.name, std::move(col));
-        break;
-      }
-    }
+    df.add_object_column(objs, schema.attrs()[a], a);
   }
   return df;
+}
+
+DataFrame DataFrame::from_objects(
+    const dsos::Schema& schema, const std::vector<const dsos::Object*>& objs,
+    std::initializer_list<std::string_view> attrs) {
+  DataFrame df;
+  for (const std::string_view name : attrs) {
+    const std::size_t a = schema.attr_id(name);
+    df.add_object_column(objs, schema.attrs()[a], a);
+  }
+  return df;
+}
+
+void DataFrame::add_object_column(const std::vector<const dsos::Object*>& objs,
+                                  const dsos::AttrDef& attr,
+                                  std::size_t attr_id) {
+  switch (attr.type) {
+    case dsos::AttrType::kInt64:
+    case dsos::AttrType::kUint64: {
+      IntCol col;
+      col.reserve(objs.size());
+      for (const auto* obj : objs) {
+        const auto& v = obj->values[attr_id];
+        col.push_back(std::holds_alternative<std::int64_t>(v)
+                          ? std::get<std::int64_t>(v)
+                          : static_cast<std::int64_t>(
+                                std::get<std::uint64_t>(v)));
+      }
+      add_int_column(attr.name, std::move(col));
+      break;
+    }
+    case dsos::AttrType::kDouble:
+    case dsos::AttrType::kTimestamp: {
+      DoubleCol col;
+      col.reserve(objs.size());
+      for (const auto* obj : objs) {
+        col.push_back(std::get<double>(obj->values[attr_id]));
+      }
+      add_double_column(attr.name, std::move(col));
+      break;
+    }
+    case dsos::AttrType::kString: {
+      StringCol col;
+      col.reserve(objs.size());
+      for (const auto* obj : objs) {
+        col.push_back(std::get<std::string>(obj->values[attr_id]));
+      }
+      add_string_column(attr.name, std::move(col));
+      break;
+    }
+  }
 }
 
 namespace {
@@ -152,33 +168,6 @@ DataFrame DataFrame::select_rows(const std::vector<std::size_t>& idx) const {
         c.data);
   }
   return out;
-}
-
-DataFrame DataFrame::filter(const RowPredicate& pred) const {
-  std::vector<std::size_t> idx;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    if (pred(*this, r)) idx.push_back(r);
-  }
-  return select_rows(idx);
-}
-
-DataFrame DataFrame::where_string(std::string_view col,
-                                  std::string_view value) const {
-  const auto& data = std::get<StringCol>(column(col));
-  std::vector<std::size_t> idx;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    if (data[r] == value) idx.push_back(r);
-  }
-  return select_rows(idx);
-}
-
-DataFrame DataFrame::where_int(std::string_view col, std::int64_t value) const {
-  const auto& data = std::get<IntCol>(column(col));
-  std::vector<std::size_t> idx;
-  for (std::size_t r = 0; r < rows_; ++r) {
-    if (data[r] == value) idx.push_back(r);
-  }
-  return select_rows(idx);
 }
 
 DataFrame DataFrame::group_by(const std::vector<std::string>& key_cols,

@@ -4,10 +4,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <initializer_list>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -31,12 +32,20 @@ class DataFrame {
   using IntCol = std::vector<std::int64_t>;
   using DoubleCol = std::vector<double>;
   using StringCol = std::vector<std::string>;
+  using Column = std::variant<IntCol, DoubleCol, StringCol>;
 
   DataFrame() = default;
 
   /// Builds a frame from DSOS query results; uint64/timestamp attrs map
   /// to int/double columns.  All schema attributes become columns.
   static DataFrame from_objects(const std::vector<const dsos::Object*>& objs);
+
+  /// Like from_objects(objs), but only the attributes `attrs` of `schema`
+  /// become columns, in that order; no other attribute is copied.  An
+  /// empty `objs` still gives the typed (empty) columns.
+  static DataFrame from_objects(const dsos::Schema& schema,
+                                const std::vector<const dsos::Object*>& objs,
+                                std::initializer_list<std::string_view> attrs);
 
   // --- construction -----------------------------------------------------
   void add_int_column(std::string name, IntCol data = {});
@@ -48,6 +57,9 @@ class DataFrame {
   const std::vector<std::string>& column_names() const { return order_; }
   bool has_column(std::string_view name) const;
   ColType column_type(std::string_view name) const;
+  /// The `c`-th column's values (column_names()[c]), for whole-column
+  /// walks without a by-name lookup per cell.
+  const Column& column_at(std::size_t c) const { return columns_[c].data; }
 
   // --- element access ---------------------------------------------------
   std::int64_t get_int(std::size_t row, std::string_view col) const;
@@ -60,14 +72,6 @@ class DataFrame {
   std::vector<double> numbers(std::string_view col) const;
 
   // --- transformations (all return new frames) ---------------------------
-  using RowPredicate = std::function<bool(const DataFrame&, std::size_t row)>;
-  DataFrame filter(const RowPredicate& pred) const;
-
-  /// Rows where string column `col` equals `value`.
-  DataFrame where_string(std::string_view col, std::string_view value) const;
-  /// Rows where int column `col` equals `value`.
-  DataFrame where_int(std::string_view col, std::int64_t value) const;
-
   /// Group by `key_cols` (any types); one output row per distinct key with
   /// the key columns plus one column per aggregation.
   DataFrame group_by(const std::vector<std::string>& key_cols,
@@ -92,14 +96,14 @@ class DataFrame {
   std::string to_csv() const;
 
  private:
-  using Column = std::variant<IntCol, DoubleCol, StringCol>;
-
   struct NamedColumn {
     std::string name;
     Column data;
   };
 
   const Column& column(std::string_view name) const;
+  void add_object_column(const std::vector<const dsos::Object*>& objs,
+                         const dsos::AttrDef& attr, std::size_t attr_id);
   DataFrame select_rows(const std::vector<std::size_t>& idx) const;
 
   std::vector<NamedColumn> columns_;

@@ -1,6 +1,5 @@
 #include "websvc/dashboard.hpp"
 
-#include "json/parser.hpp"
 #include "json/writer.hpp"
 
 namespace dlc::websvc {
@@ -45,21 +44,9 @@ std::string render_dashboard(const DashboardService& service,
     w.member("title", panel.title);
     w.member("module", panel.module);
     w.member("viz", panel.viz);
-    // Run the panel through the same URL surface a remote front end uses.
-    std::string url = "/api/panel?module=" + panel.module;
-    for (const auto& [k, v] : panel.params) url += "&" + k + "=" + v;
-    const Response response = service.handle(url);
-    if (response.status == 200) {
-      const auto doc = json::parse(response.body);
-      if (doc && doc->find("data")) {
-        w.key("data");
-        w.value_raw(doc->find("data")->dump());
-      } else {
-        w.member("error", "panel returned malformed data");
-      }
-    } else {
-      w.member("error", response.body);
-    }
+    // The panel's frame goes straight into this document, written by the
+    // code that writes /api/panel's "data".
+    service.write_panel(w, panel.module, panel.params);
     w.end_object();
   }
   w.end_array();

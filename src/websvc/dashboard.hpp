@@ -35,7 +35,9 @@ Dashboard default_io_dashboard(std::uint64_t job_id);
 Dashboard obs_self_dashboard();
 
 /// Executes all panels and returns the dashboard with inlined data as
-/// JSON (panels that fail render an "error" field instead of data).
+/// JSON (panels that fail render an "error" field instead of data).  Each
+/// panel's "data" is written in place by DashboardService::write_panel,
+/// so it is byte-identical to the "data" of the matching /api/panel body.
 std::string render_dashboard(const DashboardService& service,
                              const Dashboard& dashboard);
 

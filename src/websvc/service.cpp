@@ -61,13 +61,41 @@ std::string url_decode(const std::string& s) {
   return out;
 }
 
+/// A request parameter whose value does not parse; the request answers
+/// 400 naming it.
+class BadParam : public std::invalid_argument {
+ public:
+  BadParam(const std::string& key, const std::string& value)
+      : std::invalid_argument("bad value for " + key + ": " + value) {}
+};
+
+/// Param `key`'s `value` parsed as `type` (dsos::parse_value, the parser
+/// behind CSV import); throws BadParam when it does not parse.
+dsos::Value parse_param(dsos::AttrType type, const std::string& key,
+                        const std::string& value) {
+  auto parsed = dsos::parse_value(type, value);
+  if (!parsed) throw BadParam(key, value);
+  return std::move(*parsed);
+}
+
+/// Runs a route, turning what it throws into the answer: 400 for a bad
+/// parameter, 500 for anything else.
+template <typename Route>
+Response guarded(const Route& route) {
+  try {
+    return route();
+  } catch (const BadParam& e) {
+    return bad_request(e.what());
+  } catch (const std::exception& e) {
+    return Response{500, "application/json", error_body(e.what())};
+  }
+}
+
 /// Builds an equality filter from the query params that name schema
-/// attributes (anything that is not a control key).  A value that does
-/// not parse as its attribute's type yields nullopt and sets `error` to a
-/// 400 naming the param.
-std::optional<dsos::Filter> filter_from_params(const dsos::Schema& schema,
-                                               const Params& params,
-                                               Response& error) {
+/// attributes (anything that is not a control key).  Throws BadParam for
+/// a value that does not parse as its attribute's type.
+dsos::Filter filter_from_params(const dsos::Schema& schema,
+                                const Params& params) {
   static const std::set<std::string> kControl = {"index", "limit", "module",
                                                  "schema"};
   dsos::Filter filter;
@@ -75,37 +103,36 @@ std::optional<dsos::Filter> filter_from_params(const dsos::Schema& schema,
     if (kControl.contains(key)) continue;
     const auto attr_id = schema.find_attr(key);
     if (!attr_id) continue;
-    auto parsed = dsos::parse_value(schema.attrs()[*attr_id].type, value);
-    if (!parsed) {
-      error = bad_request("bad value for " + key + ": " + value);
-      return std::nullopt;
-    }
-    filter.push_back({key, dsos::Cmp::kEq, std::move(*parsed)});
+    filter.push_back({key, dsos::Cmp::kEq,
+                      parse_param(schema.attrs()[*attr_id].type, key, value)});
   }
   return filter;
 }
 
+/// `df` as {"columns": [...], "rows": [[...], ...]}, doubles with 9
+/// fractional digits.  Each column is found once and walked by type.
 void frame_to_json(json::Writer& w, const analysis::DataFrame& df) {
+  using analysis::DataFrame;
   w.begin_object();
   w.key("columns");
   w.begin_array();
   for (const auto& name : df.column_names()) w.value_string(name);
   w.end_array();
+  std::vector<const DataFrame::Column*> columns;
+  for (std::size_t c = 0; c < df.cols(); ++c) {
+    columns.push_back(&df.column_at(c));
+  }
   w.key("rows");
   w.begin_array();
   for (std::size_t r = 0; r < df.rows(); ++r) {
     w.begin_array();
-    for (const auto& name : df.column_names()) {
-      switch (df.column_type(name)) {
-        case analysis::ColType::kInt:
-          w.value_int(df.get_int(r, name));
-          break;
-        case analysis::ColType::kDouble:
-          w.value_double(df.get_double(r, name), 9);
-          break;
-        case analysis::ColType::kString:
-          w.value_string(df.get_string(r, name));
-          break;
+    for (const DataFrame::Column* column : columns) {
+      if (const auto* ints = std::get_if<DataFrame::IntCol>(column)) {
+        w.value_int((*ints)[r]);
+      } else if (const auto* dbls = std::get_if<DataFrame::DoubleCol>(column)) {
+        w.value_double((*dbls)[r], 9);
+      } else {
+        w.value_string(std::get<DataFrame::StringCol>(*column)[r]);
       }
     }
     w.end_array();
@@ -114,13 +141,15 @@ void frame_to_json(json::Writer& w, const analysis::DataFrame& df) {
   w.end_object();
 }
 
+/// The comma-separated job= list; every job when the param is absent.
 std::vector<std::uint64_t> job_list(const dsos::DsosCluster& db,
                                     const Params& params) {
   std::vector<std::uint64_t> jobs;
   const auto it = params.find("job");
   if (it != params.end()) {
     for (const std::string& part : split(it->second, ',')) {
-      jobs.push_back(std::strtoull(part.c_str(), nullptr, 10));
+      jobs.push_back(std::get<std::uint64_t>(
+          parse_param(dsos::AttrType::kUint64, "job", part)));
     }
     return jobs;
   }
@@ -131,6 +160,17 @@ std::vector<std::uint64_t> job_list(const dsos::DsosCluster& db,
   }
   jobs.assign(distinct.begin(), distinct.end());
   return jobs;
+}
+
+/// The fig9 bucket_s param: 10 s when absent or not positive.
+double bucket_param(const Params& params) {
+  const auto it = params.find("bucket_s");
+  const double bucket =
+      it != params.end()
+          ? std::get<double>(
+                parse_param(dsos::AttrType::kDouble, "bucket_s", it->second))
+          : 10.0;
+  return bucket > 0 ? bucket : 10.0;
 }
 
 }  // namespace
@@ -163,20 +203,18 @@ DashboardService::DashboardService(std::shared_ptr<dsos::DsosCluster> db)
   register_module("fig9", [](const dsos::DsosCluster& db,
                              const Params& params) {
     const auto jobs = job_list(db, params);
-    const auto it = params.find("bucket_s");
-    const double bucket =
-        it != params.end() ? std::strtod(it->second.c_str(), nullptr) : 10.0;
+    const double bucket = bucket_param(params);
     return jobs.empty() ? analysis::DataFrame{}
-                        : analysis::fig9_throughput_buckets(
-                              db, jobs.front(), bucket > 0 ? bucket : 10.0);
+                        : analysis::fig9_throughput_buckets(db, jobs.front(),
+                                                            bucket);
   });
   register_module("hot_files", [](const dsos::DsosCluster& db,
                                   const Params& params) {
     const auto it = params.find("top");
     const std::size_t top_n =
         it != params.end()
-            ? static_cast<std::size_t>(
-                  std::strtoull(it->second.c_str(), nullptr, 10))
+            ? static_cast<std::size_t>(std::get<std::uint64_t>(
+                  parse_param(dsos::AttrType::kUint64, "top", it->second)))
             : 10;
     return analysis::hot_files(db, job_list(db, params),
                                top_n > 0 ? top_n : 10);
@@ -310,7 +348,7 @@ Response DashboardService::handle(const std::string& path_and_query) const {
   std::string path;
   Params params;
   split_url(path_and_query, path, params);
-  try {
+  return guarded([&] {
     if (path == "/api/health") return api_health();
     if (path == "/api/schemas") return api_schemas();
     if (path == "/api/jobs") return api_jobs();
@@ -333,10 +371,24 @@ Response DashboardService::handle(const std::string& path_and_query) const {
     if (path.starts_with("/api/anomalies/")) {
       return api_anomalies(path.substr(sizeof("/api/anomalies/") - 1));
     }
-  } catch (const std::exception& e) {
-    return Response{500, "application/json", error_body(e.what())};
+    return not_found("no route for " + path);
+  });
+}
+
+void DashboardService::write_panel(json::Writer& w, const std::string& module,
+                                   const Params& params) const {
+  ++requests_;
+  std::optional<PanelFrame> panel;
+  const Response outcome = guarded([&] {
+    panel = run_panel(module, params);
+    return panel ? Response{} : not_found("unknown module " + module);
+  });
+  if (outcome.status != 200) {
+    w.member("error", outcome.body);
+    return;
   }
-  return not_found("no route for " + path);
+  w.key("data");
+  frame_to_json(w, panel->frame);
 }
 
 Response DashboardService::api_metrics() const {
@@ -442,14 +494,10 @@ Response DashboardService::api_query(const Params& params) const {
 
   std::size_t limit = 1000;
   if (const auto it = params.find("limit"); it != params.end()) {
-    const auto parsed = dsos::parse_value(dsos::AttrType::kUint64, it->second);
-    if (!parsed) return bad_request("bad value for limit: " + it->second);
-    limit = static_cast<std::size_t>(std::get<std::uint64_t>(*parsed));
+    limit = static_cast<std::size_t>(std::get<std::uint64_t>(
+        parse_param(dsos::AttrType::kUint64, "limit", it->second)));
   }
-  Response error;
-  const auto filter = filter_from_params(*schema, params, error);
-  if (!filter) return error;
-  auto rows = db_->query(kSchema, index, *filter);
+  auto rows = db_->query(kSchema, index, filter_from_params(*schema, params));
   const std::size_t total = rows.size();
   if (rows.size() > limit) rows.resize(limit);
 
@@ -464,15 +512,11 @@ Response DashboardService::api_query(const Params& params) const {
   return Response{200, "application/json", w.take()};
 }
 
-Response DashboardService::api_panel(const Params& params) const {
-  const auto it = params.find("module");
-  if (it == params.end()) return bad_request("panel needs module=");
-  const std::string& module = it->second;
+std::optional<DashboardService::PanelFrame> DashboardService::run_panel(
+    const std::string& module, const Params& params) const {
   // Rollup-first serving: the figure panels a policy covers come from
   // rollup cells (no raw-event scan); everything else — and every panel
   // when no engine is attached — runs its registered raw module.
-  analysis::DataFrame df;
-  std::string source = "raw";
   rollup::PanelResult served;
   bool handled = false;
   if (rollup_ != nullptr) {
@@ -491,36 +535,37 @@ Response DashboardService::api_panel(const Params& params) const {
       handled = true;
     } else if (module == "fig9") {
       const auto jobs = job_list(*db_, params);
-      const auto bit = params.find("bucket_s");
-      const double bucket =
-          bit != params.end() ? std::strtod(bit->second.c_str(), nullptr)
-                              : 10.0;
+      const double bucket = bucket_param(params);
       // No jobs to serve from rollups: leave handled false so the
       // registered raw fig9 module answers, as it does engine-less —
       // not a fabricated empty frame labeled "raw".
       if (!jobs.empty()) {
-        served = rollup::panel_fig9(rollup_, *db_, jobs.front(),
-                                    bucket > 0 ? bucket : 10.0);
+        served = rollup::panel_fig9(rollup_, *db_, jobs.front(), bucket);
         handled = true;
       }
     }
   }
   if (handled) {
-    df = std::move(served.frame);
-    if (served.from_rollup) source = "rollup:" + served.policy;
-  } else {
-    const auto module_it = modules_.find(module);
-    if (module_it == modules_.end()) {
-      return not_found("unknown module " + module);
-    }
-    df = module_it->second(*db_, params);
+    return PanelFrame{std::move(served.frame),
+                      served.from_rollup ? "rollup:" + served.policy : "raw"};
   }
+  const auto module_it = modules_.find(module);
+  if (module_it == modules_.end()) return std::nullopt;
+  return PanelFrame{module_it->second(*db_, params), "raw"};
+}
+
+Response DashboardService::api_panel(const Params& params) const {
+  const auto it = params.find("module");
+  if (it == params.end()) return bad_request("panel needs module=");
+  const std::string& module = it->second;
+  const std::optional<PanelFrame> panel = run_panel(module, params);
+  if (!panel) return not_found("unknown module " + module);
   json::Writer w;
   w.begin_object();
   w.member("module", module);
-  w.member("source", source);
+  w.member("source", panel->source);
   w.key("data");
-  frame_to_json(w, df);
+  frame_to_json(w, panel->frame);
   w.end_object();
   return Response{200, "application/json", w.take()};
 }
@@ -532,10 +577,8 @@ Response DashboardService::api_csv(const Params& params) const {
   const std::string index =
       index_it != params.end() ? index_it->second : "time";
   if (!schema->find_index(index)) return bad_request("unknown index " + index);
-  Response error;
-  const auto filter = filter_from_params(*schema, params, error);
-  if (!filter) return error;
-  const auto rows = db_->query(kSchema, index, *filter);
+  const auto rows =
+      db_->query(kSchema, index, filter_from_params(*schema, params));
   std::ostringstream out;
   dsos::export_csv(out, *schema, rows);
   return Response{200, "text/csv", out.str()};
@@ -556,12 +599,14 @@ Response DashboardService::api_rollup_cells(const std::string& policy,
   if (rollup_->find_policy(policy) == nullptr) {
     return not_found("unknown rollup policy " + policy);
   }
-  rollup::RollupQuery q;
-  if (const auto it = params.find("job"); it != params.end()) {
-    for (const std::string& part : split(it->second, ',')) {
-      q.jobs.push_back(std::strtoull(part.c_str(), nullptr, 10));
+  const auto seconds = [&params](const std::string& key, double& out) {
+    if (const auto it = params.find(key); it != params.end()) {
+      out = std::get<double>(
+          parse_param(dsos::AttrType::kDouble, key, it->second));
     }
-  }
+  };
+  rollup::RollupQuery q;
+  if (params.contains("job")) q.jobs = job_list(*db_, params);
   if (const auto it = params.find("op"); it != params.end()) {
     for (const std::string& part : split(it->second, ',')) {
       if (!part.empty()) q.ops.push_back(part);
@@ -571,17 +616,12 @@ Response DashboardService::api_rollup_cells(const std::string& policy,
     q.producer = it->second;
   }
   if (const auto it = params.find("rank"); it != params.end()) {
-    q.rank = std::strtoll(it->second.c_str(), nullptr, 10);
+    q.rank = std::get<std::int64_t>(
+        parse_param(dsos::AttrType::kInt64, "rank", it->second));
   }
-  if (const auto it = params.find("from_s"); it != params.end()) {
-    q.from_s = std::strtod(it->second.c_str(), nullptr);
-  }
-  if (const auto it = params.find("to_s"); it != params.end()) {
-    q.to_s = std::strtod(it->second.c_str(), nullptr);
-  }
-  if (const auto it = params.find("bucket_s"); it != params.end()) {
-    q.bucket_s = std::strtod(it->second.c_str(), nullptr);
-  }
+  seconds("from_s", q.from_s);
+  seconds("to_s", q.to_s);
+  seconds("bucket_s", q.bucket_s);
   std::vector<rollup::RollupCell> cells;
   try {
     cells = rollup_->query(policy, q);

@@ -18,7 +18,9 @@
 //   /api/csv?index=time&job_id=2        -> text/csv export
 //   (/api/query and /api/csv answer 400, naming the param, when a filter
 //   value does not parse as its attribute's type or limit is not a
-//   non-negative integer)
+//   non-negative integer; /api/panel likewise for job= entries that are
+//   not non-negative integers, a bucket_s that is not a number and a
+//   hot_files top= that is not a non-negative integer)
 //   /metrics                            -> Prometheus text exposition of
 //                                          the obs registry (self-telemetry)
 //   /api/obs                            -> all registry instruments as
@@ -33,7 +35,10 @@
 //                                          when no engine is attached)
 //   /api/rollup/<policy>?job=1,2&op=read,write&producer=nid40&rank=3
 //              &from_s=0&to_s=600&bucket_s=60
-//                                       -> rollup cells (JSON)
+//                                       -> rollup cells (JSON); 400
+//                                          naming the param when job,
+//                                          rank, from_s, to_s or bucket_s
+//                                          does not parse
 //   /api/anomalies                      -> online-anomaly alert feed:
 //                                          firing/resolved alerts with
 //                                          evidence plus engine status
@@ -44,17 +49,21 @@
 // panel modules answer from rollup cells whenever a policy covers the
 // panel (raw-scan fallback otherwise); the /api/panel response carries a
 // "source" member ("rollup:<policy>" or "raw") so dashboards can tell.
+// render_dashboard (websvc/dashboard.hpp) runs each panel through
+// write_panel, the code behind /api/panel, into its own document.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "analysis/frame.hpp"
 #include "anomaly/engine.hpp"
 #include "dsos/cluster.hpp"
+#include "json/writer.hpp"
 #include "obs/registry.hpp"
 #include "obs/spans.hpp"
 #include "rollup/engine.hpp"
@@ -85,6 +94,14 @@ class DashboardService {
 
   /// Handles one request; never throws (errors become 4xx/5xx bodies).
   Response handle(const std::string& path_and_query) const;
+
+  /// Runs panel `module` with `params` — what /api/panel?module=... does
+  /// — and writes its frame into `w` as a "data" member, the same bytes
+  /// /api/panel carries under "data".  A panel that cannot run writes an
+  /// "error" member holding the error body /api/panel would answer.
+  /// Never throws; counts as one request served.
+  void write_panel(json::Writer& w, const std::string& module,
+                   const Params& params) const;
 
   /// Splits "/a/b?x=1&y=2" into path and params (URL-decoding %XX and +).
   static void split_url(const std::string& url, std::string& path,
@@ -117,6 +134,17 @@ class DashboardService {
   void set_anomaly(const anomaly::AnomalyEngine* engine) { anomaly_ = engine; }
 
  private:
+  /// A panel module's frame and where it came from.
+  struct PanelFrame {
+    analysis::DataFrame frame;
+    std::string source;  // "raw" or "rollup:<policy>"
+  };
+
+  /// Runs `module` (from rollup cells when a policy covers it); nullopt
+  /// when no such module is registered.  Throws what the module throws.
+  std::optional<PanelFrame> run_panel(const std::string& module,
+                                      const Params& params) const;
+
   Response api_health() const;
   Response api_schemas() const;
   Response api_jobs() const;

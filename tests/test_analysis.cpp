@@ -47,18 +47,6 @@ TEST(Frame, ColumnLengthMismatchThrows) {
   EXPECT_THROW(df.add_int_column("b", {1}), std::invalid_argument);
 }
 
-TEST(Frame, FilterAndWhere) {
-  const DataFrame df = sample_frame();
-  const DataFrame reads = df.where_string("op", "read");
-  EXPECT_EQ(reads.rows(), 3u);
-  const DataFrame job2 = df.where_int("job", 2);
-  EXPECT_EQ(job2.rows(), 3u);
-  const DataFrame slow = df.filter([](const DataFrame& f, std::size_t r) {
-    return f.get_double(r, "dur") > 0.5;
-  });
-  EXPECT_EQ(slow.rows(), 3u);
-}
-
 TEST(Frame, GroupByMultiKeyAggregates) {
   const DataFrame df = sample_frame();
   const DataFrame agg = df.group_by(

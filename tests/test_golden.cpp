@@ -1,6 +1,7 @@
 // Golden byte fixtures for every frozen encoding: connector JSON (both
 // number formats), binary wire frames, the Fig. 3 CSV rendering, the WAL
-// and sealed-segment files, the rollup_cell row and the /api/rollup body.
+// and sealed-segment files, the rollup_cell row, the /api/rollup body, the
+// raw figure frames (Figs. 5-9 and hot files) and the Fig. 8 panel body.
 //
 // Each test encodes fixed inputs and compares the bytes against the files
 // in tests/golden/, then decodes each fixture and compares the rows.  A
@@ -13,8 +14,10 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/figures.hpp"
 #include "core/connector.hpp"
 #include "core/decoder.hpp"
 #include "core/schema_darshan.hpp"
@@ -413,6 +416,95 @@ TEST(Golden, RollupApiResponse) {
   const websvc::Response res = service.handle("/api/rollup/op_counts");
   ASSERT_EQ(res.status, 200);
   expect_golden("api_rollup_op_counts.json", res.body);
+}
+
+/// The websvc tests' demo database: jobs 1 and 2, ranks 0 and 1, one
+/// write and one read each on nid00040; a job's two ranks share each
+/// timestamp.
+struct DemoDb {
+  dsos::SchemaPtr schema = core::darshan_data_schema();
+  std::shared_ptr<dsos::DsosCluster> db;
+
+  DemoDb() {
+    dsos::ClusterConfig cfg;
+    cfg.shard_count = 2;
+    cfg.shard_attr = "rank";
+    cfg.parallel_query = false;
+    db = std::make_shared<dsos::DsosCluster>(cfg);
+    db->register_schema(schema);
+    for (std::uint64_t job : {1u, 2u}) {
+      for (std::int64_t rank : {0, 1}) {
+        add(job, rank, "write", 100.0 + static_cast<double>(job), 0.5, 1024);
+        add(job, rank, "read", 200.0 + static_cast<double>(job), 0.1, 512);
+      }
+    }
+  }
+
+  void add(std::uint64_t job, std::int64_t rank, const std::string& op,
+           double ts, double dur, std::int64_t len,
+           const std::string& producer = "nid00040",
+           std::uint64_t record_id = 7) {
+    db->insert(dsos::make_object(
+        schema,
+        {std::string("POSIX"), std::uint64_t{99066}, producer,
+         std::int64_t{0}, std::string("N/A"), rank, std::int64_t{-1},
+         record_id, std::string("N/A"), std::int64_t{len - 1},
+         std::string("MOD"), job, op, std::int64_t{1}, std::int64_t{0},
+         std::int64_t{-1}, dur, len, std::int64_t{-1}, std::int64_t{-1},
+         std::int64_t{-1}, std::string("N/A"), std::int64_t{-1}, ts}));
+  }
+};
+
+/// Every raw figure frame over jobs 1 and 2 (Figs. 8 and 9: job 2).
+std::vector<std::pair<std::string, analysis::DataFrame>> figure_frames(
+    const dsos::DsosCluster& db) {
+  const std::vector<std::uint64_t> jobs = {1, 2};
+  return {
+      {"fig5", analysis::fig5_op_counts(db, jobs)},
+      {"fig6", analysis::fig6_requests_per_node(db, jobs)},
+      {"fig7", analysis::fig7_rank_durations(db, jobs)},
+      {"fig7_summary", analysis::fig7_job_summary(db, jobs)},
+      {"fig8", analysis::fig8_timeline(db, 2)},
+      {"fig9", analysis::fig9_throughput_buckets(db, 2, 10.0)},
+      {"hot_files", analysis::hot_files(db, jobs)},
+  };
+}
+
+TEST(Golden, RawFigureFrames) {
+  const DemoDb demo;
+  for (const auto& [name, frame] : figure_frames(*demo.db)) {
+    expect_golden("figure_" + name + ".csv", frame.to_csv());
+  }
+}
+
+TEST(Golden, RawFigureFramesOverMixedOps) {
+  // The demo rows plus an open and a close per rank on its own node (the
+  // only rows Fig. 6 counts), an untraced read (seg_len -1) per rank on a
+  // second file, and timestamps off the 10 s grid.
+  DemoDb demo;
+  for (std::uint64_t job : {1u, 2u}) {
+    for (std::int64_t rank : {0, 1}) {
+      const double j = static_cast<double>(job);
+      const std::string node = "nid0004" + std::to_string(rank);
+      demo.add(job, rank, "open", 90.5 + j, 0.002, -1, node, 8);
+      demo.add(job, rank, "read", 250.25 + j + 0.5 * static_cast<double>(rank),
+               0.05 * static_cast<double>(rank + 1), -1, node, 9);
+      demo.add(job, rank, "close", 300.75 + j, 0.001, -1, node, 8);
+    }
+  }
+  std::string all;
+  for (const auto& [name, frame] : figure_frames(*demo.db)) {
+    all += "# " + name + "\n" + frame.to_csv();
+  }
+  expect_golden("figures_mixed_ops.csv", all);
+}
+
+TEST(Golden, Fig8PanelBody) {
+  const DemoDb demo;
+  const websvc::DashboardService service(demo.db);
+  const websvc::Response res = service.handle("/api/panel?module=fig8&job=2");
+  ASSERT_EQ(res.status, 200);
+  expect_golden("panel_fig8.json", res.body);
 }
 
 }  // namespace

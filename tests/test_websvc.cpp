@@ -4,7 +4,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
 
+#include "anomaly/engine.hpp"
 #include "core/schema_darshan.hpp"
 #include "dsos/ingest.hpp"
 #include "json/parser.hpp"
@@ -129,6 +134,64 @@ TEST(Service, QueryAndCsvRejectUnparsableValuesNamingTheParam) {
     EXPECT_NE(doc->get_string("error").find(c.param), std::string::npos)
         << c.url << " -> " << r.body;
   }
+}
+
+TEST(Service, PanelAndRollupParamsRejectUnparsableValues) {
+  auto db = demo_db();
+  rollup::RollupEngineConfig cfg;
+  cfg.policies = rollup::default_rollup_policies();
+  rollup::RollupEngine engine(cfg);
+  engine.attach(*db);
+  engine.flush();
+  DashboardService raw(db);
+  DashboardService served(db);
+  served.set_rollup(&engine);
+  const struct {
+    const char* url;
+    const char* error;
+  } cases[] = {
+      {"/api/rollup/op_counts?job=abc", "bad value for job: abc"},
+      {"/api/rollup/op_counts?job=1,x", "bad value for job: x"},
+      {"/api/rollup/op_counts?rank=r1", "bad value for rank: r1"},
+      {"/api/rollup/op_counts?from_s=0s", "bad value for from_s: 0s"},
+      {"/api/rollup/op_counts?to_s=", "bad value for to_s: "},
+      {"/api/rollup/op_counts?bucket_s=ten", "bad value for bucket_s: ten"},
+      {"/api/panel?module=fig5&job=abc", "bad value for job: abc"},
+      {"/api/panel?module=fig9&job=2&bucket_s=ten",
+       "bad value for bucket_s: ten"},
+      {"/api/panel?module=hot_files&top=-1", "bad value for top: -1"},
+  };
+  for (const auto& c : cases) {
+    for (const DashboardService* service : {&raw, &served}) {
+      const Response r = service->handle(c.url);
+      const bool rollup_route =
+          std::string_view(c.url).starts_with("/api/rollup");
+      if (service == &raw && rollup_route) {
+        EXPECT_EQ(r.status, 404) << c.url;  // no engine attached
+        continue;
+      }
+      EXPECT_EQ(r.status, 400) << c.url;
+      const auto doc = json::parse(r.body);
+      ASSERT_TRUE(doc.has_value()) << c.url;
+      EXPECT_EQ(doc->get_string("error"), c.error) << c.url;
+    }
+  }
+  // Parseable values answer as before, including the 10 s fallback for
+  // a bucket_s that is not positive.
+  for (const DashboardService* service : {&raw, &served}) {
+    const std::string ten =
+        service->handle("/api/panel?module=fig9&job=2&bucket_s=10").body;
+    EXPECT_EQ(service->handle("/api/panel?module=fig9&job=2&bucket_s=0").body,
+              ten);
+    EXPECT_EQ(service->handle("/api/panel?module=fig9&job=2&bucket_s=-5").body,
+              ten);
+    EXPECT_EQ(service->handle("/api/panel?module=fig9&job=2").body, ten);
+    EXPECT_EQ(service->handle("/api/panel?module=fig5&job=1,2").status, 200);
+  }
+  EXPECT_EQ(served.handle("/api/rollup/op_counts?job=1,2&rank=0&from_s=0"
+                          "&to_s=1e9&bucket_s=60")
+                .status,
+            200);
 }
 
 TEST(Service, PanelRunsFigureModules) {
@@ -395,6 +458,103 @@ TEST(Dashboard, DefaultDashboardRendersAllPanels) {
   // The alerts panel renders (empty) even with no anomaly engine
   // attached — a dashboard must not break when detection is off.
   EXPECT_TRUE(has_alerts);
+}
+
+/// The raw bytes of member `name` of the JSON object `object`.
+std::string member_bytes(std::string_view object, std::string_view name) {
+  json::Scanner scan(object);
+  if (!scan.enter_object()) return {};
+  std::string_view key, span;
+  std::string scratch;
+  while (scan.next_member(key, scratch) == 1) {
+    if (key == name) return scan.value_span(span) ? std::string(span) : "";
+    if (!scan.skip_value()) return {};
+  }
+  return {};
+}
+
+/// Each panel object of a rendered dashboard, as raw bytes.
+std::vector<std::string> panel_bytes(const std::string& rendered) {
+  const std::string panels = member_bytes(rendered, "panels");
+  json::Scanner scan(panels);
+  std::vector<std::string> out;
+  if (!scan.enter_array()) return out;
+  std::string_view span;
+  while (scan.next_element() == 1 && scan.value_span(span)) {
+    out.emplace_back(span);
+  }
+  return out;
+}
+
+TEST(Dashboard, PanelDataIsTheApiPanelData) {
+  auto db = demo_db();
+  rollup::RollupEngineConfig cfg;
+  cfg.policies = rollup::default_rollup_policies();
+  cfg.policies.push_back(anomaly::anomaly_policy());
+  rollup::RollupEngine rollups(cfg);
+  rollups.attach(*db);
+  anomaly::AnomalyEngine anomalies;
+  anomalies.attach(rollups);
+  rollups.flush();
+  DashboardService bare(db);
+  DashboardService attached(db);
+  attached.set_rollup(&rollups);
+  attached.set_anomaly(&anomalies);
+  const Dashboard dash = default_io_dashboard(2);
+  for (const DashboardService* service : {&bare, &attached}) {
+    const std::vector<std::string> panels =
+        panel_bytes(render_dashboard(*service, dash));
+    ASSERT_EQ(panels.size(), dash.panels.size());
+    for (std::size_t i = 0; i < panels.size(); ++i) {
+      const PanelDef& def = dash.panels[i];
+      std::string url = "/api/panel?module=" + def.module;
+      for (const auto& [k, v] : def.params) url += "&" + k + "=" + v;
+      const Response r = service->handle(url);
+      ASSERT_EQ(r.status, 200) << url;
+      const std::string want = member_bytes(r.body, "data");
+      ASSERT_FALSE(want.empty()) << url;
+      EXPECT_EQ(member_bytes(panels[i], "data"), want) << url;
+    }
+  }
+}
+
+TEST(Dashboard, ThrowingModuleFailsOnlyItsPanel) {
+  DashboardService service(demo_db());
+  service.register_module("boom",
+                          [](const dsos::DsosCluster&,
+                             const Params&) -> analysis::DataFrame {
+                            throw std::runtime_error("module blew up");
+                          });
+  Dashboard dash = default_io_dashboard(2);
+  dash.panels.insert(dash.panels.begin() + 2,
+                     PanelDef{"Broken", "boom", {{"job", "2"}}, "table"});
+  dash.panels.push_back(
+      PanelDef{"Bad job", "fig5", {{"job", "two"}}, "bars"});
+  const std::string rendered = render_dashboard(service, dash);
+  const auto doc = json::parse(rendered);
+  ASSERT_TRUE(doc.has_value()) << rendered.substr(0, 200);
+  const auto& panels = doc->find("panels")->as_array();
+  ASSERT_EQ(panels.size(), dash.panels.size());
+  for (std::size_t i = 0; i < panels.size(); ++i) {
+    const bool broken = dash.panels[i].title == "Broken" ||
+                        dash.panels[i].title == "Bad job";
+    EXPECT_EQ(panels[i].find("data") == nullptr, broken) << i;
+    EXPECT_EQ(panels[i].find("error") != nullptr, broken) << i;
+  }
+  EXPECT_NE(panels[2].get_string("error").find("module blew up"),
+            std::string::npos);
+  EXPECT_NE(panels.back().get_string("error").find("bad value for job: two"),
+            std::string::npos);
+}
+
+TEST(Dashboard, EachRenderedPanelCountsAsOneRequest) {
+  DashboardService service(demo_db());
+  const Dashboard dash = default_io_dashboard(2);
+  const std::uint64_t before = service.requests_served();
+  render_dashboard(service, dash);
+  EXPECT_EQ(service.requests_served() - before, dash.panels.size());
+  render_dashboard(service, obs_self_dashboard());
+  EXPECT_EQ(service.requests_served() - before, dash.panels.size() + 2);
 }
 
 TEST(Dashboard, BrokenPanelReportsErrorInline) {
