@@ -36,7 +36,7 @@
 //
 // Writes BENCH_ingest.json (override path: DLC_BENCH_OUT) with events/sec,
 // bytes/event and speedup per shard count, the per-stage ns/event split,
-// and the hot-path block (format, frames, threads, pin/simd provenance,
+// and the hot-path block (format, frames, threads, pin provenance,
 // speedup vs the committed baseline).  --check adds the fatal perf
 // gates: parallel >= 1.5x serial events/sec at >= 4 shards and the binary
 // hot path >= 5x the committed baseline (both enforced only when
@@ -486,7 +486,6 @@ int main(int argc, char** argv) {
   util::PinPolicy pin_policy;
   util::parse_pin_policy("auto", pin_policy);
   const std::vector<int> pin_cpus = util::resolve_pin_cpus(pin_policy);
-  const std::string simd_name(util::simd_level_name(util::active_simd()));
   const IngestRun hot_serial =
       median_run([&] { return run_hot_serial(schema, frames); });
   const IngestRun hot =
@@ -502,10 +501,10 @@ int main(int argc, char** argv) {
               "executor, %zu shards):\n",
               kHotShards);
   std::printf("  %zu frames, %zu events/frame, %.1f frame bytes/event, "
-              "simd=%s, pinned cpus=%zu\n",
+              "pinned cpus=%zu\n",
               frames.size(), kEventsPerFrame,
               static_cast<double>(frame_bytes) / static_cast<double>(events),
-              simd_name.c_str(), pin_cpus.size());
+              pin_cpus.size());
   std::printf("  serial %10.0f ev/s   parallel %10.0f ev/s (%zu threads)\n",
               hot_serial_eps, hot_eps, hot.threads_used);
   std::printf("  vs committed JSON baseline %.0f ev/s: %.2fx\n\n",
@@ -657,7 +656,6 @@ int main(int argc, char** argv) {
     w.member("threads_used", static_cast<std::uint64_t>(hot.threads_used));
     w.member("pin", pin_cpus.empty() ? "none" : "auto");
     w.member("pinned_cpus", static_cast<std::uint64_t>(pin_cpus.size()));
-    w.member("simd", simd_name);
     w.member("serial_events_per_sec", hot_serial_eps);
     w.member("events_per_sec", hot_eps);
     w.member("speedup_vs_committed_baseline", hot_speedup);

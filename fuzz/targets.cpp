@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -24,7 +25,6 @@
 #include "obs/trace.hpp"
 #include "rollup/policy.hpp"
 #include "store/store.hpp"
-#include "util/cpu.hpp"
 #include "wire/codec.hpp"
 
 namespace dlc::fuzz {
@@ -94,140 +94,115 @@ int frame_cursor_one(const std::uint8_t* data, std::size_t size) {
 
 namespace {
 
-void append_token(std::string& out, const json::Token& tok) {
-  out += "tok(";
-  out += std::to_string(static_cast<int>(tok.kind));
-  out += ',';
-  out += std::to_string(tok.i);
-  out += ',';
-  out += std::to_string(tok.u);
-  out += ',';
-  // Exact bit pattern: the equivalence contract is byte-identical values.
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(tok.d));
-  std::memcpy(&bits, &tok.d, sizeof(bits));
-  out += std::to_string(bits);
-  out += ',';
-  out.append(tok.sv.data(), tok.sv.size());
-  out += ')';
+/// One top-level member of a cleanly scanned object: a scalar token, or
+/// the raw span of a nested value.
+struct ScannedMember {
+  std::string key;
+  json::Token tok;
+  std::string text;  // string tokens and nested spans own their bytes
+  bool nested = false;
+};
+
+/// Whether a scanned member equals the DOM's value for its key: numbers
+/// bit for bit, strings byte for byte, literals by kind, nested values
+/// by parsing their span.
+bool same_value(const ScannedMember& m, const json::Value& v) {
+  if (m.nested) {
+    const std::optional<json::Value> sub = json::parse(m.text);
+    return sub.has_value() && *sub == v;
+  }
+  switch (m.tok.kind) {
+    case json::Token::Kind::kInt:
+      return v.is_int() && v.as_int() == m.tok.i;
+    case json::Token::Kind::kUint:
+      return v.is_uint() && v.as_uint() == m.tok.u;
+    case json::Token::Kind::kDouble: {
+      if (!v.is_double()) return false;
+      const double d = v.as_double();
+      return std::memcmp(&m.tok.d, &d, sizeof(d)) == 0;
+    }
+    case json::Token::Kind::kString:
+      return v.is_string() && v.as_string() == m.text;
+    default:
+      return v.is_bool() || v.is_null();
+  }
 }
 
-/// Canonical scan transcript at the currently active SIMD level: the
-/// flat object walk the decode fast path performs (members scanned as
-/// scalars, nested values span-skipped), falling back to an array walk
-/// and then a single-token scan.  Every return code and token value goes
-/// into the transcript, so any divergence between kernels shows up as a
-/// transcript mismatch.
-std::string scan_transcript(std::string_view text) {
-  std::string out;
-  {
-    json::Scanner s(text);
-    if (s.enter_object()) {
-      out += "obj:";
-      std::string key_scratch;
-      std::string scratch;
-      for (;;) {
-        std::string_view key;
-        const int m = s.next_member(key, key_scratch);
-        out += "m";
-        out += std::to_string(m);
-        if (m != 1) break;
-        out += '<';
-        out.append(key.data(), key.size());
-        out += '>';
-        if (s.peek_array() || s.peek_object()) {
-          std::string_view span;
-          const bool ok = s.value_span(span);
-          out += ok ? "span:" : "span-fail";
-          if (ok) out.append(span.data(), span.size());
-          if (!ok) break;
-        } else {
-          json::Token tok;
-          if (!s.scan_token(tok, scratch)) {
-            out += "tok-fail";
-            break;
-          }
-          append_token(out, tok);
-        }
-      }
-      out += s.at_end() ? "|end" : "|trail";
-      return out;
+/// The flat object walk the decode fast path performs: members scanned
+/// as scalars, nested values span-skipped.  True when the walk closes
+/// the object and only whitespace follows; `members` then holds every
+/// member in document order.
+bool scan_object(std::string_view text, std::vector<ScannedMember>& members) {
+  json::Scanner s(text);
+  if (!s.enter_object()) return false;
+  std::string key_scratch;
+  std::string scratch;
+  for (;;) {
+    std::string_view key;
+    const int m = s.next_member(key, key_scratch);
+    if (m == 0) return s.at_end();
+    if (m < 0) return false;
+    ScannedMember member;
+    member.key.assign(key.data(), key.size());
+    if (s.peek_array() || s.peek_object()) {
+      std::string_view span;
+      if (!s.value_span(span)) return false;
+      member.nested = true;
+      member.text.assign(span.data(), span.size());
+    } else {
+      if (!s.scan_token(member.tok, scratch)) return false;
+      member.text.assign(member.tok.sv.data(), member.tok.sv.size());
     }
+    members.push_back(std::move(member));
   }
+}
+
+/// Drives the array cursor and the lone-scalar scan over the same bytes;
+/// they must only terminate.
+void scan_array_and_scalar(std::string_view text) {
+  std::string scratch;
   {
     json::Scanner s(text);
     if (s.enter_array()) {
-      out += "arr:";
-      std::string scratch;
-      for (;;) {
-        const int e = s.next_element();
-        out += "e";
-        out += std::to_string(e);
-        if (e != 1) break;
-        if (s.peek_array() || s.peek_object()) {
-          if (!s.skip_value()) {
-            out += "skip-fail";
-            break;
-          }
-          out += "skip";
-        } else {
-          json::Token tok;
-          if (!s.scan_token(tok, scratch)) {
-            out += "tok-fail";
-            break;
-          }
-          append_token(out, tok);
-        }
+      while (s.next_element() == 1) {
+        json::Token tok;
+        const bool nested = s.peek_array() || s.peek_object();
+        if (nested ? !s.skip_value() : !s.scan_token(tok, scratch)) break;
       }
-      out += s.at_end() ? "|end" : "|trail";
-      return out;
+      (void)s.at_end();
     }
   }
   json::Scanner s(text);
   json::Token tok;
-  std::string scratch;
-  if (s.scan_token(tok, scratch)) {
-    out += "scalar:";
-    append_token(out, tok);
-    out += s.at_end() ? "|end" : "|trail";
-  } else {
-    out += "reject";
-  }
-  return out;
+  if (s.scan_token(tok, scratch)) (void)s.at_end();
 }
 
 }  // namespace
 
 int json_scanner_one(const std::uint8_t* data, std::size_t size) {
   const std::string_view text(reinterpret_cast<const char*>(data), size);
+  scan_array_and_scalar(text);
+  std::vector<ScannedMember> members;
+  if (!scan_object(text, members)) return 0;
 
-  // Differential across every kernel the host can run: the scalar code
-  // is the semantics; SSE2/AVX2 only locate structural bytes and must be
-  // transcript-identical.
-  util::set_simd_level(util::SimdLevel::kScalar);
-  const std::string scalar = scan_transcript(text);
-  if (util::detected_simd() >= util::SimdLevel::kSse2) {
-    util::set_simd_level(util::SimdLevel::kSse2);
-    const std::string sse2 = scan_transcript(text);
-    require(sse2 == scalar, "json_scanner",
-            "SSE2 scan transcript diverges from scalar");
-  }
-  if (util::detected_simd() >= util::SimdLevel::kAvx2) {
-    util::set_simd_level(util::SimdLevel::kAvx2);
-    const std::string avx2 = scan_transcript(text);
-    require(avx2 == scalar, "json_scanner",
-            "AVX2 scan transcript diverges from scalar");
-  }
-  util::reset_simd_level();
-
-  // Subset contract: a document the fast path scans cleanly end-to-end
+  // Subset contract: an object the fast path scans cleanly end-to-end
   // must also be accepted by the DOM parser (Scanner accepts a strict
-  // subset of json::parse; see scan.hpp).
-  const bool clean_object_scan =
-      scalar.rfind("obj:", 0) == 0 && scalar.find("m0|end") != std::string::npos;
-  if (clean_object_scan) {
-    require(json::parse(text).has_value(), "json_scanner",
-            "Scanner accepted an object the DOM parser rejects");
+  // subset of json::parse; see scan.hpp), with the same values.
+  const std::optional<json::Value> dom = json::parse(text);
+  require(dom.has_value(), "json_scanner",
+          "Scanner accepted an object the DOM parser rejects");
+  // Later duplicates win in the DOM, so check each key's last member.
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const ScannedMember& m = members[i];
+    bool last = true;
+    for (std::size_t j = i + 1; j < members.size(); ++j) {
+      if (members[j].key == m.key) last = false;
+    }
+    if (!last) continue;
+    const json::Value* v = dom->find(m.key);
+    require(v != nullptr, "json_scanner", "scanned key missing from the DOM");
+    require(same_value(m, *v), "json_scanner",
+            "scanned value differs from the DOM's");
   }
   return 0;
 }

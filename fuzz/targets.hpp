@@ -6,8 +6,8 @@
 //
 //   frame_cursor_one    wire::FrameCursor vs wire::decode_frame on raw
 //                       bytes: never crashes, wrapper agrees with cursor.
-//   json_scanner_one    json::Scanner scalar/SSE2/AVX2 transcript
-//                       differential + DOM-subset acceptance contract.
+//   json_scanner_one    json::Scanner DOM-subset contract: a cleanly
+//                       scanned object parses, with the same values.
 //   rollup_policy_one   rollup policy DSL: parse never throws; every
 //                       accepted policy round-trips through to_string.
 //   store_recovery_one  store recovery on a mutated on-disk store dir:

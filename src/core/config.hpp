@@ -120,11 +120,6 @@ struct ConnectorConfig {
   /// "auto" (spread writers across the affinity mask), or an explicit
   /// CPU list "0,2,4" (writer w pins to list[w % size]).
   std::string pin = "none";
-  /// SIMD level cap for the JSON scanner (env DARSHAN_LDMS_SIMD):
-  /// "auto" (default: strongest the host supports), "avx2", "sse2", or
-  /// "scalar".  All levels are bit-identical; the knob is for A/B
-  /// measurement and for ruling out a kernel on suspect hardware.
-  std::string simd = "auto";
   /// Binary decode fast path (env DARSHAN_LDMS_FASTPATH): "auto"/"on"
   /// (default) stream wire frames straight into ingest via
   /// wire::FrameCursor; "off" keeps the validated decode_frame path.

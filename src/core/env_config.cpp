@@ -187,14 +187,6 @@ EnvConfig connector_config_from_env(const EnvGetter& getenv_fn) {
       reject(cfg, "DARSHAN_LDMS_PIN", v);
     }
   }
-  if (const char* v = get("DARSHAN_LDMS_SIMD")) {
-    util::SimdLevel level;
-    if (util::simd_level_from_name(v, level)) {
-      cfg.connector.simd = v;
-    } else {
-      reject(cfg, "DARSHAN_LDMS_SIMD", v);
-    }
-  }
   if (const char* v = get("DARSHAN_LDMS_FASTPATH")) {
     const std::string mode(v);
     if (mode == "auto" || mode == "on" || mode == "off") {

@@ -51,9 +51,6 @@
 //                            (>= 1; default 256)
 //   DARSHAN_LDMS_PIN         shard-writer placement: none | auto |
 //                            comma CPU list "0,2,4" (default none)
-//   DARSHAN_LDMS_SIMD        JSON-scanner SIMD cap: auto | avx2 | sse2
-//                            | scalar (default auto; all levels are
-//                            bit-identical)
 //   DARSHAN_LDMS_FASTPATH    binary decode fast path: auto | on | off
 //                            (default auto = on)
 //

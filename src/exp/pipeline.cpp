@@ -179,14 +179,6 @@ RunResult run_experiment(const ExperimentSpec& spec) {
     // path for binary frames; default streams the frame cursor.
     decoder->set_binary_fastpath(spec.connector.fastpath != "off");
   }
-  // DARSHAN_LDMS_SIMD: cap the scanner's SIMD level process-wide before
-  // any decoding starts ("auto" = detected level).
-  {
-    util::SimdLevel simd_level;
-    if (util::simd_level_from_name(spec.connector.simd, simd_level)) {
-      util::set_simd_level(simd_level);
-    }
-  }
   // Rollup engine: observes the event database so commit-time aggregation
   // runs on the ingest writers (never a separate decode).  Attached before
   // any ingest starts; a shared engine re-attaching to the same shared

@@ -1,9 +1,6 @@
 #include "json/parser.hpp"
 
-#include <cctype>
-#include <charconv>
-#include <cmath>
-#include <cstdlib>
+#include "json/number.hpp"
 
 namespace dlc::json {
 
@@ -224,65 +221,22 @@ class Parser {
   }
 
   std::optional<Value> parse_number() {
-    const std::size_t start = pos_;
-    if (consume('-')) {
-      // sign consumed
-    }
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    bool is_double = false;
-    if (consume('.')) {
-      is_double = true;
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      is_double = true;
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-        ++pos_;
-      }
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        ++pos_;
-      }
-    }
-    const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") {
+    const NumberSpan n = number_span(text_, pos_);
+    const std::string_view token = text_.substr(pos_, n.end - pos_);
+    pos_ = n.end;
+    if (!n.valid) {
       fail("invalid number");
       return std::nullopt;
     }
-    if (!is_double) {
-      std::int64_t iv = 0;
-      const auto [ptr, ec] =
-          std::from_chars(token.data(), token.data() + token.size(), iv);
-      if (ec == std::errc() && ptr == token.data() + token.size()) {
-        return Value(iv);
-      }
-      // Positive values above INT64_MAX (e.g. 64-bit record ids) keep full
-      // precision as uint64.
-      if (token[0] != '-') {
-        std::uint64_t uv = 0;
-        const auto [uptr, uec] =
-            std::from_chars(token.data(), token.data() + token.size(), uv);
-        if (uec == std::errc() && uptr == token.data() + token.size()) {
-          return Value(uv);
-        }
-      }
-      // Fall through to double on overflow.
+    const Token num = to_number(token, n.is_double);
+    switch (num.kind) {
+      case Token::Kind::kInt:
+        return Value(num.i);
+      case Token::Kind::kUint:
+        return Value(num.u);
+      default:
+        return Value(num.d);
     }
-    const std::string copy(token);
-    char* end = nullptr;
-    const double dv = std::strtod(copy.c_str(), &end);
-    if (end != copy.c_str() + copy.size()) {
-      fail("invalid number");
-      return std::nullopt;
-    }
-    return Value(dv);
   }
 
   std::string_view text_;

@@ -1,168 +1,39 @@
 #include "json/scan.hpp"
 
-#include <cctype>
-#include <charconv>
-#include <cstdlib>
-
-#include "util/cpu.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define DLC_JSON_SIMD_X86 1
-#endif
+#include "json/number.hpp"
 
 namespace dlc::json {
 
 namespace {
 
-// SIMD structural kernels.  Each kernel answers one question — "where is
-// the first byte that is NOT run-of-the-mill?" — and returns a position;
-// the scalar scanner code above/below makes every actual decision at
-// that position.  That is what keeps all levels bit-identical: a kernel
-// cannot accept or reject anything, it can only skip what the scalar
-// loop would have skipped one byte at a time.
-//
-// Dispatch is per call through util::active_simd() (a relaxed atomic):
-// cheap against the 16/32-byte strides, and it lets the equivalence
-// tests flip levels between iterations of one process.
-
 inline bool is_json_ws(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\r';
 }
 
-std::size_t scalar_skip_ws(std::string_view text, std::size_t pos) {
-  while (pos < text.size() && is_json_ws(text[pos])) ++pos;
-  return pos;
-}
-
-/// First '"' or '\\' at or after pos (or text.size()): the two bytes the
-/// string-body loops branch on.
-std::size_t scalar_find_string_special(std::string_view text,
-                                       std::size_t pos) {
-  while (pos < text.size() && text[pos] != '"' && text[pos] != '\\') ++pos;
-  return pos;
-}
-
-#if defined(DLC_JSON_SIMD_X86)
-
-std::size_t sse2_skip_ws(std::string_view text, std::size_t pos) {
-  const char* data = text.data();
-  const __m128i sp = _mm_set1_epi8(' ');
-  const __m128i tab = _mm_set1_epi8('\t');
-  const __m128i nl = _mm_set1_epi8('\n');
-  const __m128i cr = _mm_set1_epi8('\r');
-  while (pos + 16 <= text.size()) {
-    const __m128i chunk =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + pos));
-    const __m128i ws = _mm_or_si128(
-        _mm_or_si128(_mm_cmpeq_epi8(chunk, sp), _mm_cmpeq_epi8(chunk, tab)),
-        _mm_or_si128(_mm_cmpeq_epi8(chunk, nl), _mm_cmpeq_epi8(chunk, cr)));
-    const unsigned mask =
-        static_cast<unsigned>(_mm_movemask_epi8(ws)) & 0xFFFFu;
-    if (mask != 0xFFFFu) {
-      return pos + static_cast<std::size_t>(__builtin_ctz(~mask & 0xFFFFu));
-    }
-    pos += 16;
+/// The byte the escape `\<esc>` stands for, or '\0' for one the scanner
+/// does not decode: \u (the DOM fallback handles it) and every escape
+/// json::parse rejects.
+inline char unescape(char esc) {
+  switch (esc) {
+    case '"':
+      return '"';
+    case '\\':
+      return '\\';
+    case '/':
+      return '/';
+    case 'n':
+      return '\n';
+    case 't':
+      return '\t';
+    case 'r':
+      return '\r';
+    case 'b':
+      return '\b';
+    case 'f':
+      return '\f';
+    default:
+      return '\0';
   }
-  return scalar_skip_ws(text, pos);
-}
-
-std::size_t sse2_find_string_special(std::string_view text,
-                                     std::size_t pos) {
-  const char* data = text.data();
-  const __m128i quote = _mm_set1_epi8('"');
-  const __m128i backslash = _mm_set1_epi8('\\');
-  while (pos + 16 <= text.size()) {
-    const __m128i chunk =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + pos));
-    const __m128i special = _mm_or_si128(_mm_cmpeq_epi8(chunk, quote),
-                                         _mm_cmpeq_epi8(chunk, backslash));
-    const unsigned mask = static_cast<unsigned>(_mm_movemask_epi8(special));
-    if (mask != 0) {
-      return pos + static_cast<std::size_t>(__builtin_ctz(mask));
-    }
-    pos += 16;
-  }
-  return scalar_find_string_special(text, pos);
-}
-
-// AVX2 kernels carry a target attribute instead of a global -mavx2 so
-// the binary still runs on SSE2-only hosts; they are only reachable when
-// runtime detection proved AVX2 (util::detected_simd caps the level).
-
-__attribute__((target("avx2"))) std::size_t avx2_skip_ws(
-    std::string_view text, std::size_t pos) {
-  const char* data = text.data();
-  const __m256i sp = _mm256_set1_epi8(' ');
-  const __m256i tab = _mm256_set1_epi8('\t');
-  const __m256i nl = _mm256_set1_epi8('\n');
-  const __m256i cr = _mm256_set1_epi8('\r');
-  while (pos + 32 <= text.size()) {
-    const __m256i chunk =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + pos));
-    const __m256i ws = _mm256_or_si256(
-        _mm256_or_si256(_mm256_cmpeq_epi8(chunk, sp),
-                        _mm256_cmpeq_epi8(chunk, tab)),
-        _mm256_or_si256(_mm256_cmpeq_epi8(chunk, nl),
-                        _mm256_cmpeq_epi8(chunk, cr)));
-    const unsigned mask = static_cast<unsigned>(_mm256_movemask_epi8(ws));
-    if (mask != 0xFFFFFFFFu) {
-      return pos + static_cast<std::size_t>(__builtin_ctz(~mask));
-    }
-    pos += 32;
-  }
-  return sse2_skip_ws(text, pos);
-}
-
-__attribute__((target("avx2"))) std::size_t avx2_find_string_special(
-    std::string_view text, std::size_t pos) {
-  const char* data = text.data();
-  const __m256i quote = _mm256_set1_epi8('"');
-  const __m256i backslash = _mm256_set1_epi8('\\');
-  while (pos + 32 <= text.size()) {
-    const __m256i chunk =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data + pos));
-    const __m256i special =
-        _mm256_or_si256(_mm256_cmpeq_epi8(chunk, quote),
-                        _mm256_cmpeq_epi8(chunk, backslash));
-    const unsigned mask =
-        static_cast<unsigned>(_mm256_movemask_epi8(special));
-    if (mask != 0) {
-      return pos + static_cast<std::size_t>(__builtin_ctz(mask));
-    }
-    pos += 32;
-  }
-  return sse2_find_string_special(text, pos);
-}
-
-#endif  // DLC_JSON_SIMD_X86
-
-std::size_t skip_ws_from(std::string_view text, std::size_t pos) {
-#if defined(DLC_JSON_SIMD_X86)
-  switch (util::active_simd()) {
-    case util::SimdLevel::kAvx2:
-      return avx2_skip_ws(text, pos);
-    case util::SimdLevel::kSse2:
-      return sse2_skip_ws(text, pos);
-    case util::SimdLevel::kScalar:
-      break;
-  }
-#endif
-  return scalar_skip_ws(text, pos);
-}
-
-std::size_t find_string_special(std::string_view text, std::size_t pos) {
-#if defined(DLC_JSON_SIMD_X86)
-  switch (util::active_simd()) {
-    case util::SimdLevel::kAvx2:
-      return avx2_find_string_special(text, pos);
-    case util::SimdLevel::kSse2:
-      return sse2_find_string_special(text, pos);
-    case util::SimdLevel::kScalar:
-      break;
-  }
-#endif
-  return scalar_find_string_special(text, pos);
 }
 
 }  // namespace
@@ -210,7 +81,9 @@ std::string_view Token::as_string(std::string_view fallback) const {
   return kind == Kind::kString ? sv : fallback;
 }
 
-void Scanner::skip_ws() { pos_ = skip_ws_from(text_, pos_); }
+void Scanner::skip_ws() {
+  while (pos_ < text_.size() && is_json_ws(text_[pos_])) ++pos_;
+}
 
 bool Scanner::consume(char c) {
   if (pos_ < text_.size() && text_[pos_] == c) {
@@ -280,124 +153,53 @@ bool Scanner::at_end() {
 bool Scanner::scan_string(std::string_view& out, std::string& scratch) {
   if (!consume('"')) return false;
   const std::size_t start = pos_;
-  // Fast path: no escapes => return a slice of the payload.  The string
-  // body is skipped in SIMD strides to the first '"' or '\\'.
-  pos_ = find_string_special(text_, pos_);
-  if (pos_ < text_.size() && text_[pos_] == '"') {
+  while (pos_ < text_.size() && text_[pos_] != '"' && text_[pos_] != '\\') {
+    ++pos_;
+  }
+  if (pos_ >= text_.size()) return false;  // unterminated
+  if (text_[pos_] == '"') {  // no escapes: a slice of the payload
     out = text_.substr(start, pos_ - start);
     ++pos_;
     return true;
   }
-  if (pos_ >= text_.size()) return false;  // unterminated
-  // Escape found: decode into scratch (same escapes parser.cpp accepts,
-  // except \u which fails the scan — DOM fallback handles it).  Literal
-  // runs between escapes are appended in bulk off the same kernel.
+  // Escape found: decode into scratch.
   scratch.assign(text_.substr(start, pos_ - start));
   while (pos_ < text_.size()) {
-    const char c = text_[pos_];
+    const char c = text_[pos_++];
     if (c == '"') {
-      ++pos_;
       out = scratch;
       return true;
     }
     if (c != '\\') {
-      const std::size_t run = find_string_special(text_, pos_);
-      scratch.append(text_.substr(pos_, run - pos_));
-      pos_ = run;
+      scratch.push_back(c);
       continue;
     }
-    ++pos_;
     if (pos_ >= text_.size()) return false;
-    const char esc = text_[pos_++];
-    switch (esc) {
-      case '"':
-        scratch.push_back('"');
-        break;
-      case '\\':
-        scratch.push_back('\\');
-        break;
-      case '/':
-        scratch.push_back('/');
-        break;
-      case 'n':
-        scratch.push_back('\n');
-        break;
-      case 't':
-        scratch.push_back('\t');
-        break;
-      case 'r':
-        scratch.push_back('\r');
-        break;
-      case 'b':
-        scratch.push_back('\b');
-        break;
-      case 'f':
-        scratch.push_back('\f');
-        break;
-      default:
-        return false;  // includes \u: rare, punt to the DOM path
+    const char byte = unescape(text_[pos_++]);
+    if (byte == '\0') return false;
+    scratch.push_back(byte);
+  }
+  return false;  // unterminated
+}
+
+bool Scanner::skip_string() {
+  if (!consume('"')) return false;
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_++];
+    if (c == '"') return true;
+    if (c == '\\' &&
+        (pos_ >= text_.size() || unescape(text_[pos_++]) == '\0')) {
+      return false;
     }
   }
   return false;  // unterminated
 }
 
-bool Scanner::scan_number(Token& tok, std::string& scratch) {
-  // Token grammar and conversion ladder copied from json/parser.cpp
-  // parse_number so accepted numbers convert identically.
-  const std::size_t start = pos_;
-  consume('-');
-  while (pos_ < text_.size() &&
-         std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-    ++pos_;
-  }
-  bool is_double = false;
-  if (consume('.')) {
-    is_double = true;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-    is_double = true;
-    ++pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-  const std::string_view token = text_.substr(start, pos_ - start);
-  if (token.empty() || token == "-") return false;
-  if (!is_double) {
-    std::int64_t iv = 0;
-    const auto [ptr, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), iv);
-    if (ec == std::errc() && ptr == token.data() + token.size()) {
-      tok.kind = Token::Kind::kInt;
-      tok.i = iv;
-      return true;
-    }
-    if (token[0] != '-') {
-      std::uint64_t uv = 0;
-      const auto [uptr, uec] =
-          std::from_chars(token.data(), token.data() + token.size(), uv);
-      if (uec == std::errc() && uptr == token.data() + token.size()) {
-        tok.kind = Token::Kind::kUint;
-        tok.u = uv;
-        return true;
-      }
-    }
-    // Fall through to double on overflow (parser.cpp does the same).
-  }
-  scratch.assign(token);  // strtod needs NUL termination
-  char* end = nullptr;
-  const double dv = std::strtod(scratch.c_str(), &end);
-  if (end != scratch.c_str() + scratch.size()) return false;
-  tok.kind = Token::Kind::kDouble;
-  tok.d = dv;
+bool Scanner::scan_number(Token& tok) {
+  const NumberSpan n = number_span(text_, pos_);
+  if (!n.valid) return false;
+  tok = to_number(text_.substr(pos_, n.end - pos_), n.is_double);
+  pos_ = n.end;
   return true;
 }
 
@@ -415,15 +217,13 @@ bool Scanner::scan_token(Token& tok, std::string& scratch) {
     }
     case '{':
     case '[':
-      tok.kind = Token::Kind::kOther;
-      return skip_value();
     case 't':
     case 'f':
     case 'n':
       tok.kind = Token::Kind::kOther;
       return skip_value();
     default:
-      return scan_number(tok, scratch);
+      return scan_number(tok);
   }
 }
 
@@ -433,7 +233,6 @@ bool Scanner::skip_value_depth(int depth) {
   if (depth > kMaxDepth) return false;
   skip_ws();
   if (pos_ >= text_.size()) return false;
-  std::string scratch;
   switch (text_[pos_]) {
     case '{': {
       ++pos_;
@@ -441,8 +240,7 @@ bool Scanner::skip_value_depth(int depth) {
       if (consume('}')) return true;
       for (;;) {
         skip_ws();
-        std::string_view key;
-        if (!scan_string(key, scratch)) return false;
+        if (!skip_string()) return false;
         skip_ws();
         if (!consume(':')) return false;
         if (!skip_value_depth(depth + 1)) return false;
@@ -464,10 +262,8 @@ bool Scanner::skip_value_depth(int depth) {
         return false;
       }
     }
-    case '"': {
-      std::string_view sv;
-      return scan_string(sv, scratch);
-    }
+    case '"':
+      return skip_string();
     case 't':
       if (text_.substr(pos_, 4) == "true") {
         pos_ += 4;
@@ -486,9 +282,10 @@ bool Scanner::skip_value_depth(int depth) {
         return true;
       }
       return false;
-    default: {
-      Token tok;
-      return scan_number(tok, scratch);
+    default: {  // validated, not converted
+      const NumberSpan n = number_span(text_, pos_);
+      pos_ = n.end;
+      return n.valid;
     }
   }
 }

@@ -11,20 +11,17 @@
 // caller's scratch string — both must outlive every use of the token.
 //
 // Equivalence contract: Scanner accepts a strict SUBSET of what
-// json::parse accepts, and on the subset produces byte-identical values
-// (the number grammar and escape decoding replicate parser.cpp exactly —
-// same from_chars/strtod calls on the same token).  Anything unusual —
+// json::parse accepts, and on the subset produces byte-identical values:
+// both take numbers through json/number.hpp (one token grammar, one
+// conversion ladder) and decode the same escapes.  Anything unusual —
 // \u escapes, nesting deeper than kMaxDepth — makes the scan FAIL, and
 // the caller falls back to the DOM path, so fast-path users are always
 // byte-identical to DOM users.  See core::decode_message_fast.
 //
-// The structural loops (whitespace runs, string-body runs) are SIMD
-// classify-and-skip kernels on x86 — SSE2/AVX2 selected at runtime via
-// util::active_simd() (DARSHAN_LDMS_SIMD caps the level).  The kernels
-// only locate the first structural byte; every decision is still taken
-// by the same scalar code, so all levels are bit-identical by
-// construction — and the fuzzed equivalence suite in test_json/
-// test_core re-proves it against the scalar scanner and the DOM parser.
+// The byte loops are plain inline code with no shared state: connector
+// JSON has no whitespace runs and mostly sub-16-byte strings, on which
+// SSE2/AVX2 skip kernels measured slower (DESIGN.md section 9b).
+// skip_value validates numbers without converting them.
 #pragma once
 
 #include <cstdint>
@@ -89,7 +86,8 @@ class Scanner {
   /// kOther and are skipped).  String content may borrow from `scratch`.
   bool scan_token(Token& tok, std::string& scratch);
 
-  /// Skips any one value, validating its syntax.
+  /// Skips any one value, validating its syntax: it accepts exactly the
+  /// values scan_token accepts, but converts no number.
   bool skip_value();
 
   /// Skips one value and returns its raw byte range (for re-scanning an
@@ -105,7 +103,8 @@ class Scanner {
   void skip_ws();
   bool consume(char c);
   bool scan_string(std::string_view& out, std::string& scratch);
-  bool scan_number(Token& tok, std::string& scratch);
+  bool skip_string();
+  bool scan_number(Token& tok);
   bool skip_value_depth(int depth);
 
   std::string_view text_;

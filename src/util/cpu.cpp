@@ -1,7 +1,6 @@
 #include "util/cpu.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <fstream>
 #include <sstream>
@@ -83,74 +82,6 @@ CpuBudget cpu_budget() {
 }
 
 std::size_t effective_cpus() { return cpu_budget().effective; }
-
-// ------------------------------------------------------------ SIMD ----
-
-namespace {
-
-/// 255 = "auto": no cap installed, active == detected.
-// atomic-protocol: kind=config pairs=active_simd/set_simd_level
-std::atomic<std::uint8_t> g_simd_cap{255};
-
-}  // namespace
-
-SimdLevel detected_simd() {
-#if defined(__x86_64__) || defined(__i386__)
-  static const SimdLevel detected = [] {
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-    if (__builtin_cpu_supports("sse2")) return SimdLevel::kSse2;
-    return SimdLevel::kScalar;
-  }();
-  return detected;
-#else
-  return SimdLevel::kScalar;
-#endif
-}
-
-SimdLevel active_simd() {
-  const std::uint8_t cap = g_simd_cap.load(std::memory_order_relaxed);
-  if (cap == 255) return detected_simd();
-  return static_cast<SimdLevel>(cap);
-}
-
-SimdLevel set_simd_level(SimdLevel level) {
-  const SimdLevel applied = std::min(level, detected_simd());
-  g_simd_cap.store(static_cast<std::uint8_t>(applied),
-                   std::memory_order_relaxed);
-  return applied;
-}
-
-void reset_simd_level() {
-  g_simd_cap.store(255, std::memory_order_relaxed);
-}
-
-std::string_view simd_level_name(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kSse2:
-      return "sse2";
-    case SimdLevel::kAvx2:
-      return "avx2";
-    case SimdLevel::kScalar:
-      break;
-  }
-  return "scalar";
-}
-
-bool simd_level_from_name(std::string_view name, SimdLevel& out) {
-  if (name == "auto") {
-    out = detected_simd();
-    return true;
-  }
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
-    if (name == simd_level_name(level)) {
-      out = level;
-      return true;
-    }
-  }
-  return false;
-}
 
 // --------------------------------------------------------- pinning ----
 

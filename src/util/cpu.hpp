@@ -13,19 +13,12 @@
 // reports the tightest one as `effective`, with `source` naming which
 // signal bound it so benchmark JSON artifacts are comparable across
 // machines.  On non-Linux hosts only hardware_concurrency contributes.
-// Alongside the budget, this header is the home for the two other
-// CPU-shaped concerns of the hot path (DESIGN.md section 9):
-//
-//   * SIMD dispatch: detected_simd() probes the host once (AVX2 > SSE2 >
-//     scalar); set_simd_level() installs a process-wide cap (the
-//     DARSHAN_LDMS_SIMD knob and the equivalence tests use it to force
-//     weaker kernels), and active_simd() is what the json scanner reads
-//     per call — a relaxed atomic, so flipping levels mid-run is safe.
-//   * Thread pinning: parse_pin_policy()/resolve_pin_cpus() turn the
-//     DARSHAN_LDMS_PIN knob ("none" | "auto" | "0,2,4") into a concrete
-//     CPU list drawn from the process affinity mask, and
-//     pin_current_thread()/current_cpu() apply and report placement so
-//     shard writers and their rings stay on one socket.
+// Alongside the budget, this header is the home of the hot path's thread
+// pinning (DESIGN.md section 9): parse_pin_policy()/resolve_pin_cpus()
+// turn the DARSHAN_LDMS_PIN knob ("none" | "auto" | "0,2,4") into a
+// concrete CPU list drawn from the process affinity mask, and
+// pin_current_thread()/current_cpu() apply and report placement so shard
+// writers and their rings stay on one socket.
 #pragma once
 
 #include <cstddef>
@@ -59,37 +52,6 @@ CpuBudget cpu_budget();
 /// cpu_budget().effective — CPUs a multi-threaded benchmark can really
 /// run on concurrently.
 std::size_t effective_cpus();
-
-// ------------------------------------------------------------ SIMD ----
-
-/// Instruction-set tiers the json scanner dispatches over.  Ordered so
-/// `a < b` means "a is weaker": clamping an override against the
-/// detected level is a plain min.
-enum class SimdLevel : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
-
-/// Strongest level this host supports (probed once, cached).  Always
-/// kScalar on non-x86 builds.
-SimdLevel detected_simd();
-
-/// Level the hot paths should use right now: the detected level unless
-/// set_simd_level() installed a weaker cap.  Relaxed-atomic read — cheap
-/// enough to call per scanned payload.
-SimdLevel active_simd();
-
-/// Caps the active level at `level` (clamped to detected_simd(); asking
-/// for AVX2 on an SSE2-only host yields SSE2).  Returns what was
-/// actually installed.
-SimdLevel set_simd_level(SimdLevel level);
-
-/// Back to "auto" (detected level).  Test hygiene.
-void reset_simd_level();
-
-/// "scalar" | "sse2" | "avx2".
-std::string_view simd_level_name(SimdLevel level);
-
-/// Parses a DARSHAN_LDMS_SIMD value ("auto" maps to detected_simd()).
-/// False on anything else, leaving `out` untouched.
-bool simd_level_from_name(std::string_view name, SimdLevel& out);
 
 // --------------------------------------------------------- pinning ----
 

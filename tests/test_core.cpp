@@ -11,12 +11,12 @@
 #include "core/env_config.hpp"
 #include "core/schema_darshan.hpp"
 #include "json/parser.hpp"
+#include "json/scan.hpp"
 #include "ldms/store.hpp"
 #include "sim/engine.hpp"
 #include "simfs/nfs.hpp"
 #include "simhpc/cluster.hpp"
 #include "simhpc/job.hpp"
-#include "util/cpu.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -656,10 +656,7 @@ TEST(Decoder, FastPathFallsBackOnUnsupportedInput) {
 TEST(Decoder, FastPathEquivalentUnderFuzzedMutation) {
   // Property: whenever the zero-copy scanner accepts a payload, its rows
   // are byte-identical to the DOM decoder's.  Mutations exercise partial
-  // JSON, shuffled types, and broken numbers.  Since the scanner's
-  // structural loops dispatch to SIMD kernels (scan.hpp), every trial
-  // also re-runs the fast path at each SIMD tier the host supports:
-  // acceptance AND bytes must match the scalar reference exactly.
+  // JSON, shuffled types, and broken numbers.
   Pipeline p;
   ldms::CsvStore store;
   store.attach(*p.aggregator, "darshanConnector");
@@ -689,27 +686,72 @@ TEST(Decoder, FastPathEquivalentUnderFuzzedMutation) {
       }
       if (mutated.empty()) mutated = "x";
     }
-    util::set_simd_level(util::SimdLevel::kScalar);
     std::vector<dsos::Object> fast;
-    const bool accepted = decode_message_fast(schema, mutated, fast);
-    const std::string reference = accepted ? rows_csv(fast) : std::string();
-    for (const auto level :
-         {util::SimdLevel::kSse2, util::SimdLevel::kAvx2}) {
-      if (util::detected_simd() < level) continue;
-      util::set_simd_level(level);
-      std::vector<dsos::Object> rows;
-      ASSERT_EQ(decode_message_fast(schema, mutated, rows), accepted)
-          << mutated;
-      if (accepted) ASSERT_EQ(rows_csv(rows), reference) << mutated;
-    }
-    util::reset_simd_level();
-    if (accepted) {
+    if (decode_message_fast(schema, mutated, fast)) {
       ++fast_ok;
-      ASSERT_EQ(reference, rows_csv(decode_message(schema, mutated)))
+      ASSERT_EQ(rows_csv(fast), rows_csv(decode_message(schema, mutated)))
           << mutated;
     }
   }
   EXPECT_GT(fast_ok, 0);  // the equivalence branch actually executed
+}
+
+TEST(Decoder, NumberTokensAgreeAcrossSkipScanParseAndRows) {
+  // One number grammar (json/number.hpp): skip_value, which validates
+  // without converting, must accept exactly the tokens scan_token and
+  // json::parse accept.  Each token also rides a payload three ways:
+  // skipped (an unknown top-level member), spanned then skipped (an
+  // unknown seg member), and spanned then decoded (seg "dur").
+  struct Case {
+    const char* token;
+    bool number;
+  };
+  const Case cases[] = {
+      {"1e", false},
+      {"1e+", false},
+      {"-", false},
+      {".", false},
+      {"-.", false},
+      {"-e5", false},
+      {".5", true},
+      {"1.", true},
+      {"1.e5", true},
+      {"-0", true},
+      {"1E+2", true},
+      {"18446744073709551616", true},
+      {"1e400", true},
+      {"1e-400", true},
+  };
+  const auto schema = darshan_data_schema();
+  for (const Case& c : cases) {
+    const std::string t = c.token;
+    json::Scanner skip(t);
+    const bool skipped = skip.skip_value() && skip.at_end();
+    json::Scanner scan(t);
+    json::Token tok;
+    std::string scratch;
+    const bool scanned = scan.scan_token(tok, scratch) && scan.at_end();
+    EXPECT_EQ(skipped, c.number) << t;
+    EXPECT_EQ(scanned, c.number) << t;
+    EXPECT_EQ(json::parse(t).has_value(), c.number) << t;
+
+    const std::string payloads[] = {
+        R"({"rank":1,"module":"POSIX","extra":)" + t +
+            R"(,"seg":[{"timestamp":1.0}]})",
+        R"({"rank":1,"module":"POSIX","seg":[{"timestamp":1.0,"extra":)" +
+            t + "}]}",
+        R"({"rank":1,"module":"POSIX","seg":[{"timestamp":1.0,"dur":)" + t +
+            "}]}",
+    };
+    for (const std::string& payload : payloads) {
+      std::vector<dsos::Object> fast;
+      EXPECT_EQ(decode_message_fast(schema, payload, fast), c.number)
+          << payload;
+      const auto dom = decode_message(schema, payload);
+      EXPECT_EQ(dom.size(), c.number ? 1u : 0u) << payload;
+      EXPECT_EQ(rows_csv(fast), rows_csv(dom)) << payload;
+    }
+  }
 }
 
 // ----------------------------------------------------- binary fast path ----
@@ -958,23 +1000,19 @@ TEST(EnvConfig, ReportsBadWireFormatValues) {
 }
 
 TEST(EnvConfig, ParsesHotPathKnobs) {
-  // Defaults: no pinning, auto SIMD, auto (on) binary fast path.
+  // Defaults: no pinning, auto (on) binary fast path.
   const EnvConfig defaults = connector_config_from_env(fake_env({}));
   EXPECT_EQ(defaults.connector.pin, "none");
-  EXPECT_EQ(defaults.connector.simd, "auto");
   EXPECT_EQ(defaults.connector.fastpath, "auto");
   const EnvConfig cfg = connector_config_from_env(fake_env({
       {"DARSHAN_LDMS_PIN", "0,2"},
-      {"DARSHAN_LDMS_SIMD", "sse2"},
       {"DARSHAN_LDMS_FASTPATH", "off"},
   }));
   EXPECT_TRUE(cfg.errors.empty());
   EXPECT_EQ(cfg.connector.pin, "0,2");
-  EXPECT_EQ(cfg.connector.simd, "sse2");
   EXPECT_EQ(cfg.connector.fastpath, "off");
   const EnvConfig autos = connector_config_from_env(fake_env({
       {"DARSHAN_LDMS_PIN", "auto"},
-      {"DARSHAN_LDMS_SIMD", "scalar"},
       {"DARSHAN_LDMS_FASTPATH", "on"},
   }));
   EXPECT_TRUE(autos.errors.empty());
@@ -984,12 +1022,10 @@ TEST(EnvConfig, ParsesHotPathKnobs) {
 TEST(EnvConfig, ReportsBadHotPathValues) {
   const EnvConfig cfg = connector_config_from_env(fake_env({
       {"DARSHAN_LDMS_PIN", "0,,2"},      // empty list item
-      {"DARSHAN_LDMS_SIMD", "avx512"},   // not a supported tier name
       {"DARSHAN_LDMS_FASTPATH", "fast"}, // not auto/on/off
   }));
-  EXPECT_EQ(cfg.errors.size(), 3u);
+  EXPECT_EQ(cfg.errors.size(), 2u);
   EXPECT_EQ(cfg.connector.pin, "none");       // defaults kept
-  EXPECT_EQ(cfg.connector.simd, "auto");
   EXPECT_EQ(cfg.connector.fastpath, "auto");
   const EnvConfig bad_cpu = connector_config_from_env(
       fake_env({{"DARSHAN_LDMS_PIN", "-3"}}));
