@@ -4,8 +4,8 @@
 // The DSOS tier exists so decoded Darshan events can be stored and
 // range-queried in parallel across dsosd shards; this benchmark measures
 // whether the reproduction's sink actually scales.  For each shard count
-// it decodes the SAME pre-rendered connector JSON payloads (zero-copy
-// scanner with DOM fallback — the decoder's real path) and ingests them
+// it decodes the SAME pre-rendered connector JSON payloads (the zero-copy
+// scanner — the decoder's real path) and ingests them
 //   serial:    decode + Container::insert inline on one thread,
 //   parallel:  decode on the caller, insert via dsos::IngestExecutor with
 //              one worker per shard,
@@ -22,7 +22,7 @@
 //              in any one stage is visible without bisecting the pipeline,
 //   hot path:  pre-encoded binary_batched wire frames walked by
 //              wire::FrameCursor straight into dsos::make_object_unchecked
-//              and a pinned (DARSHAN_LDMS_PIN=auto equivalent) SpscRing
+//              and a pinned (ConnectorConfig::pin "auto") SpscRing
 //              IngestExecutor — no JSON text, no DOM, no per-event
 //              validation — gated against the COMMITTED JSON-path baseline
 //              (kCommittedParallelEps below), not a same-run rerun, so
@@ -141,12 +141,11 @@ std::vector<std::string> make_payloads(std::size_t count) {
   return out;
 }
 
-/// The decoder's real JSON path: zero-copy scan, DOM on fallback.
+/// The decoder's real JSON path: the zero-copy scan, whose declined
+/// payloads are malformed and yield no rows.
 void decode_payload(const dsos::SchemaPtr& schema, const std::string& payload,
                     std::vector<dsos::Object>& rows) {
-  if (!core::decode_message_fast(schema, payload, rows)) {
-    rows = core::decode_message(schema, payload);
-  }
+  if (!core::decode_message_fast(schema, payload, rows)) rows.clear();
 }
 
 std::unique_ptr<dsos::DsosCluster> make_cluster(const dsos::SchemaPtr& schema,
@@ -318,8 +317,8 @@ IngestRun run_hot_serial(const dsos::SchemaPtr& schema,
 }
 
 /// The hot path proper: FrameCursor -> make_object_unchecked -> pinned
-/// SpscRing executor (one writer per shard, DARSHAN_LDMS_PIN=auto
-/// placement resolved the same way exp::run_pipeline resolves it).
+/// SpscRing executor (one writer per shard, pin "auto" placement
+/// resolved the same way exp::run_experiment resolves it).
 IngestRun run_hot_parallel(const dsos::SchemaPtr& schema,
                            const std::vector<int>& pin_cpus,
                            const std::vector<std::string>& frames) {

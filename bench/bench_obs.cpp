@@ -11,7 +11,7 @@
 // timing gates are meaningless under sanitizers or on starved hosts.
 //
 // Phase 2 runs the full pipeline (MPI-IO-TEST, at-least-once, the
-// bench_relia reference fault schedule) with DARSHAN_LDMS_TRACE_SAMPLE=1
+// bench_relia reference fault schedule) with trace_sample_n = 1
 // and reports end-to-end trace latency quantiles (p50/p99/max of
 // dlc.trace.e2e_ns).  Its gates are correctness, fatal with or without
 // --check: every sampled event must finish a complete 8-hop span, none
@@ -126,9 +126,7 @@ double ingest_pass(const dsos::SchemaPtr& schema,
   {
     dsos::IngestExecutor ingest(cluster, icfg);
     for (const std::string& p : payloads) {
-      if (!core::decode_message_fast(schema, p, rows)) {
-        rows = core::decode_message(schema, p);
-      }
+      if (!core::decode_message_fast(schema, p, rows)) rows.clear();
       for (auto& obj : rows) ingest.submit(std::move(obj));
     }
     ingest.drain();

@@ -1,9 +1,10 @@
-// Configuration of the Darshan-LDMS Connector.
+// Configuration of the Darshan-LDMS Connector.  ConnectorConfig is the
+// only configuration surface: callers set its fields directly, usually
+// through exp::ExperimentSpec::connector.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "darshan/module.hpp"
@@ -25,9 +26,6 @@ enum class WireFormat : std::uint8_t {
   /// StreamBatcher; daemons forward O(batches) instead of O(events).
   kBinaryBatched = 2,
 };
-
-std::string_view wire_format_name(WireFormat f);
-bool wire_format_from_name(std::string_view name, WireFormat& out);
 
 /// How the connector renders the JSON payload (ignored by the binary wire
 /// formats, which bypass JSON entirely).
@@ -82,10 +80,9 @@ struct ConnectorConfig {
   /// Transport delivery guarantee for connector traffic.  kBestEffort is
   /// the paper's LDMS Streams (losses counted, never recovered);
   /// kAtLeastOnce turns on per-route spooling + redelivery and seq-based
-  /// dedup at the decoder (env DARSHAN_LDMS_DELIVERY).
+  /// dedup at the decoder.
   relia::DeliveryMode delivery = relia::DeliveryMode::kBestEffort;
-  /// Spool sizing for kAtLeastOnce routes
-  /// (env DARSHAN_LDMS_SPOOL_{MSGS,BYTES}).
+  /// Spool sizing for kAtLeastOnce routes.
   relia::SpoolConfig spool;
   /// Publish every n-th event per rank (1 = every event).  This is the
   /// paper's proposed future-work mitigation, implemented here.
@@ -104,67 +101,57 @@ struct ConnectorConfig {
   /// Worker threads for the storage-side ingest executor (decoder ->
   /// DsosCluster).  0 = serial insertion on the decode thread (the
   /// pre-executor behaviour); > 0 enables dsos::IngestExecutor with that
-  /// many workers, clamped to the shard count
-  /// (env DARSHAN_LDMS_INGEST_THREADS).
+  /// many workers, clamped to the shard count.
   std::size_t ingest_threads = 0;
   /// Pipeline-trace sampling: every n-th published event carries an
   /// obs::TraceContext through the whole pipeline (0 disables tracing,
-  /// 1 traces every event; env DARSHAN_LDMS_TRACE_SAMPLE, default 64).
+  /// 1 traces every event; default 64).
   /// Traces ride the existing messages — there is no extra traffic, and
   /// with 0 the wire bytes are identical to a build without tracing.
   std::uint64_t trace_sample_n = 64;
   /// Hot-path tuning knobs (DESIGN.md section 9).  Plain strings here —
   /// core does not apply them; whoever builds the pipeline translates
   /// them via util/cpu.hpp.
-  /// Shard-writer placement (env DARSHAN_LDMS_PIN): "none" (default),
+  /// Shard-writer placement: "none" (default),
   /// "auto" (spread writers across the affinity mask), or an explicit
   /// CPU list "0,2,4" (writer w pins to list[w % size]).
   std::string pin = "none";
-  /// Binary decode fast path (env DARSHAN_LDMS_FASTPATH): "auto"/"on"
+  /// Binary decode fast path: "auto"/"on"
   /// (default) stream wire frames straight into ingest via
   /// wire::FrameCursor; "off" keeps the validated decode_frame path.
   /// Rows are byte-identical either way.
   std::string fastpath = "auto";
-  /// Storage-policy / rollup configuration
-  /// (env DARSHAN_LDMS_ROLLUP_POLICIES).  Empty = rollups disabled;
+  /// Storage-policy / rollup configuration.  Empty = rollups disabled;
   /// "default" = the built-in Fig. 5-9 policy set; otherwise a policy
   /// DSL string (see src/rollup/policy.hpp).  Plain string here — core
   /// does not link the rollup engine; whoever mounts a
   /// rollup::RollupEngine parses it.
   std::string rollup_policies;
-  /// Directory for spilled rollup cells (env DARSHAN_LDMS_ROLLUP_DIR).
+  /// Directory for spilled rollup cells.
   /// Empty = rollups stay in memory; non-empty runs the rollup spill
   /// store in tiered mode under this directory.
   std::string rollup_dir;
-  /// Rollup spill retention in seconds, 0 = keep forever
-  /// (env DARSHAN_LDMS_ROLLUP_RETENTION).
+  /// Rollup spill retention in seconds, 0 = keep forever.
   std::uint64_t rollup_retention_s = 0;
-  /// Online anomaly detection riding the rollup seal path
-  /// (env DARSHAN_LDMS_ANOMALY, unset/0 = off).  When on, whoever
+  /// Online anomaly detection riding the rollup seal path (default
+  /// off).  When on, whoever
   /// mounts the rollup engine appends the dedicated source policy and
   /// attaches an anomaly::AnomalyEngine — plain data here, core does
   /// not link the anomaly stage (same pattern as rollup_policies).
   bool anomaly = false;
-  /// Anomaly source-policy bucket width, seconds
-  /// (env DARSHAN_LDMS_ANOMALY_BUCKET, > 0).
+  /// Anomaly source-policy bucket width, seconds (> 0).
   double anomaly_bucket_s = 10.0;
-  /// Straggler leave-one-out z-score threshold
-  /// (env DARSHAN_LDMS_ANOMALY_Z, > 0).
+  /// Straggler leave-one-out z-score threshold (> 0).
   double anomaly_z = 3.0;
-  /// Minimum nodes for a cross-node distribution
-  /// (env DARSHAN_LDMS_ANOMALY_MIN_NODES, >= 2).
+  /// Minimum nodes for a cross-node distribution (>= 2).
   std::uint64_t anomaly_min_nodes = 3;
-  /// Write-slowdown trend window, sealed buckets
-  /// (env DARSHAN_LDMS_ANOMALY_TREND_WINDOW, >= 2).
+  /// Write-slowdown trend window, sealed buckets (>= 2).
   std::uint64_t anomaly_trend_window = 12;
-  /// Relative rise across the trend window that flags a slowdown
-  /// (env DARSHAN_LDMS_ANOMALY_TREND_RISE, > 0).
+  /// Relative rise across the trend window that flags a slowdown (> 0).
   double anomaly_trend_rise = 0.5;
-  /// Burst threshold: rate vs EWMA multiple
-  /// (env DARSHAN_LDMS_ANOMALY_BURST, > 1).
+  /// Burst threshold: rate vs EWMA multiple (> 1).
   double anomaly_burst_factor = 3.0;
-  /// Resolved-alert history retention, entries
-  /// (env DARSHAN_LDMS_ANOMALY_RETENTION, >= 1).
+  /// Resolved-alert history retention, entries (>= 1).
   std::uint64_t anomaly_retention = 256;
   /// When false the connector observes events but never publishes
   /// (darshan-only baseline shares the same code path shape).

@@ -109,6 +109,18 @@ void write_member(json::Writer& w, const darshan::IoEvent& e,
 
 }  // namespace
 
+std::string_view wire_format_name(WireFormat f) {
+  switch (f) {
+    case WireFormat::kJson:
+      return "json";
+    case WireFormat::kBinary:
+      return "binary";
+    case WireFormat::kBinaryBatched:
+      return "binary_batched";
+  }
+  return "?";
+}
+
 DarshanLdmsConnector::DarshanLdmsConnector(darshan::Runtime& runtime,
                                            DaemonOfRank daemon_of_rank,
                                            ConnectorConfig config)

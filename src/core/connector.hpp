@@ -20,6 +20,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hpp"
@@ -33,6 +34,9 @@
 #include "wire/codec.hpp"
 
 namespace dlc::core {
+
+/// "json", "binary" or "binary_batched" (bench and test labels).
+std::string_view wire_format_name(WireFormat f);
 
 /// Maps a rank to its node-local LDMS daemon.
 using DaemonOfRank = std::function<ldms::LdmsDaemon*(int rank)>;

@@ -271,10 +271,10 @@ void DarshanDecoder::on_message(const ldms::StreamMessage& msg) {
   std::vector<dsos::Object>& objects = scratch_rows_;
   objects.clear();
   if (msg.format == ldms::PayloadFormat::kJson) {
-    // Zero-copy scan first; the scanner rejects anything it cannot decode
-    // byte-identically, so the DOM fallback keeps results exact.
+    // A declined payload may leave partial rows behind: drop them all.
     if (!decode_message_fast(schema_, msg.payload, objects)) {
-      objects = decode_message(schema_, msg.payload);
+      ++malformed_;
+      return;
     }
   } else if (msg.format == ldms::PayloadFormat::kBinary) {
     if (binary_fastpath_) {

@@ -28,17 +28,20 @@
 namespace dlc::core {
 
 /// Parses one connector JSON message into darshan_data objects (one per
-/// `seg` entry).  Returns empty on malformed input.
+/// `seg` entry) through the json::parse DOM.  Returns empty on malformed
+/// input.  The reference decoder that tests and fuzz targets hold
+/// decode_message_fast to; DarshanDecoder does not call it.
 std::vector<dsos::Object> decode_message(const dsos::SchemaPtr& schema,
                                          const std::string& payload);
 
-/// Zero-copy variant: scans the payload with json::Scanner instead of
-/// building a DOM — field values are string_view slices of the payload
-/// until the rows are materialised, so `payload` must outlive the call
-/// (it does: rows copy what they keep).  Returns false when the payload
-/// needs the DOM path (\u escapes, deep nesting, malformed input); the
-/// caller MUST then fall back to decode_message so results stay
-/// byte-identical either way.
+/// The JSON decoder DarshanDecoder runs: scans the payload with
+/// json::Scanner instead of building a DOM — field values are
+/// string_view slices of the payload until the rows are materialised, so
+/// `payload` must outlive the call (it does: rows copy what they keep).
+/// Returns false on malformed input and on nesting deeper than
+/// json::Scanner::kMaxDepth below a member, with `out` then holding
+/// partial rows to discard.  When it returns true, `out` is
+/// byte-identical to decode_message's rows.
 bool decode_message_fast(const dsos::SchemaPtr& schema,
                          std::string_view payload,
                          std::vector<dsos::Object>& out);
@@ -66,7 +69,7 @@ class DarshanDecoder {
                  dsos::IngestExecutor* ingest = nullptr,
                  obs::TraceCollector* traces = nullptr);
 
-  /// Toggles the binary fast path (DARSHAN_LDMS_FASTPATH; default on).
+  /// Toggles the binary fast path (ConnectorConfig::fastpath; default on).
   /// On: wire frames decode through wire::FrameCursor straight into the
   /// submit loop — trusted row construction, per-frame (not per-event)
   /// obs stamping.  Off: the wire::decode_frame wrapper with full

@@ -170,7 +170,7 @@ void IngestExecutor::drain() {
 void IngestExecutor::worker_loop(std::size_t w) {
   Worker& self = *workers_[w];
   const std::size_t stride = workers_.size();
-  // Writer placement (DARSHAN_LDMS_PIN): pin this writer so it stays on
+  // Writer placement (ConnectorConfig::pin): pin this writer so it stays on
   // one core/socket with its rings; record what actually happened —
   // tests and operators read it back via writer_placements() and the
   // dlc.ingest.writer.<w>.cpu gauges on /api/obs.  Cold path: gauges are

@@ -58,7 +58,7 @@ struct IngestConfig {
   std::function<void()> commit_hook;
   /// Writer placement: worker w pins itself to pin_cpus[w % size()] at
   /// startup; empty (the default) = no pinning.  Resolve the
-  /// DARSHAN_LDMS_PIN policy with util::resolve_pin_cpus — the executor
+  /// ConnectorConfig::pin policy with util::resolve_pin_cpus — the executor
   /// takes concrete CPU numbers only.  A failed pin degrades to unpinned
   /// and is visible in writer_placements() / the obs gauges.
   std::vector<int> pin_cpus;

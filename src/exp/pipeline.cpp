@@ -152,12 +152,12 @@ RunResult run_experiment(const ExperimentSpec& spec) {
       dsos_cluster = std::make_shared<dsos::DsosCluster>(ccfg);
     }
     if (spec.connector.ingest_threads > 0) {
-      // Parallel sharded insertion (DARSHAN_LDMS_INGEST_THREADS).  The
+      // Parallel sharded insertion (connector.ingest_threads).  The
       // workers are real threads like ThreadedForwarder's; virtual time
       // stays deterministic because results are drained before any query.
       dsos::IngestConfig icfg;
       icfg.workers = spec.connector.ingest_threads;
-      // Writer placement (DARSHAN_LDMS_PIN): resolve the policy string
+      // Writer placement (connector.pin): resolve the policy string
       // to concrete CPUs here; the executor only takes numbers.
       util::PinPolicy pin_policy;
       if (util::parse_pin_policy(spec.connector.pin, pin_policy)) {
@@ -166,7 +166,7 @@ RunResult run_experiment(const ExperimentSpec& spec) {
       ingest = std::make_unique<dsos::IngestExecutor>(*dsos_cluster, icfg);
     }
     if (spec.connector.trace_sample_n > 0) {
-      // Trace completion sink (DARSHAN_LDMS_TRACE_SAMPLE): the decoder
+      // Trace completion sink (connector.trace_sample_n): the decoder
       // (serial) or the ingest workers (parallel) finish sampled spans.
       traces = std::make_shared<obs::TraceCollector>();
       if (ingest) ingest->set_trace_collector(traces.get());
@@ -175,7 +175,7 @@ RunResult run_experiment(const ExperimentSpec& spec) {
                                                      at_least_once,
                                                      ingest.get(),
                                                      traces.get());
-    // DARSHAN_LDMS_FASTPATH: "off" keeps the validated decode_frame
+    // connector.fastpath "off" keeps the validated decode_frame
     // path for binary frames; default streams the frame cursor.
     decoder->set_binary_fastpath(spec.connector.fastpath != "off");
   }

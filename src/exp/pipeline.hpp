@@ -71,8 +71,8 @@ struct ExperimentSpec {
   /// multi-job campaigns keep one alert surface.  Per-run rollup
   /// engines get the `anomaly_node` source policy appended
   /// automatically; a shared_rollup must already include it.
-  /// Alternatively spec.connector.anomaly (DARSHAN_LDMS_ANOMALY)
-  /// builds a per-run engine from the connector's anomaly_* knobs.
+  /// Alternatively spec.connector.anomaly builds a per-run engine from
+  /// the connector's anomaly_* fields.
   std::shared_ptr<anomaly::AnomalyEngine> shared_anomaly;
   /// Optional live tap: subscribed on the final aggregator alongside the
   /// stores, invoked at each message's virtual arrival time (monitoring

@@ -57,4 +57,20 @@ inline NumberSpan number_span(std::string_view text, std::size_t pos) {
 /// uint64 for a positive integer (64-bit record ids), else strtod.
 Token to_number(std::string_view token, bool is_double);
 
+/// `d` truncated toward zero when the result fits, else `fallback`.
+/// Casting NaN, an infinity or an out-of-range double is undefined
+/// behaviour, so the integer getters of Token and Value go through these.
+/// -2^63 is a double; 2^63 and 2^64 are the first values past the ranges.
+inline std::int64_t double_to_int(double d, std::int64_t fallback) {
+  return d >= -9223372036854775808.0 && d < 9223372036854775808.0
+             ? static_cast<std::int64_t>(d)
+             : fallback;
+}
+
+inline std::uint64_t double_to_uint(double d, std::uint64_t fallback) {
+  return d > -1.0 && d < 18446744073709551616.0
+             ? static_cast<std::uint64_t>(d)
+             : fallback;
+}
+
 }  // namespace dlc::json

@@ -1,10 +1,17 @@
 #include "json/parser.hpp"
 
+#include "json/escape.hpp"
 #include "json/number.hpp"
 
 namespace dlc::json {
 
 namespace {
+
+// Every document the scanner accepts must also parse.  Its skip stops
+// Scanner::kMaxDepth + 1 levels below where the caller stands, and
+// decode_message_fast stands at most three levels deep (the message,
+// its seg array, a seg entry).
+static_assert(kMaxParseDepth >= Scanner::kMaxDepth + 1 + 3);
 
 class Parser {
  public:
@@ -69,9 +76,16 @@ class Parser {
     }
     switch (text_[pos_]) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (depth_ == kMaxParseDepth) {
+          fail("document nested too deeply");
+          return std::nullopt;
+        }
+        ++depth_;
+        auto v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': {
         auto s = parse_string();
         if (!s) return std::nullopt;
@@ -147,73 +161,11 @@ class Parser {
     while (pos_ < text_.size()) {
       const char c = text_[pos_++];
       if (c == '"') return out;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"':
-            out.push_back('"');
-            break;
-          case '\\':
-            out.push_back('\\');
-            break;
-          case '/':
-            out.push_back('/');
-            break;
-          case 'n':
-            out.push_back('\n');
-            break;
-          case 't':
-            out.push_back('\t');
-            break;
-          case 'r':
-            out.push_back('\r');
-            break;
-          case 'b':
-            out.push_back('\b');
-            break;
-          case 'f':
-            out.push_back('\f');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              fail("truncated \\u escape");
-              return std::nullopt;
-            }
-            unsigned code = 0;
-            for (int i = 0; i < 4; ++i) {
-              const char h = text_[pos_++];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                fail("invalid \\u escape");
-                return std::nullopt;
-              }
-            }
-            // UTF-8 encode (BMP only; surrogate halves passed through).
-            if (code < 0x80) {
-              out.push_back(static_cast<char>(code));
-            } else if (code < 0x800) {
-              out.push_back(static_cast<char>(0xC0 | (code >> 6)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            } else {
-              out.push_back(static_cast<char>(0xE0 | (code >> 12)));
-              out.push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-              out.push_back(static_cast<char>(0x80 | (code & 0x3F)));
-            }
-            break;
-          }
-          default:
-            fail("invalid escape character");
-            return std::nullopt;
-        }
-      } else {
+      if (c != '\\') {
         out.push_back(c);
+      } else if (const char* error = unescape(text_, pos_, &out)) {
+        fail(error);
+        return std::nullopt;
       }
     }
     fail("unterminated string");
@@ -241,6 +193,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // containers open around pos_
   std::string message_;
 };
 

@@ -1,5 +1,6 @@
 #include "json/scan.hpp"
 
+#include "json/escape.hpp"
 #include "json/number.hpp"
 
 namespace dlc::json {
@@ -8,32 +9,6 @@ namespace {
 
 inline bool is_json_ws(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\r';
-}
-
-/// The byte the escape `\<esc>` stands for, or '\0' for one the scanner
-/// does not decode: \u (the DOM fallback handles it) and every escape
-/// json::parse rejects.
-inline char unescape(char esc) {
-  switch (esc) {
-    case '"':
-      return '"';
-    case '\\':
-      return '\\';
-    case '/':
-      return '/';
-    case 'n':
-      return '\n';
-    case 't':
-      return '\t';
-    case 'r':
-      return '\r';
-    case 'b':
-      return '\b';
-    case 'f':
-      return '\f';
-    default:
-      return '\0';
-  }
 }
 
 }  // namespace
@@ -45,7 +20,7 @@ std::int64_t Token::as_int(std::int64_t fallback) const {
     case Kind::kUint:
       return static_cast<std::int64_t>(u);
     case Kind::kDouble:
-      return static_cast<std::int64_t>(d);
+      return double_to_int(d, fallback);
     default:
       return fallback;
   }
@@ -58,7 +33,7 @@ std::uint64_t Token::as_uint(std::uint64_t fallback) const {
     case Kind::kUint:
       return u;
     case Kind::kDouble:
-      return static_cast<std::uint64_t>(d);
+      return double_to_uint(d, fallback);
     default:
       return fallback;
   }
@@ -172,12 +147,9 @@ bool Scanner::scan_string(std::string_view& out, std::string& scratch) {
     }
     if (c != '\\') {
       scratch.push_back(c);
-      continue;
+    } else if (unescape(text_, pos_, &scratch) != nullptr) {
+      return false;
     }
-    if (pos_ >= text_.size()) return false;
-    const char byte = unescape(text_[pos_++]);
-    if (byte == '\0') return false;
-    scratch.push_back(byte);
   }
   return false;  // unterminated
 }
@@ -187,8 +159,7 @@ bool Scanner::skip_string() {
   while (pos_ < text_.size()) {
     const char c = text_[pos_++];
     if (c == '"') return true;
-    if (c == '\\' &&
-        (pos_ >= text_.size() || unescape(text_[pos_++]) == '\0')) {
+    if (c == '\\' && unescape(text_, pos_, nullptr) != nullptr) {
       return false;
     }
   }

@@ -10,13 +10,14 @@
 // escapes).  Lifetime rule: tokens borrow from the payload and from the
 // caller's scratch string — both must outlive every use of the token.
 //
-// Equivalence contract: Scanner accepts a strict SUBSET of what
-// json::parse accepts, and on the subset produces byte-identical values:
-// both take numbers through json/number.hpp (one token grammar, one
-// conversion ladder) and decode the same escapes.  Anything unusual —
-// \u escapes, nesting deeper than kMaxDepth — makes the scan FAIL, and
-// the caller falls back to the DOM path, so fast-path users are always
-// byte-identical to DOM users.  See core::decode_message_fast.
+// Equivalence contract: Scanner accepts a SUBSET of what json::parse
+// accepts, and on the subset produces byte-identical values: both take
+// numbers through json/number.hpp (one token grammar, one conversion
+// ladder) and escapes, \u included, through json/escape.hpp.  The one
+// valid input it declines is a skipped value nested more than kMaxDepth
+// levels deep; core::decode_message_fast counts such a payload
+// malformed.  json::parse stays the reference the tests and fuzz
+// targets compare against.
 //
 // The byte loops are plain inline code with no shared state: connector
 // JSON has no whitespace runs and mostly sub-16-byte strings, on which
@@ -48,7 +49,8 @@ struct Token {
   std::string_view sv{};  // kString: payload slice or caller scratch
 
   /// Getter coercions matching json::Value::get_int/get_uint/get_double/
-  /// get_string (fallback unless the token is a number / string).
+  /// get_string (fallback unless the token is a number / string; the
+  /// integer getters also fall back on a double outside their range).
   std::int64_t as_int(std::int64_t fallback) const;
   std::uint64_t as_uint(std::uint64_t fallback) const;
   double as_double(double fallback) const;
@@ -57,8 +59,8 @@ struct Token {
 
 class Scanner {
  public:
-  /// Nested containers beyond this depth fail the scan (DOM fallback);
-  /// connector payloads are depth 3.
+  /// Nested containers beyond this depth below a skipped value fail the
+  /// scan; connector payloads are depth 3.
   static constexpr int kMaxDepth = 64;
 
   explicit Scanner(std::string_view text) : text_(text) {}

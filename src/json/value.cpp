@@ -1,19 +1,20 @@
 #include "json/value.hpp"
 
+#include "json/number.hpp"
 #include "json/writer.hpp"
 
 namespace dlc::json {
 
-std::int64_t Value::as_int() const {
-  if (is_double()) return static_cast<std::int64_t>(std::get<double>(data_));
+std::int64_t Value::as_int(std::int64_t fallback) const {
+  if (is_double()) return double_to_int(std::get<double>(data_), fallback);
   if (is_uint()) {
     return static_cast<std::int64_t>(std::get<std::uint64_t>(data_));
   }
   return std::get<std::int64_t>(data_);
 }
 
-std::uint64_t Value::as_uint() const {
-  if (is_double()) return static_cast<std::uint64_t>(std::get<double>(data_));
+std::uint64_t Value::as_uint(std::uint64_t fallback) const {
+  if (is_double()) return double_to_uint(std::get<double>(data_), fallback);
   if (is_int()) return static_cast<std::uint64_t>(std::get<std::int64_t>(data_));
   return std::get<std::uint64_t>(data_);
 }
@@ -33,13 +34,13 @@ const Value* Value::find(std::string_view k) const {
 
 std::int64_t Value::get_int(std::string_view k, std::int64_t fallback) const {
   const Value* v = find(k);
-  return (v && v->is_number()) ? v->as_int() : fallback;
+  return (v && v->is_number()) ? v->as_int(fallback) : fallback;
 }
 
 std::uint64_t Value::get_uint(std::string_view k,
                               std::uint64_t fallback) const {
   const Value* v = find(k);
-  return (v && v->is_number()) ? v->as_uint() : fallback;
+  return (v && v->is_number()) ? v->as_uint(fallback) : fallback;
 }
 
 double Value::get_double(std::string_view k, double fallback) const {

@@ -45,8 +45,10 @@ class Value {
   bool is_object() const { return std::holds_alternative<Object>(data_); }
 
   bool as_bool() const { return std::get<bool>(data_); }
-  std::int64_t as_int() const;
-  std::uint64_t as_uint() const;
+  /// Integer views of a number; a double outside the target range (or
+  /// NaN/infinite) yields `fallback`.
+  std::int64_t as_int(std::int64_t fallback = 0) const;
+  std::uint64_t as_uint(std::uint64_t fallback = 0) const;
   double as_double() const;
   const std::string& as_string() const { return std::get<std::string>(data_); }
   const Array& as_array() const { return std::get<Array>(data_); }

@@ -57,7 +57,7 @@ struct ForwardConfig {
   /// Streams; kAtLeastOnce spools what the route cannot take and
   /// redelivers after reconnect (requires an engine; inert without one).
   relia::DeliveryMode delivery = relia::DeliveryMode::kBestEffort;
-  /// Spool bound for kAtLeastOnce (DARSHAN_LDMS_SPOOL_{MSGS,BYTES}).
+  /// Spool bound for kAtLeastOnce.
   relia::SpoolConfig spool;
   /// Reconnect probing schedule for kAtLeastOnce.
   relia::BackoffConfig backoff;

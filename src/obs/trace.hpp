@@ -13,7 +13,7 @@
 // The decoder merges both halves and the ingest executor finishes the
 // span at commit time (see obs::TraceCollector).
 //
-// Sampling is 1-in-N at the connector (DARSHAN_LDMS_TRACE_SAMPLE,
+// Sampling is 1-in-N at the connector (ConnectorConfig::trace_sample_n,
 // default 64; 0 disables).  An unsampled context has id == 0 and costs
 // one branch on the hot path; with tracing off the encoded bytes are
 // identical to a build without this subsystem.

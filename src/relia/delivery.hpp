@@ -9,7 +9,7 @@
 // partition), so the decode side dedups by (producer, seq); see seq.hpp.
 #pragma once
 
-#include <string_view>
+#include <cstdint>
 
 namespace dlc::relia {
 
@@ -22,26 +22,5 @@ enum class DeliveryMode : std::uint8_t {
   /// possible and deduped downstream by sequence number.
   kAtLeastOnce = 1,
 };
-
-inline std::string_view delivery_mode_name(DeliveryMode m) {
-  switch (m) {
-    case DeliveryMode::kBestEffort:
-      return "best_effort";
-    case DeliveryMode::kAtLeastOnce:
-      return "at_least_once";
-  }
-  return "?";
-}
-
-inline bool delivery_mode_from_name(std::string_view name, DeliveryMode& out) {
-  if (name == "best_effort") {
-    out = DeliveryMode::kBestEffort;
-  } else if (name == "at_least_once") {
-    out = DeliveryMode::kAtLeastOnce;
-  } else {
-    return false;
-  }
-  return true;
-}
 
 }  // namespace dlc::relia

@@ -30,7 +30,7 @@ struct SpoolConfig {
   /// Ring bound on retained payload bytes (0 => unlimited).
   std::size_t max_bytes = 16 * 1024 * 1024;
   /// When non-empty, ring evictions spill to this file instead of being
-  /// dropped (DARSHAN_LDMS_SPOOL_{MSGS,BYTES} size the ring; the segment
+  /// dropped (max_msgs and max_bytes size the ring; the segment
   /// is the disk overflow valve).
   std::string file_path;
   /// Cap on the file segment (0 => unlimited).  Evictions past the cap

@@ -55,7 +55,7 @@ struct RollupEngineConfig {
   std::vector<PolicyConfig> policies;
   /// Durability of sealed cells (memory keeps them queryable only).
   store::StoreMode store_mode = store::StoreMode::kMemory;
-  /// Spill-store directory (DARSHAN_LDMS_ROLLUP_DIR); required unless
+  /// Spill-store directory (ConnectorConfig::rollup_dir); required unless
   /// kMemory.
   std::string dir;
   /// Retention over sealed rollup segments, seconds (0 = keep forever).

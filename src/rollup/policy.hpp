@@ -4,7 +4,7 @@
 // A policy names a filter predicate (equality/alternation match on
 // Table I fields), a projection (the subset of dimensions kept as the
 // rollup key) and a time-bucket width.  The textual DSL lives in
-// DARSHAN_LDMS_ROLLUP_POLICIES — ';'-separated policy specs of
+// ConnectorConfig::rollup_policies — ';'-separated policy specs of
 // space-separated tokens:
 //
 //   <name> key=<dim>[,<dim>...] bucket=<dur> [match=<dim>:<v>[|<v>...]
@@ -73,8 +73,8 @@ struct PolicyConfig {
 
 struct PolicySet {
   std::vector<PolicyConfig> policies;
-  /// Unparsable specs ("<spec>: <what>"), kept so env_config can reject
-  /// the variable with a useful message.
+  /// Unparsable specs ("<spec>: <what>"), kept so exp::run_experiment
+  /// can reject the configuration with a useful message.
   std::vector<std::string> errors;
 
   bool ok() const { return errors.empty(); }

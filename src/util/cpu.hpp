@@ -15,7 +15,7 @@
 // machines.  On non-Linux hosts only hardware_concurrency contributes.
 // Alongside the budget, this header is the home of the hot path's thread
 // pinning (DESIGN.md section 9): parse_pin_policy()/resolve_pin_cpus()
-// turn the DARSHAN_LDMS_PIN knob ("none" | "auto" | "0,2,4") into a
+// turn ConnectorConfig::pin ("none" | "auto" | "0,2,4") into a
 // concrete CPU list drawn from the process affinity mask, and
 // pin_current_thread()/current_cpu() apply and report placement so shard
 // writers and their rings stay on one socket.
@@ -67,7 +67,7 @@ bool pin_current_thread(int cpu);
 /// CPU the calling thread is executing on right now, -1 when unknown.
 int current_cpu();
 
-/// DARSHAN_LDMS_PIN policy: kNone (default, no pinning), kAuto (spread
+/// ConnectorConfig::pin policy: kNone (default, no pinning), kAuto (spread
 /// workers across allowed_cpus()), kList (explicit CPUs; worker w pins
 /// to cpus[w % cpus.size()]).
 struct PinPolicy {

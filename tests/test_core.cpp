@@ -3,12 +3,10 @@
 // decoder and end-to-end mini pipeline into DSOS.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 
 #include "core/connector.hpp"
 #include "core/decoder.hpp"
-#include "core/env_config.hpp"
 #include "core/schema_darshan.hpp"
 #include "json/parser.hpp"
 #include "json/scan.hpp"
@@ -17,7 +15,6 @@
 #include "simfs/nfs.hpp"
 #include "simhpc/cluster.hpp"
 #include "simhpc/job.hpp"
-#include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "wire/codec.hpp"
@@ -313,16 +310,29 @@ TEST(Decoder, RejectsMalformedPayloads) {
   sim::Engine engine;
   ldms::LdmsDaemon daemon(&engine, "d");
   DarshanDecoder decoder(daemon, "t", cluster);
-  auto proc = [](ldms::LdmsDaemon& d) -> sim::Task<void> {
+  // Unknown members nested past the scanner's depth bound: 100,000
+  // arrays (~200 KB, too deep to parse without a bound), and
+  // kMaxDepth + 2, which the DOM would decode.  The decoder has no DOM
+  // fallback, so both count as malformed.
+  const auto nested = [](std::size_t depth) {
+    return R"({"x":)" + std::string(depth, '[') + std::string(depth, ']') +
+           R"(,"seg":[{"timestamp":1.0}]})";
+  };
+  const std::string deep = nested(100000);
+  const std::string past_scanner = nested(json::Scanner::kMaxDepth + 2);
+  ASSERT_EQ(decode_message(darshan_data_schema(), past_scanner).size(), 1u);
+  auto proc = [&](ldms::LdmsDaemon& d) -> sim::Task<void> {
     d.publish("t", ldms::PayloadFormat::kJson, "{not json");
     d.publish("t", ldms::PayloadFormat::kJson, "{\"no\":\"seg\"}");
     d.publish("t", ldms::PayloadFormat::kString, "plain");
+    d.publish("t", ldms::PayloadFormat::kJson, deep);
+    d.publish("t", ldms::PayloadFormat::kJson, past_scanner);
     co_return;
   };
   engine.spawn(proc(daemon));
   engine.run();
   EXPECT_EQ(decoder.decoded(), 0u);
-  EXPECT_EQ(decoder.malformed(), 3u);
+  EXPECT_EQ(decoder.malformed(), 5u);
 }
 
 TEST(Decoder, CsvRowMatchesHeaderArity) {
@@ -627,6 +637,16 @@ TEST(Decoder, FastPathMatchesDomOnConnectorPayloads) {
       R"({"rank":1,"module":"POSIX","seg":[]})",
       // Non-object segment entries are skipped, like the DOM loop.
       R"({"rank":1,"module":"POSIX","seg":[1,{"timestamp":2.0},"x"]})",
+      // \u escapes (json::Writer emits \u00XX for control bytes), in
+      // values and keys: ASCII, two- and three-byte UTF-8, and a lone
+      // surrogate half passed through as its own three bytes.
+      R"({"op":"\u0041","exe":"/a\u00e9\u20ac\u0001","rank":1,)"
+      R"("file":"\ud800","\u0072ank":2,"seg":[{"data_set":"\u00E9",)"
+      R"("timestamp":1.0},{"x":"\u0000","timestamp":2.0}]})",
+      // The deepest unknown member the scanner skips.
+      R"({"x":)" + std::string(json::Scanner::kMaxDepth + 1, '[') +
+          std::string(json::Scanner::kMaxDepth + 1, ']') +
+          R"(,"seg":[{"timestamp":1.0}]})",
   };
   for (const std::string& payload : payloads) {
     std::vector<dsos::Object> fast;
@@ -638,14 +658,19 @@ TEST(Decoder, FastPathMatchesDomOnConnectorPayloads) {
 
 TEST(Decoder, FastPathFallsBackOnUnsupportedInput) {
   const auto schema = darshan_data_schema();
-  // \u escapes, malformed JSON, trailing garbage, wrong top-level type:
-  // the scanner refuses (caller then uses the DOM), never mis-decodes.
+  // Malformed JSON, trailing garbage, wrong top-level type, and nesting
+  // past Scanner::kMaxDepth: the scanner refuses (the decoder counts the
+  // payload malformed), never mis-decodes.
+  const std::string too_deep(json::Scanner::kMaxDepth + 2, '[');
   const std::vector<std::string> rejected{
-      R"({"op":"\u0041","seg":[{"timestamp":1.0}]})",
       R"({"rank":1,"seg":[{"timestamp":1.0}]} trailing)",
       R"({"rank":1,"seg":[{"timestamp":1.0})",
       R"([{"rank":1}])",
       R"({"rank":1 "seg":[]})",
+      R"({"op":"\u00G1","seg":[{"timestamp":1.0}]})",
+      R"({"op":"\u00e","seg":[{"timestamp":1.0}]})",
+      R"({"x":)" + too_deep + std::string(too_deep.size(), ']') +
+          R"(,"seg":[{"timestamp":1.0}]})",
   };
   for (const std::string& payload : rejected) {
     std::vector<dsos::Object> fast;
@@ -701,7 +726,9 @@ TEST(Decoder, NumberTokensAgreeAcrossSkipScanParseAndRows) {
   // without converting, must accept exactly the tokens scan_token and
   // json::parse accept.  Each token also rides a payload three ways:
   // skipped (an unknown top-level member), spanned then skipped (an
-  // unknown seg member), and spanned then decoded (seg "dur").
+  // unknown seg member), spanned then decoded (seg "dur"), and decoded
+  // into the integer fields "rank" (int64) and "record_id" (uint64),
+  // where a double out of range yields the field's fallback.
   struct Case {
     const char* token;
     bool number;
@@ -720,6 +747,9 @@ TEST(Decoder, NumberTokensAgreeAcrossSkipScanParseAndRows) {
       {"1E+2", true},
       {"18446744073709551616", true},
       {"1e400", true},
+      {"-1e400", true},
+      {"-5.0", true},
+      {"1e20", true},
       {"1e-400", true},
   };
   const auto schema = darshan_data_schema();
@@ -742,6 +772,8 @@ TEST(Decoder, NumberTokensAgreeAcrossSkipScanParseAndRows) {
             t + "}]}",
         R"({"rank":1,"module":"POSIX","seg":[{"timestamp":1.0,"dur":)" + t +
             "}]}",
+        R"({"module":"POSIX","rank":)" + t + R"(,"seg":[{"timestamp":1.0}]})",
+        R"({"rank":1,"record_id":)" + t + R"(,"seg":[{"timestamp":1.0}]})",
     };
     for (const std::string& payload : payloads) {
       std::vector<dsos::Object> fast;
@@ -751,6 +783,32 @@ TEST(Decoder, NumberTokensAgreeAcrossSkipScanParseAndRows) {
       EXPECT_EQ(dom.size(), c.number ? 1u : 0u) << payload;
       EXPECT_EQ(rows_csv(fast), rows_csv(dom)) << payload;
     }
+  }
+  // The values themselves: a double outside int64 (rank) or uint64
+  // (record_id) yields the field's fallback, 0 for both.
+  const struct {
+    const char* token;
+    std::int64_t rank;
+    std::uint64_t record_id;
+  } ints[] = {
+      {"1e400", 0, 0},
+      {"-1e400", 0, 0},
+      {"-5.0", -5, 0},
+      {"1e20", 0, 0},
+      {"1e19", 0, 10000000000000000000ULL},
+  };
+  for (const auto& c : ints) {
+    const std::string t = c.token;
+    std::vector<dsos::Object> rows;
+    ASSERT_TRUE(decode_message_fast(
+        schema,
+        R"({"rank":)" + t + R"(,"record_id":)" + t +
+            R"(,"seg":[{"timestamp":1.0}]})",
+        rows))
+        << t;
+    ASSERT_EQ(rows.size(), 1u) << t;
+    EXPECT_EQ(rows[0].as_int("rank"), c.rank) << t;
+    EXPECT_EQ(rows[0].as_uint("record_id"), c.record_id) << t;
   }
 }
 
@@ -904,226 +962,6 @@ TEST(Decoder, BinaryRowsMatchJsonRowsOnMicrosecondGrid) {
     json_csv += rows_csv(rows);
   }
   EXPECT_EQ(rows_csv(binary_rows), json_csv);
-}
-
-// ---------------------------------------------------------- env config ----
-
-core::EnvGetter fake_env(std::map<std::string, std::string> vars) {
-  auto owned = std::make_shared<std::map<std::string, std::string>>(
-      std::move(vars));
-  return [owned](const char* name) -> const char* {
-    const auto it = owned->find(name);
-    return it == owned->end() ? nullptr : it->second.c_str();
-  };
-}
-
-TEST(EnvConfig, DisabledByDefault) {
-  const EnvConfig cfg = connector_config_from_env(fake_env({}));
-  EXPECT_FALSE(cfg.enabled);
-  EXPECT_TRUE(cfg.errors.empty());
-  EXPECT_EQ(cfg.connector.stream_tag, "darshanConnector");
-}
-
-TEST(EnvConfig, ParsesAllKnobs) {
-  const EnvConfig cfg = connector_config_from_env(fake_env({
-      {"DARSHAN_LDMS_ENABLE", "1"},
-      {"DARSHAN_LDMS_STREAM", "my-stream"},
-      {"DARSHAN_LDMS_FORMAT", "fast"},
-      {"DARSHAN_LDMS_SAMPLE_N", "10"},
-      {"DARSHAN_LDMS_MIN_INTERVAL_US", "2500"},
-      {"DARSHAN_LDMS_MODULES", "POSIX, MPIIO"},
-      {"DARSHAN_LDMS_INGEST_THREADS", "4"},
-  }));
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_TRUE(cfg.errors.empty());
-  EXPECT_EQ(cfg.connector.stream_tag, "my-stream");
-  EXPECT_EQ(cfg.connector.format, FormatMode::kFastJson);
-  EXPECT_EQ(cfg.connector.sample_every_n, 10u);
-  EXPECT_EQ(cfg.connector.min_publish_interval, 2500 * kMicrosecond);
-  EXPECT_EQ(cfg.connector.ingest_threads, 4u);
-  ASSERT_EQ(cfg.connector.module_filter.size(), 2u);
-  EXPECT_EQ(cfg.connector.module_filter[0], darshan::Module::kPosix);
-  EXPECT_EQ(cfg.connector.module_filter[1], darshan::Module::kMpiio);
-}
-
-TEST(EnvConfig, EnableZeroMeansOff) {
-  const EnvConfig cfg = connector_config_from_env(
-      fake_env({{"DARSHAN_LDMS_ENABLE", "0"}}));
-  EXPECT_FALSE(cfg.enabled);
-}
-
-TEST(EnvConfig, ReportsUnparsableValues) {
-  const EnvConfig cfg = connector_config_from_env(fake_env({
-      {"DARSHAN_LDMS_FORMAT", "yaml"},
-      {"DARSHAN_LDMS_SAMPLE_N", "zero"},
-      {"DARSHAN_LDMS_MODULES", "POSIX,NVME"},
-      {"DARSHAN_LDMS_INGEST_THREADS", "many"},
-  }));
-  ASSERT_EQ(cfg.errors.size(), 4u);
-  // The valid parts still apply.
-  ASSERT_EQ(cfg.connector.module_filter.size(), 1u);
-  EXPECT_EQ(cfg.connector.sample_every_n, 1u);    // default kept
-  EXPECT_EQ(cfg.connector.ingest_threads, 0u);    // default kept
-}
-
-TEST(EnvConfig, ParsesWireFormatKnobs) {
-  EXPECT_EQ(connector_config_from_env(fake_env({})).connector.wire_format,
-            WireFormat::kJson);
-  const EnvConfig cfg = connector_config_from_env(fake_env({
-      {"DARSHAN_LDMS_WIRE_FORMAT", "binary_batched"},
-      {"DARSHAN_LDMS_BATCH_EVENTS", "128"},
-      {"DARSHAN_LDMS_BATCH_BYTES", "32768"},
-      {"DARSHAN_LDMS_BATCH_DELAY_US", "250"},
-  }));
-  EXPECT_TRUE(cfg.errors.empty());
-  EXPECT_EQ(cfg.connector.wire_format, WireFormat::kBinaryBatched);
-  EXPECT_EQ(cfg.connector.batch.max_events, 128u);
-  EXPECT_EQ(cfg.connector.batch.max_bytes, 32768u);
-  EXPECT_EQ(cfg.connector.batch.max_delay, 250 * kMicrosecond);
-
-  const EnvConfig plain = connector_config_from_env(
-      fake_env({{"DARSHAN_LDMS_WIRE_FORMAT", "binary"}}));
-  EXPECT_EQ(plain.connector.wire_format, WireFormat::kBinary);
-  EXPECT_EQ(wire_format_name(plain.connector.wire_format), "binary");
-}
-
-TEST(EnvConfig, ReportsBadWireFormatValues) {
-  const EnvConfig cfg = connector_config_from_env(fake_env({
-      {"DARSHAN_LDMS_WIRE_FORMAT", "protobuf"},
-      {"DARSHAN_LDMS_BATCH_EVENTS", "0"},
-      {"DARSHAN_LDMS_BATCH_BYTES", "-5"},
-      {"DARSHAN_LDMS_BATCH_DELAY_US", "soon"},
-  }));
-  EXPECT_EQ(cfg.errors.size(), 4u);
-  EXPECT_EQ(cfg.connector.wire_format, WireFormat::kJson);  // default kept
-  EXPECT_EQ(cfg.connector.batch.max_events, wire::BatchConfig{}.max_events);
-}
-
-TEST(EnvConfig, ParsesHotPathKnobs) {
-  // Defaults: no pinning, auto (on) binary fast path.
-  const EnvConfig defaults = connector_config_from_env(fake_env({}));
-  EXPECT_EQ(defaults.connector.pin, "none");
-  EXPECT_EQ(defaults.connector.fastpath, "auto");
-  const EnvConfig cfg = connector_config_from_env(fake_env({
-      {"DARSHAN_LDMS_PIN", "0,2"},
-      {"DARSHAN_LDMS_FASTPATH", "off"},
-  }));
-  EXPECT_TRUE(cfg.errors.empty());
-  EXPECT_EQ(cfg.connector.pin, "0,2");
-  EXPECT_EQ(cfg.connector.fastpath, "off");
-  const EnvConfig autos = connector_config_from_env(fake_env({
-      {"DARSHAN_LDMS_PIN", "auto"},
-      {"DARSHAN_LDMS_FASTPATH", "on"},
-  }));
-  EXPECT_TRUE(autos.errors.empty());
-  EXPECT_EQ(autos.connector.pin, "auto");
-}
-
-TEST(EnvConfig, ReportsBadHotPathValues) {
-  const EnvConfig cfg = connector_config_from_env(fake_env({
-      {"DARSHAN_LDMS_PIN", "0,,2"},      // empty list item
-      {"DARSHAN_LDMS_FASTPATH", "fast"}, // not auto/on/off
-  }));
-  EXPECT_EQ(cfg.errors.size(), 2u);
-  EXPECT_EQ(cfg.connector.pin, "none");       // defaults kept
-  EXPECT_EQ(cfg.connector.fastpath, "auto");
-  const EnvConfig bad_cpu = connector_config_from_env(
-      fake_env({{"DARSHAN_LDMS_PIN", "-3"}}));
-  EXPECT_EQ(bad_cpu.errors.size(), 1u);
-  EXPECT_EQ(bad_cpu.connector.pin, "none");
-}
-
-TEST(EnvConfig, ParsesDeliveryKnobs) {
-  EXPECT_EQ(connector_config_from_env(fake_env({})).connector.delivery,
-            relia::DeliveryMode::kBestEffort);
-  const EnvConfig cfg = connector_config_from_env(fake_env({
-      {"DARSHAN_LDMS_DELIVERY", "at_least_once"},
-      {"DARSHAN_LDMS_SPOOL_MSGS", "1234"},
-      {"DARSHAN_LDMS_SPOOL_BYTES", "65536"},
-  }));
-  EXPECT_TRUE(cfg.errors.empty());
-  EXPECT_EQ(cfg.connector.delivery, relia::DeliveryMode::kAtLeastOnce);
-  EXPECT_EQ(cfg.connector.spool.max_msgs, 1234u);
-  EXPECT_EQ(cfg.connector.spool.max_bytes, 65536u);
-}
-
-TEST(EnvConfig, ReportsBadDeliveryValues) {
-  const EnvConfig cfg = connector_config_from_env(fake_env({
-      {"DARSHAN_LDMS_DELIVERY", "exactly_once"},  // nobody has this
-      {"DARSHAN_LDMS_SPOOL_MSGS", "0"},
-      {"DARSHAN_LDMS_SPOOL_BYTES", "many"},
-  }));
-  EXPECT_EQ(cfg.errors.size(), 3u);
-  EXPECT_EQ(cfg.connector.delivery, relia::DeliveryMode::kBestEffort);
-  EXPECT_EQ(cfg.connector.spool.max_msgs, relia::SpoolConfig{}.max_msgs);
-}
-
-// Integer-parsing hardening: negative, overflowing, and trailing-garbage
-// values must never take effect — the default stays and the rejection is
-// recorded (and logged; see LogsRejectedValues).
-
-TEST(EnvConfig, RejectsNegativeIntegers) {
-  const EnvConfig cfg = connector_config_from_env(fake_env({
-      {"DARSHAN_LDMS_INGEST_THREADS", "-1"},
-      {"DARSHAN_LDMS_SPOOL_MSGS", "-4"},
-      {"DARSHAN_LDMS_SPOOL_BYTES", "-65536"},
-  }));
-  EXPECT_EQ(cfg.errors.size(), 3u);
-  EXPECT_EQ(cfg.connector.ingest_threads, 0u);
-  EXPECT_EQ(cfg.connector.spool.max_msgs, relia::SpoolConfig{}.max_msgs);
-  EXPECT_EQ(cfg.connector.spool.max_bytes, relia::SpoolConfig{}.max_bytes);
-}
-
-TEST(EnvConfig, RejectsOverflowingIntegers) {
-  // Twenty digits: past 2^64-1, so from_chars reports out-of-range rather
-  // than silently wrapping to some small number of threads.
-  const EnvConfig cfg = connector_config_from_env(fake_env({
-      {"DARSHAN_LDMS_INGEST_THREADS", "99999999999999999999"},
-      {"DARSHAN_LDMS_SPOOL_MSGS", "18446744073709551616"},  // 2^64
-  }));
-  EXPECT_EQ(cfg.errors.size(), 2u);
-  EXPECT_EQ(cfg.connector.ingest_threads, 0u);
-  EXPECT_EQ(cfg.connector.spool.max_msgs, relia::SpoolConfig{}.max_msgs);
-}
-
-TEST(EnvConfig, RejectsTrailingGarbage) {
-  const EnvConfig cfg = connector_config_from_env(fake_env({
-      {"DARSHAN_LDMS_INGEST_THREADS", "12x"},
-      {"DARSHAN_LDMS_SPOOL_MSGS", "4 "},
-      {"DARSHAN_LDMS_SPOOL_BYTES", "0x100"},
-  }));
-  EXPECT_EQ(cfg.errors.size(), 3u);
-  EXPECT_EQ(cfg.connector.ingest_threads, 0u);
-  EXPECT_EQ(cfg.connector.spool.max_msgs, relia::SpoolConfig{}.max_msgs);
-  EXPECT_EQ(cfg.connector.spool.max_bytes, relia::SpoolConfig{}.max_bytes);
-}
-
-TEST(EnvConfig, CapsIngestThreadCount) {
-  const EnvConfig at_cap = connector_config_from_env(
-      fake_env({{"DARSHAN_LDMS_INGEST_THREADS", "1024"}}));
-  EXPECT_TRUE(at_cap.errors.empty());
-  EXPECT_EQ(at_cap.connector.ingest_threads, 1024u);
-
-  // Lexically valid but absurd: would try to spawn 10M OS threads.
-  const EnvConfig over = connector_config_from_env(
-      fake_env({{"DARSHAN_LDMS_INGEST_THREADS", "10000000"}}));
-  ASSERT_EQ(over.errors.size(), 1u);
-  EXPECT_EQ(over.errors[0], "DARSHAN_LDMS_INGEST_THREADS=10000000");
-  EXPECT_EQ(over.connector.ingest_threads, 0u);  // default kept
-}
-
-TEST(EnvConfig, LogsRejectedValues) {
-  std::vector<std::string> warnings;
-  set_log_sink([&](LogLevel level, const std::string& msg) {
-    if (level >= LogLevel::kWarn) warnings.push_back(msg);
-  });
-  connector_config_from_env(
-      fake_env({{"DARSHAN_LDMS_INGEST_THREADS", "banana"}}));
-  set_log_sink(nullptr);
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_NE(warnings[0].find("DARSHAN_LDMS_INGEST_THREADS"),
-            std::string::npos);
-  EXPECT_NE(warnings[0].find("banana"), std::string::npos);
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ TEST(Pipeline, DecodeToDsosStoresEveryEvent) {
 }
 
 TEST(Pipeline, ParallelIngestMatchesSerial) {
-  // DARSHAN_LDMS_INGEST_THREADS end to end: the executor path must store
+  // connector.ingest_threads end to end: the executor path must store
   // the same rows in the same global query order as inline insertion.
   ExperimentSpec serial = tiny_mpiio(simfs::FsKind::kNfs);
   serial.decode_to_dsos = true;

@@ -266,7 +266,7 @@ TEST(Ingest, UnpinnedWorkersReportNoPlacement) {
   const auto schema = test_schema();
   DsosCluster cluster = make_cluster(2, schema);
   IngestConfig icfg;
-  icfg.workers = 2;  // pin_cpus empty: DARSHAN_LDMS_PIN=none
+  icfg.workers = 2;  // pin_cpus empty: pin = "none"
   IngestExecutor ex(cluster, icfg);
   for (Object& obj : random_events(schema, 100, 5)) ex.submit(std::move(obj));
   ex.drain();
@@ -279,7 +279,7 @@ TEST(Ingest, UnpinnedWorkersReportNoPlacement) {
 }
 
 TEST(Ingest, PinnedWorkersReportPlacementAndStayIdentical) {
-  // DARSHAN_LDMS_PIN=auto resolution: workers pin round-robin over the
+  // pin = "auto" resolution: workers pin round-robin over the
   // allowed-CPU list (util::resolve_pin_cpus), report the pin back via
   // writer_placements(), and — pinning being pure placement — produce
   // byte-identical results to the unpinned serial ingest.
@@ -312,7 +312,12 @@ TEST(Ingest, PinnedWorkersReportPlacementAndStayIdentical) {
 }
 
 TEST(Ingest, ExplicitPinListRoundRobinsAcrossWorkers) {
-  // DARSHAN_LDMS_PIN=<list>: more workers than listed CPUs wraps.
+  // pin = "<list>": more workers than listed CPUs wraps.  A malformed
+  // list parses to nothing, and the caller then leaves writers unpinned.
+  util::PinPolicy rejected;
+  EXPECT_FALSE(util::parse_pin_policy("0,,2", rejected));  // empty item
+  EXPECT_FALSE(util::parse_pin_policy("-3", rejected));    // negative CPU
+  EXPECT_EQ(rejected.mode, util::PinPolicy::Mode::kNone);  // out untouched
   const auto schema = test_schema();
   const int cpu0 = util::resolve_pin_cpus(util::PinPolicy{
       util::PinPolicy::Mode::kAuto, {}})[0];

@@ -184,6 +184,18 @@ TEST(Parser, DeeplyNestedArrays) {
     cur = &cur->as_array()[0];
   }
   EXPECT_EQ(cur->as_int(), 1);
+
+  // Recursion is bounded: kMaxParseDepth levels parse, one more is an
+  // error, and so is 100,000 (which would otherwise overflow the stack).
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(parse(nested(kMaxParseDepth)).has_value());
+  ParseError error;
+  EXPECT_FALSE(parse(nested(kMaxParseDepth + 1), &error).has_value());
+  EXPECT_EQ(error.message, "document nested too deeply");
+  EXPECT_EQ(error.offset, static_cast<std::size_t>(kMaxParseDepth));
+  EXPECT_FALSE(parse(nested(100000)).has_value());
 }
 
 TEST(Parser, Uint64RecordIdsRoundTripExactly) {
@@ -413,6 +425,8 @@ TEST(Simd, LevelsAgreeAcrossVectorWidthBoundaries) {
         scan_agrees_with_parse("{\"k\":\"" + body + "\\n tail\"}"));
     EXPECT_TRUE(
         scan_agrees_with_parse("{\"k\":\"" + body + "\\\" tail\"}"));
+    EXPECT_TRUE(
+        scan_agrees_with_parse("{\"k\":\"" + body + "\\u20ac tail\"}"));
   }
   // All four JSON whitespace bytes.
   EXPECT_TRUE(

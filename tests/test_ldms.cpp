@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "ldms/config.hpp"
 #include "ldms/daemon.hpp"
 #include "ldms/metrics.hpp"
 #include "ldms/store.hpp"
@@ -496,101 +495,6 @@ TEST(Metrics, FromJsonRejectsGarbage) {
   EXPECT_FALSE(MetricSampler::from_json("{}", s));
   EXPECT_FALSE(MetricSampler::from_json(
       R"({"metrics":{"x":"string"}})", s));
-}
-
-
-// ---------------------------------------------------- topology config ----
-
-TEST(Config, ParsesLinesIntoCommandAndArgs) {
-  std::string cmd;
-  std::map<std::string, std::string> args;
-  ASSERT_TRUE(parse_config_line("route from=a to=b tag=t queue=16", cmd, args));
-  EXPECT_EQ(cmd, "route");
-  EXPECT_EQ(args.at("from"), "a");
-  EXPECT_EQ(args.at("queue"), "16");
-  EXPECT_FALSE(parse_config_line("", cmd, args));
-  EXPECT_FALSE(parse_config_line("x=1 daemon", cmd, args));   // no command
-  EXPECT_FALSE(parse_config_line("daemon =bad", cmd, args));  // empty key
-}
-
-TEST(Config, BuildsWorkingTopology) {
-  dlc::sim::Engine engine;
-  const std::string script = R"(
-# three-level paper topology
-daemon name=nid00040
-daemon name=head
-daemon name=shirley
-route from=nid00040 to=head tag=darshanConnector queue=1024 latency_us=100
-route from=head to=shirley tag=darshanConnector latency_us=200
-store daemon=shirley tag=darshanConnector type=counting
-)";
-  ConfigError error;
-  auto topo = parse_topology(script, &engine, &error);
-  ASSERT_TRUE(topo.has_value()) << error.message;
-  ASSERT_EQ(topo->daemons.size(), 3u);
-  ASSERT_EQ(topo->stores.size(), 1u);
-
-  auto proc = [](LdmsDaemon& d) -> dlc::sim::Task<void> {
-    for (int i = 0; i < 5; ++i) {
-      d.publish("darshanConnector", PayloadFormat::kJson, "{}");
-    }
-    co_return;
-  };
-  engine.spawn(proc(*topo->daemon("nid00040")));
-  engine.run();
-  EXPECT_EQ(topo->stores[0]->stored(), 5u);
-  // Two modelled hops of 100+200 us.
-  EXPECT_GE(engine.now(), 300 * dlc::kMicrosecond);
-}
-
-TEST(Config, LineContinuationsJoin) {
-  dlc::sim::Engine engine;
-  // The `route` command is split across two physical lines with a
-  // trailing-backslash continuation.
-  const std::string text =
-      "daemon name=a\n"
-      "daemon name=b\n"
-      "route from=a to=b \\\n"
-      "      tag=t queue=8\n";
-  ConfigError error;
-  auto topo = parse_topology(text, &engine, &error);
-  ASSERT_TRUE(topo.has_value()) << error.message;
-  EXPECT_EQ(topo->daemons.size(), 2u);
-  // The route exists: a publish on `a` reaches `b`.
-  int received = 0;
-  topo->daemon("b")->bus().subscribe(
-      "t", [&received](const StreamMessage&) { ++received; });
-  auto proc = [](LdmsDaemon& d) -> dlc::sim::Task<void> {
-    d.publish("t", PayloadFormat::kString, "x");
-    co_return;
-  };
-  engine.spawn(proc(*topo->daemon("a")));
-  engine.run();
-  EXPECT_EQ(received, 1);
-}
-
-TEST(Config, ReportsErrorsWithLineNumbers) {
-  dlc::sim::Engine engine;
-  ConfigError error;
-  EXPECT_FALSE(parse_topology("daemon name=a\nroute from=a to=missing tag=t",
-                              &engine, &error)
-                   .has_value());
-  // (line numbering counts logical lines)
-  EXPECT_EQ(error.line, 2u);
-  EXPECT_NE(error.message.find("unknown daemon"), std::string::npos);
-
-  EXPECT_FALSE(parse_topology("daemon name=a\ndaemon name=a", &engine, &error)
-                   .has_value());
-  EXPECT_NE(error.message.find("duplicate"), std::string::npos);
-
-  EXPECT_FALSE(parse_topology("frobnicate x=1", &engine, &error).has_value());
-  EXPECT_NE(error.message.find("unknown command"), std::string::npos);
-
-  EXPECT_FALSE(parse_topology(
-                   "daemon name=a\nstore daemon=a tag=t type=exotic", &engine,
-                   &error)
-                   .has_value());
-  EXPECT_NE(error.message.find("unknown store type"), std::string::npos);
 }
 
 

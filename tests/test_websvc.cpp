@@ -288,7 +288,7 @@ TEST(Service, ApiObsExposesWriterPlacementGauges) {
   // drains, /api/obs (the registry's JSON twin) must carry the
   // dlc.ingest.writer.<w>.cpu and .pinned_cpu gauges with the CPU the
   // worker actually pinned to — this is the operator's only way to
-  // confirm DARSHAN_LDMS_PIN placement took effect.
+  // confirm ConnectorConfig::pin placement took effect.
   util::PinPolicy policy;
   ASSERT_TRUE(util::parse_pin_policy("auto", policy));
   const std::vector<int> cpus = util::resolve_pin_cpus(policy);

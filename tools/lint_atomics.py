@@ -39,7 +39,8 @@ What it checks
    invisible to grep-based ordering review).
 
 4. TABLE PARITY.  The inventory (file, variable, kind, pairs) and the
-   named fence sites must exactly match the DESIGN.md section 10 table.
+   named fence sites must match the DESIGN.md section 10 tables row for
+   row: no row missing, stale, duplicated, or in the wrong table.
    Run `tools/lint_atomics.py --dump-table` to regenerate the table
    after an intentional change.
 
@@ -64,6 +65,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 
 FAIL_VIOLATION = 1
 FAIL_SETUP = 2
@@ -264,27 +266,33 @@ def scan_operator_forms(lint, module_files, atomic_names_by_file):
 TABLE_ROW_RE = re.compile(
     r"^\|\s*`([^`]+)`\s*\|\s*`([^`]+)`\s*\|\s*([a-z-]+)\s*\|\s*`([^`]+)`\s*\|")
 FENCE_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|\s*`([^`]+)`\s*\|[^|]*\|\s*$")
+ATOMICS_HEADER_RE = re.compile(r"^\|\s*File\s*\|\s*Variable\s*\|")
+FENCE_HEADER_RE = re.compile(r"^\|\s*File\s*\|\s*Fence site\s*\|")
 
 
 def parse_design_table(design_text):
-    """Extracts (atomics rows, fence rows) from the section 10 tables."""
+    """Extracts (atomics rows, fence rows, misplaced rows) from the
+    section 10 tables.  A row belongs to the table whose header precedes
+    it; a row shaped like the other table's (or before both headers) is
+    misplaced and counts toward neither."""
     m = re.search(r"^## 10\. .*$", design_text, re.M)
     if not m:
-        return None, None
+        return None, None, None
     end = re.search(r"^## 11\. ", design_text[m.end():], re.M)
     section = design_text[m.end():m.end() + end.start()] if end \
         else design_text[m.end():]
-    atomics, fences = [], []
+    atomics, fences, misplaced = [], [], []
+    table = None
     for line in section.split("\n"):
-        am = TABLE_ROW_RE.match(line)
-        if am:
-            atomics.append((am.group(1), am.group(2), am.group(3),
-                            am.group(4)))
-            continue
-        fm = FENCE_ROW_RE.match(line)
-        if fm:
-            fences.append((fm.group(1), fm.group(2)))
-    return atomics, fences
+        if ATOMICS_HEADER_RE.match(line):
+            table = "variable"
+        elif FENCE_HEADER_RE.match(line):
+            table = "fence"
+        elif am := TABLE_ROW_RE.match(line):
+            (atomics if table == "variable" else misplaced).append(am.groups())
+        elif fm := FENCE_ROW_RE.match(line):
+            (fences if table == "fence" else misplaced).append(fm.groups())
+    return atomics, fences, misplaced
 
 
 def dump_table(lint):
@@ -299,31 +307,33 @@ def dump_table(lint):
         print(f"| `{relpath}` | `{site}` | seq_cst |")
 
 
+def compare_rows(lint, table, want, got):
+    """Row-for-row comparison of one table: every wanted row exactly as
+    often as the code has it, and nothing else."""
+    want_n, got_n = Counter(want), Counter(got)
+    for r in sorted(want_n - got_n):
+        lint.errors.append(
+            f"DESIGN.md section 10 {table} table is missing "
+            f"{' | '.join(r)} — run --dump-table")
+    for r in sorted(got_n - want_n):
+        what = (f"lists {' | '.join(r)} {got_n[r]} times (duplicate row)"
+                if r in want_n else f"has stale row {' | '.join(r)}")
+        lint.errors.append(
+            f"DESIGN.md section 10 {table} table {what} — run --dump-table")
+
+
 def check_table(lint, design_text):
-    table, fence_table = parse_design_table(design_text)
+    table, fence_table, misplaced = parse_design_table(design_text)
     if table is None:
         lint.errors.append(
             "DESIGN.md: no '## 10.' section found for the protocol table")
         return
-    want = sorted(set(lint.inventory))
-    got = sorted(set(table))
-    if want != got:
-        missing = [r for r in want if r not in got]
-        stale = [r for r in got if r not in want]
-        for r in missing:
-            lint.errors.append(
-                f"DESIGN.md section 10 table is missing {r[0]}:{r[1]} "
-                f"(kind={r[2]} pairs={r[3]}) — run --dump-table")
-        for r in stale:
-            lint.errors.append(
-                f"DESIGN.md section 10 table has stale row {r[0]}:{r[1]} "
-                f"(kind={r[2]}) — run --dump-table")
-    want_f = sorted(set(lint.fence_sites))
-    got_f = sorted(set(fence_table or []))
-    if want_f != got_f:
+    for r in misplaced:
         lint.errors.append(
-            f"DESIGN.md section 10 fence table mismatch: code has {want_f}, "
-            f"table has {got_f} — run --dump-table")
+            f"DESIGN.md section 10 has misplaced row {' | '.join(r)} (in "
+            f"the wrong table) — run --dump-table")
+    compare_rows(lint, "variable", lint.inventory, table)
+    compare_rows(lint, "fence", set(lint.fence_sites), fence_table)
 
 
 # --------------------------------------------------------------------------
@@ -430,15 +440,32 @@ def self_test(real_files, design_text):
             failures.append(
                 f"  seeded '{label}' went UNDETECTED (expected an error "
                 f"containing {expect!r}); got: {lint.errors or '<clean>'}")
-    # Table parity must also fail loudly: drop one real inventory row.
-    lint = run(real_files, design_text)
-    if lint.inventory:
-        mutated = re.sub(
-            r"^\|\s*`" + re.escape(lint.inventory[0][0]) + r"`.*\n",
-            "", design_text, count=1, flags=re.M)
-        lint2 = run(real_files, mutated)
-        if not any("table" in e for e in lint2.errors):
-            failures.append("  seeded table-row removal went UNDETECTED")
+    # Table parity must also fail loudly, row for row: a dropped row, a
+    # duplicated row, and a fence row pasted under the variable table.
+    atomics, fences, _ = parse_design_table(design_text)
+    if atomics and fences:
+        lines = design_text.split("\n")
+        start = next(i for i, l in enumerate(lines) if l.startswith("## 10."))
+        var_rows = [i for i, l in enumerate(lines)
+                    if i > start and TABLE_ROW_RE.match(l)]
+        fence_row = next(l for l in lines[start:] if FENCE_ROW_RE.match(l))
+        first, last = var_rows[0], var_rows[-1]
+        table_cases = [
+            ("table-row removal", lines[:first] + lines[first + 1:],
+             "is missing"),
+            ("duplicated table row",
+             lines[:first + 1] + [lines[first]] + lines[first + 1:],
+             "duplicate row"),
+            ("fence row in the variable table",
+             lines[:last + 1] + [fence_row] + lines[last + 1:],
+             "misplaced row"),
+        ]
+        for label, mutated, expect in table_cases:
+            lint = run(real_files, "\n".join(mutated))
+            if not any(expect in e for e in lint.errors):
+                failures.append(
+                    f"  seeded {label} went UNDETECTED (expected an error "
+                    f"containing {expect!r}); got: {lint.errors or '<clean>'}")
     if failures:
         print("lint_atomics: SELF-TEST FAILURE (the lint is vacuous):",
               file=sys.stderr)
@@ -446,7 +473,7 @@ def self_test(real_files, design_text):
             print(f, file=sys.stderr)
         sys.exit(FAIL_VIOLATION)
     print(f"lint_atomics: self-test ok "
-          f"({len(SELF_TEST_CASES) + 1} seeded violations all detected)")
+          f"({len(SELF_TEST_CASES) + 3} seeded violations all detected)")
 
 
 def main():
