@@ -1,13 +1,12 @@
-// Microbenchmark: darshan log serialisation — raw v1 vs delta-varint v2,
-// write and parse throughput, and the compression ratio on a DXT-heavy
-// log (the case that matters: full tracing of a long job).
+// Microbenchmark: darshan log serialisation — write and parse throughput
+// and the log size (log_bytes) on a DXT-heavy log, the case that matters:
+// full tracing of a long job.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <sstream>
 
 #include "darshan/log.hpp"
-#include "darshan/log_compress.hpp"
 #include "darshan/runtime.hpp"
 #include "sim/engine.hpp"
 #include "simfs/nfs.hpp"
@@ -54,7 +53,7 @@ const darshan::Log& shared_log() {
   return log;
 }
 
-void BM_LogWrite_Raw(benchmark::State& state) {
+void BM_LogWrite(benchmark::State& state) {
   const darshan::Log& log = shared_log();
   std::size_t bytes = 0;
   for (auto _ : state) {
@@ -67,24 +66,9 @@ void BM_LogWrite_Raw(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_LogWrite_Raw);
+BENCHMARK(BM_LogWrite);
 
-void BM_LogWrite_Compressed(benchmark::State& state) {
-  const darshan::Log& log = shared_log();
-  std::size_t bytes = 0;
-  for (auto _ : state) {
-    std::ostringstream out;
-    darshan::write_log_compressed(log, out);
-    bytes = out.str().size();
-    benchmark::DoNotOptimize(out);
-  }
-  state.counters["log_bytes"] = static_cast<double>(bytes);
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_LogWrite_Compressed);
-
-void BM_LogParse_Raw(benchmark::State& state) {
+void BM_LogParse(benchmark::State& state) {
   std::ostringstream out;
   darshan::write_log(shared_log(), out);
   const std::string bytes = out.str();
@@ -95,20 +79,7 @@ void BM_LogParse_Raw(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes.size()));
 }
-BENCHMARK(BM_LogParse_Raw);
-
-void BM_LogParse_Compressed(benchmark::State& state) {
-  std::ostringstream out;
-  darshan::write_log_compressed(shared_log(), out);
-  const std::string bytes = out.str();
-  for (auto _ : state) {
-    std::istringstream in(bytes);
-    benchmark::DoNotOptimize(darshan::read_log_compressed(in));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes.size()));
-}
-BENCHMARK(BM_LogParse_Compressed);
+BENCHMARK(BM_LogParse);
 
 }  // namespace
 

@@ -9,7 +9,6 @@
 
 #include "darshan/derived.hpp"
 #include "darshan/log.hpp"
-#include "darshan/log_compress.hpp"
 #include "exp/specs.hpp"
 
 using namespace dlc;
@@ -62,18 +61,6 @@ int main() {
               static_cast<unsigned long long>(total_writes),
               format_bytes(bytes_written).c_str(),
               static_cast<unsigned long long>(dxt_segments));
-
-  // Compressed (v2) format comparison.
-  const std::filesystem::path packed_path =
-      "dlc_export/hmmbuild_777.darshan.z";
-  darshan::write_log_compressed_file(result.darshan_log,
-                                     packed_path.string());
-  std::printf("compressed log: %s (%ju bytes, %.1fx smaller)\n",
-              packed_path.c_str(),
-              static_cast<std::uintmax_t>(
-                  std::filesystem::file_size(packed_path)),
-              static_cast<double>(std::filesystem::file_size(log_path)) /
-                  static_cast<double>(std::filesystem::file_size(packed_path)));
 
   // darshan-util derived analyses.
   const darshan::Log reduced =

@@ -12,12 +12,14 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/schema_darshan.hpp"
 #include "darshan/events.hpp"
+#include "darshan/log.hpp"
 #include "dsos/cluster.hpp"
 #include "dsos/schema.hpp"
 #include "json/parser.hpp"
@@ -399,6 +401,42 @@ int store_recovery_one(const std::uint8_t* data, std::size_t size) {
     // directories.  What it must never do is crash or corrupt silently.
   }
   fsys::remove_all(dir);
+  return 0;
+}
+
+// -------------------------------------------------------- darshan log ----
+
+namespace {
+
+std::string encode_log(const darshan::Log& log) {
+  std::ostringstream out;
+  darshan::write_log(log, out);
+  return out.str();
+}
+
+std::optional<darshan::Log> decode_log(std::string bytes) {
+  std::istringstream in(std::move(bytes));
+  return darshan::read_log(in);
+}
+
+}  // namespace
+
+int darshan_log_one(const std::uint8_t* data, std::size_t size) {
+  std::optional<darshan::Log> log;
+  try {
+    log = decode_log(std::string(reinterpret_cast<const char*>(data), size));
+  } catch (...) {
+    fuzz_fail("darshan_log", "read_log threw (contract: never)");
+  }
+  if (!log) return 0;
+  // Non-canonical varints read but do not round-trip byte for byte, so
+  // the contract is a fixed point one encode away.
+  const std::string bytes = encode_log(*log);
+  const std::optional<darshan::Log> again = decode_log(bytes);
+  require(again.has_value(), "darshan_log",
+          "read_log rejected bytes write_log wrote");
+  require(encode_log(*again) == bytes, "darshan_log",
+          "an accepted log does not re-encode to a fixed point");
   return 0;
 }
 

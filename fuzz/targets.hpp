@@ -13,6 +13,9 @@
 //   store_recovery_one  store recovery on a mutated on-disk store dir:
 //                       open() quarantines, never crashes; recovery is
 //                       idempotent (second open yields the same rows).
+//   darshan_log_one     darshan::read_log on raw bytes: never crashes or
+//                       throws; an accepted log re-encodes to bytes that
+//                       read back and re-encode identically.
 #pragma once
 
 #include <cstddef>
@@ -24,5 +27,6 @@ int frame_cursor_one(const std::uint8_t* data, std::size_t size);
 int json_scanner_one(const std::uint8_t* data, std::size_t size);
 int rollup_policy_one(const std::uint8_t* data, std::size_t size);
 int store_recovery_one(const std::uint8_t* data, std::size_t size);
+int darshan_log_one(const std::uint8_t* data, std::size_t size);
 
 }  // namespace dlc::fuzz

@@ -126,31 +126,4 @@ DataFrame correlate_durations(const DataFrame& timeline,
   return out;
 }
 
-std::vector<double> rolling_mean(const std::vector<double>& v,
-                                 std::size_t window) {
-  if (window <= 1 || v.empty()) return v;
-  std::vector<double> out(v.size());
-  const std::size_t half = window / 2;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    const std::size_t lo = i >= half ? i - half : 0;
-    const std::size_t hi = std::min(v.size() - 1, i + half);
-    double sum = 0;
-    for (std::size_t j = lo; j <= hi; ++j) sum += v[j];
-    out[i] = sum / static_cast<double>(hi - lo + 1);
-  }
-  return out;
-}
-
-std::vector<bool> outliers(const std::vector<double>& v, double k) {
-  RunningStats stats;
-  for (double x : v) stats.add(x);
-  std::vector<bool> mask(v.size(), false);
-  const double sd = stats.stddev();
-  if (sd <= 0) return mask;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    mask[i] = std::abs(v[i] - stats.mean()) > k * sd;
-  }
-  return mask;
-}
-
 }  // namespace dlc::analysis

@@ -50,12 +50,4 @@ DataFrame correlate_durations(const DataFrame& timeline,
                               double bucket_seconds = 0.0,
                               double min_dur_stddev = 1e-4);
 
-/// Simple rolling mean over a series (window in samples, centred);
-/// smooths metric channels before correlation/plotting.
-std::vector<double> rolling_mean(const std::vector<double>& v,
-                                 std::size_t window);
-
-/// Z-score outlier mask: true where |v - mean| > k * stddev.
-std::vector<bool> outliers(const std::vector<double>& v, double k = 3.0);
-
 }  // namespace dlc::analysis

@@ -141,13 +141,6 @@ double DataFrame::get_number(std::size_t row, std::string_view col) const {
   return std::get<DoubleCol>(c).at(row);
 }
 
-std::vector<double> DataFrame::numbers(std::string_view col) const {
-  std::vector<double> out;
-  out.reserve(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) out.push_back(get_number(r, col));
-  return out;
-}
-
 DataFrame DataFrame::select_rows(const std::vector<std::size_t>& idx) const {
   DataFrame out;
   for (const auto& c : columns_) {
@@ -265,96 +258,6 @@ DataFrame DataFrame::group_by(const std::vector<std::string>& key_cols,
                               ? spec.column + "_agg"
                               : spec.out_name,
                           std::move(col));
-  }
-  return out;
-}
-
-DataFrame DataFrame::join(const DataFrame& right,
-                          const std::vector<std::string>& key_cols) const {
-  // Render a composite string key per row (same trick as group_by).
-  auto key_of = [&key_cols](const DataFrame& df, std::size_t row) {
-    std::string key;
-    for (const auto& kc : key_cols) {
-      switch (df.column_type(kc)) {
-        case ColType::kInt:
-          key += std::to_string(df.get_int(row, kc));
-          break;
-        case ColType::kDouble: {
-          char buf[32];
-          std::snprintf(buf, sizeof(buf), "%.17g", df.get_double(row, kc));
-          key += buf;
-          break;
-        }
-        case ColType::kString:
-          key += df.get_string(row, kc);
-          break;
-      }
-      key.push_back('\x1f');
-    }
-    return key;
-  };
-
-  std::map<std::string, std::vector<std::size_t>> right_rows;
-  for (std::size_t r = 0; r < right.rows(); ++r) {
-    right_rows[key_of(right, r)].push_back(r);
-  }
-
-  // Pair up row indices: (left, right-or-none).
-  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  for (std::size_t l = 0; l < rows_; ++l) {
-    const auto it = right_rows.find(key_of(*this, l));
-    if (it == right_rows.end()) {
-      pairs.emplace_back(l, kNone);
-    } else {
-      for (std::size_t r : it->second) pairs.emplace_back(l, r);
-    }
-  }
-
-  DataFrame out;
-  // Left columns verbatim.
-  for (const auto& c : columns_) {
-    std::visit(
-        [&](const auto& data) {
-          std::decay_t<decltype(data)> col;
-          col.reserve(pairs.size());
-          for (const auto& [l, r] : pairs) col.push_back(data[l]);
-          using T = std::decay_t<decltype(data)>;
-          if constexpr (std::is_same_v<T, IntCol>) {
-            out.add_int_column(c.name, std::move(col));
-          } else if constexpr (std::is_same_v<T, DoubleCol>) {
-            out.add_double_column(c.name, std::move(col));
-          } else {
-            out.add_string_column(c.name, std::move(col));
-          }
-        },
-        c.data);
-  }
-  // Right non-key columns, suffixing collisions.
-  for (const auto& c : right.columns_) {
-    if (std::find(key_cols.begin(), key_cols.end(), c.name) !=
-        key_cols.end()) {
-      continue;
-    }
-    const std::string out_name =
-        out.has_column(c.name) ? c.name + "_right" : c.name;
-    std::visit(
-        [&](const auto& data) {
-          using T = std::decay_t<decltype(data)>;
-          T col;
-          col.reserve(pairs.size());
-          for (const auto& [l, r] : pairs) {
-            col.push_back(r == kNone ? typename T::value_type{} : data[r]);
-          }
-          if constexpr (std::is_same_v<T, IntCol>) {
-            out.add_int_column(out_name, std::move(col));
-          } else if constexpr (std::is_same_v<T, DoubleCol>) {
-            out.add_double_column(out_name, std::move(col));
-          } else {
-            out.add_string_column(out_name, std::move(col));
-          }
-        },
-        c.data);
   }
   return out;
 }

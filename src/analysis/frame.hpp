@@ -68,9 +68,6 @@ class DataFrame {
   /// Numeric access with int->double promotion.
   double get_number(std::size_t row, std::string_view col) const;
 
-  /// Whole column as doubles (numeric columns only).
-  std::vector<double> numbers(std::string_view col) const;
-
   // --- transformations (all return new frames) ---------------------------
   /// Group by `key_cols` (any types); one output row per distinct key with
   /// the key columns plus one column per aggregation.
@@ -79,15 +76,6 @@ class DataFrame {
 
   /// Stable sort by a column (numeric or string), ascending.
   DataFrame sort_by(std::string_view col, bool descending = false) const;
-
-  /// Left join on `key_cols` (present in both frames with matching
-  /// types).  Each left row is paired with every matching right row
-  /// (cartesian within a key); unmatched left rows keep their values and
-  /// get zero/empty right columns.  Right key columns are not duplicated;
-  /// other right columns that collide with left names get a "_right"
-  /// suffix.
-  DataFrame join(const DataFrame& right,
-                 const std::vector<std::string>& key_cols) const;
 
   /// First n rows.
   DataFrame head(std::size_t n) const;

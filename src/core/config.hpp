@@ -99,9 +99,8 @@ struct ConnectorConfig {
   /// desired").
   std::vector<darshan::Module> module_filter;
   /// Worker threads for the storage-side ingest executor (decoder ->
-  /// DsosCluster).  0 = serial insertion on the decode thread (the
-  /// pre-executor behaviour); > 0 enables dsos::IngestExecutor with that
-  /// many workers, clamped to the shard count.
+  /// DsosCluster), clamped to the shard count.  0 = the executor inserts
+  /// inline on the decode thread.
   std::size_t ingest_threads = 0;
   /// Pipeline-trace sampling: every n-th published event carries an
   /// obs::TraceContext through the whole pipeline (0 disables tracing,
@@ -111,7 +110,8 @@ struct ConnectorConfig {
   std::uint64_t trace_sample_n = 64;
   /// Hot-path tuning knobs (DESIGN.md section 9).  Plain strings here —
   /// core does not apply them; whoever builds the pipeline translates
-  /// them via util/cpu.hpp.
+  /// them via util/cpu.hpp, and exp::run_experiment rejects a value it
+  /// cannot apply.
   /// Shard-writer placement: "none" (default),
   /// "auto" (spread writers across the affinity mask), or an explicit
   /// CPU list "0,2,4" (writer w pins to list[w % size]).

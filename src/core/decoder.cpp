@@ -251,11 +251,16 @@ DarshanDecoder::DarshanDecoder(ldms::LdmsDaemon& daemon, const std::string& tag,
                                dsos::IngestExecutor* ingest,
                                obs::TraceCollector* traces)
     : schema_(darshan_data_schema()),
-      cluster_(cluster),
       dedup_redelivered_(dedup_redelivered),
       ingest_(ingest),
       collector_(traces) {
-  cluster_.register_schema(schema_);
+  if (ingest_ == nullptr) {
+    owned_ingest_ =
+        std::make_unique<dsos::IngestExecutor>(cluster, dsos::IngestConfig{});
+    owned_ingest_->set_trace_collector(traces);
+    ingest_ = owned_ingest_.get();
+  }
+  cluster.register_schema(schema_);
   daemon.bus().subscribe(tag, [this](const ldms::StreamMessage& msg) {
     on_message(msg);
   });
@@ -334,21 +339,10 @@ void DarshanDecoder::on_message(const ldms::StreamMessage& msg) {
   }
 
   for (std::size_t i = 0; i < objects.size(); ++i) {
-    dsos::Object& obj = objects[i];
-    const bool traced = have_trace && i == traced_index;
-    if (ingest_ != nullptr) {
-      if (traced) {
-        ingest_->submit_traced(std::move(obj), trace);
-      } else {
-        ingest_->submit(std::move(obj));
-      }
+    if (have_trace && i == traced_index) {
+      ingest_->submit_traced(std::move(objects[i]), trace);
     } else {
-      cluster_.insert(std::move(obj));
-      if (traced) {
-        // Serial ingest commits on this thread at the same virtual time.
-        trace.stamp(obs::Hop::kCommitted, msg.deliver_time);
-        collector_->complete(trace);
-      }
+      ingest_->submit(std::move(objects[i]));
     }
     ++decoded_;
   }

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -56,14 +57,15 @@ class DarshanDecoder {
   /// `dedup_redelivered` drops messages whose (producer, seq) was already
   /// ingested — required under at-least-once transport, harmless (but
   /// wrong for unsequenced traffic, hence opt-in) under best-effort.
-  /// `ingest`, when given, receives decoded rows instead of the cluster
-  /// directly (parallel sharded insertion); it must target `cluster` and
-  /// outlive the decoder.  Callers own the drain() point.
+  /// Decoded rows go through `ingest`, which must target `cluster` and
+  /// outlive the decoder; callers own its drain() point.  Without one the
+  /// decoder owns a serial (workers = 0) executor that inserts inline.
   /// `traces`, when given, finishes sampled pipeline traces: the decoder
   /// merges the payload half (trace block) with the envelope half
-  /// (msg.trace), stamps the decode/ingest hops, and either completes the
-  /// span here (serial ingest) or hands it to the executor to finish at
-  /// commit time.
+  /// (msg.trace), stamps the decode/ingest hops, and hands the span to
+  /// the executor to finish at commit time.  A given `ingest` carries
+  /// its own collector (set_trace_collector); the owned one gets
+  /// `traces`.
   DarshanDecoder(ldms::LdmsDaemon& daemon, const std::string& tag,
                  dsos::DsosCluster& cluster, bool dedup_redelivered = false,
                  dsos::IngestExecutor* ingest = nullptr,
@@ -98,9 +100,9 @@ class DarshanDecoder {
   bool decode_frame_fast(std::string_view payload);
 
   dsos::SchemaPtr schema_;
-  dsos::DsosCluster& cluster_;
   bool dedup_redelivered_;
   bool binary_fastpath_ = true;
+  std::unique_ptr<dsos::IngestExecutor> owned_ingest_;  // no `ingest` given
   dsos::IngestExecutor* ingest_;
   obs::TraceCollector* collector_;
   relia::SequenceTracker tracker_;

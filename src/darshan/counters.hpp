@@ -5,8 +5,10 @@
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 
 #include "darshan/module.hpp"
 
@@ -67,6 +69,41 @@ struct RecordCounters {
   /// Merges `other` into this record (used for shared-file reduction).
   void merge(const RecordCounters& other);
 };
+
+/// Calls `visit` on each counter a darshan log serializes, in log order
+/// (a histogram as its ten bins): 25 fields, 43 values.  The value type
+/// picks the log encoding — std::int64_t zigzag varint, std::uint64_t
+/// varint, double eight raw bytes — so this is the only list of the
+/// serialized fields; the log writer, the reader and the tests walk it.
+template <typename Counters, typename Visit>
+  requires std::same_as<std::remove_const_t<Counters>, RecordCounters>
+constexpr void for_each_counter(Counters& c, Visit&& visit) {
+  visit(c.opens);
+  visit(c.closes);
+  visit(c.reads);
+  visit(c.writes);
+  visit(c.flushes);
+  visit(c.seeks);
+  visit(c.bytes_read);
+  visit(c.bytes_written);
+  visit(c.max_byte_read);
+  visit(c.max_byte_written);
+  visit(c.rw_switches);
+  visit(c.consec_reads);
+  visit(c.consec_writes);
+  visit(c.seq_reads);
+  visit(c.seq_writes);
+  for (auto& b : c.read_size_bins) visit(b);
+  for (auto& b : c.write_size_bins) visit(b);
+  visit(c.f_open_start);
+  visit(c.f_open_end);
+  visit(c.f_close_end);
+  visit(c.f_read_time);
+  visit(c.f_write_time);
+  visit(c.f_meta_time);
+  visit(c.f_max_read_time);
+  visit(c.f_max_write_time);
+}
 
 /// One file record: identity plus counters.
 struct Record {

@@ -1,146 +1,142 @@
 #include "darshan/log.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "util/time.hpp"
+#include "wire/varint.hpp"
 
 namespace dlc::darshan {
 
 namespace {
 
-constexpr char kMagic[4] = {'D', 'L', 'C', 'L'};
-constexpr std::uint32_t kVersion = 1;
+constexpr char kMagic[4] = {'D', 'L', 'C', '2'};
 
-// --- primitive writers/readers (little-endian; explicit byte order so logs
-// are portable across hosts) ---
+// Fewest bytes a record and a DXT segment take: one per varint, eight
+// per double.  A count the remaining bytes cannot hold is malformed, so
+// the vectors sized from a count that passes stay within a small
+// multiple of the input's length.
+constexpr std::size_t kMinCounterBytes = [] {
+  RecordCounters c;
+  std::size_t n = 0;
+  for_each_counter(c, [&n](auto v) {
+    n += std::is_same_v<decltype(v), double> ? sizeof(double) : 1;
+  });
+  return n;
+}();
+// Module, rank, record_id, path length, segment count, dxt_dropped.
+constexpr std::size_t kMinRecordBytes = 6 + kMinCounterBytes;
+// Op, offset delta, length, start delta, duration.
+constexpr std::size_t kMinSegmentBytes = 5;
 
-template <typename T>
-void put(std::ostream& out, T v) {
-  static_assert(std::is_integral_v<T>);
-  unsigned char buf[sizeof(T)];
-  auto u = static_cast<std::make_unsigned_t<T>>(v);
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf[i] = static_cast<unsigned char>(u >> (8 * i));
+void put_counter(std::string& out, std::int64_t v) { wire::put_zigzag(out, v); }
+void put_counter(std::string& out, std::uint64_t v) {
+  wire::put_varint(out, v);
+}
+void put_counter(std::string& out, double v) { wire::put_double(out, v); }
+
+void get_counter(wire::Reader& in, std::int64_t& v) { v = in.zigzag(); }
+void get_counter(wire::Reader& in, std::uint64_t& v) { v = in.varint(); }
+void get_counter(wire::Reader& in, double& v) { v = in.raw_double(); }
+
+// DXT deltas and durations are taken in two's complement, so a log of any
+// (even fuzzed) values encodes and decodes without signed overflow.
+std::string encode_body(const Log& log) {
+  std::string out;
+  out.reserve(4096);
+  wire::put_varint(out, log.job_id);
+  wire::put_varint(out, log.uid);
+  wire::put_varint(out, log.nprocs);
+  wire::put_zigzag(out, log.start_time);
+  wire::put_zigzag(out, log.end_time);
+  wire::put_string(out, log.exe);
+  wire::put_varint(out, log.records.size());
+  for (const Log::RecordEntry& entry : log.records) {
+    const Record& r = entry.record;
+    out.push_back(static_cast<char>(r.module));
+    wire::put_zigzag(out, r.rank);
+    wire::put_varint(out, r.record_id);
+    wire::put_string(out, r.file_path);
+    for_each_counter(r.counters, [&out](auto v) { put_counter(out, v); });
+    wire::put_varint(out, entry.dxt.size());
+    std::uint64_t prev_offset = 0;
+    std::uint64_t prev_start = 0;
+    for (const DxtSegment& seg : entry.dxt) {
+      const auto start = static_cast<std::uint64_t>(seg.start);
+      out.push_back(static_cast<char>(seg.op));
+      wire::put_zigzag(out,
+                       static_cast<std::int64_t>(seg.offset - prev_offset));
+      wire::put_varint(out, seg.length);
+      wire::put_zigzag(out, static_cast<std::int64_t>(start - prev_start));
+      wire::put_varint(out, static_cast<std::uint64_t>(seg.end) - start);
+      prev_offset = seg.offset;
+      prev_start = start;
+    }
+    wire::put_varint(out, entry.dxt_dropped);
   }
-  out.write(reinterpret_cast<const char*>(buf), sizeof(T));
+  return out;
 }
 
-void put_double(std::ostream& out, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put(out, bits);
-}
-
-void put_string(std::ostream& out, const std::string& s) {
-  put(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-template <typename T>
-bool get(std::istream& in, T& v) {
-  static_assert(std::is_integral_v<T>);
-  unsigned char buf[sizeof(T)];
-  if (!in.read(reinterpret_cast<char*>(buf), sizeof(T))) return false;
-  std::make_unsigned_t<T> u = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    u |= static_cast<std::make_unsigned_t<T>>(buf[i]) << (8 * i);
+std::optional<Log> decode_body(std::string_view body) {
+  wire::Reader in(body);
+  Log log;
+  log.job_id = in.varint();
+  log.uid = in.varint();
+  log.nprocs = in.varint();
+  log.start_time = in.zigzag();
+  log.end_time = in.zigzag();
+  log.exe = in.string();
+  const std::uint64_t records = in.varint();
+  if (!in.ok() || records > in.remaining() / kMinRecordBytes) {
+    return std::nullopt;
   }
-  v = static_cast<T>(u);
-  return true;
-}
-
-bool get_double(std::istream& in, double& v) {
-  std::uint64_t bits;
-  if (!get(in, bits)) return false;
-  std::memcpy(&v, &bits, sizeof(v));
-  return true;
-}
-
-bool get_string(std::istream& in, std::string& s) {
-  std::uint32_t len;
-  if (!get(in, len)) return false;
-  if (len > (1u << 24)) return false;  // sanity cap
-  s.resize(len);
-  return static_cast<bool>(
-      in.read(s.data(), static_cast<std::streamsize>(len)));
-}
-
-void put_counters(std::ostream& out, const RecordCounters& c) {
-  put(out, c.opens);
-  put(out, c.closes);
-  put(out, c.reads);
-  put(out, c.writes);
-  put(out, c.flushes);
-  put(out, c.seeks);
-  put(out, c.bytes_read);
-  put(out, c.bytes_written);
-  put(out, c.max_byte_read);
-  put(out, c.max_byte_written);
-  put(out, c.rw_switches);
-  put(out, c.consec_reads);
-  put(out, c.consec_writes);
-  put(out, c.seq_reads);
-  put(out, c.seq_writes);
-  for (auto b : c.read_size_bins) put(out, b);
-  for (auto b : c.write_size_bins) put(out, b);
-  put_double(out, c.f_open_start);
-  put_double(out, c.f_open_end);
-  put_double(out, c.f_close_end);
-  put_double(out, c.f_read_time);
-  put_double(out, c.f_write_time);
-  put_double(out, c.f_meta_time);
-  put_double(out, c.f_max_read_time);
-  put_double(out, c.f_max_write_time);
-}
-
-bool get_counters(std::istream& in, RecordCounters& c) {
-  bool ok = get(in, c.opens) && get(in, c.closes) && get(in, c.reads) &&
-            get(in, c.writes) && get(in, c.flushes) && get(in, c.seeks) &&
-            get(in, c.bytes_read) && get(in, c.bytes_written) &&
-            get(in, c.max_byte_read) && get(in, c.max_byte_written) &&
-            get(in, c.rw_switches) && get(in, c.consec_reads) &&
-            get(in, c.consec_writes) && get(in, c.seq_reads) &&
-            get(in, c.seq_writes);
-  for (auto& b : c.read_size_bins) ok = ok && get(in, b);
-  for (auto& b : c.write_size_bins) ok = ok && get(in, b);
-  ok = ok && get_double(in, c.f_open_start) && get_double(in, c.f_open_end) &&
-       get_double(in, c.f_close_end) && get_double(in, c.f_read_time) &&
-       get_double(in, c.f_write_time) && get_double(in, c.f_meta_time) &&
-       get_double(in, c.f_max_read_time) && get_double(in, c.f_max_write_time);
-  return ok;
+  log.records.resize(records);
+  for (Log::RecordEntry& entry : log.records) {
+    Record& r = entry.record;
+    const std::uint8_t module = in.byte();
+    const std::int64_t rank = in.zigzag();
+    r.record_id = in.varint();
+    r.file_path = in.string();
+    for_each_counter(r.counters, [&in](auto& v) { get_counter(in, v); });
+    const std::uint64_t segments = in.varint();
+    if (!in.ok() || module >= kModuleCount ||
+        rank != static_cast<int>(rank) ||
+        segments > in.remaining() / kMinSegmentBytes) {
+      return std::nullopt;
+    }
+    r.module = static_cast<Module>(module);
+    r.rank = static_cast<int>(rank);
+    entry.dxt.resize(segments);
+    std::uint64_t offset = 0;
+    std::uint64_t start = 0;
+    for (DxtSegment& seg : entry.dxt) {
+      const std::uint8_t op = in.byte();
+      if (op >= kOpCount) return std::nullopt;
+      seg.op = static_cast<Op>(op);
+      offset += static_cast<std::uint64_t>(in.zigzag());
+      seg.offset = offset;
+      seg.length = in.varint();
+      start += static_cast<std::uint64_t>(in.zigzag());
+      seg.start = static_cast<SimTime>(start);
+      seg.end = static_cast<SimTime>(start + in.varint());
+    }
+    entry.dxt_dropped = in.varint();
+  }
+  if (!in.ok() || !in.done()) return std::nullopt;
+  return log;
 }
 
 }  // namespace
 
 void write_log(const Log& log, std::ostream& out) {
+  const std::string body = encode_body(log);
+  const std::uint64_t size = body.size();
   out.write(kMagic, sizeof(kMagic));
-  put(out, kVersion);
-  put(out, log.job_id);
-  put(out, log.uid);
-  put(out, static_cast<std::uint64_t>(log.nprocs));
-  put(out, log.start_time);
-  put(out, log.end_time);
-  put_string(out, log.exe);
-  put(out, static_cast<std::uint64_t>(log.records.size()));
-  for (const auto& entry : log.records) {
-    const Record& r = entry.record;
-    put(out, static_cast<std::uint8_t>(r.module));
-    put(out, static_cast<std::int32_t>(r.rank));
-    put(out, r.record_id);
-    put_string(out, r.file_path);
-    put_counters(out, r.counters);
-    put(out, static_cast<std::uint64_t>(entry.dxt.size()));
-    for (const auto& seg : entry.dxt) {
-      put(out, static_cast<std::uint8_t>(seg.op));
-      put(out, seg.offset);
-      put(out, seg.length);
-      put(out, seg.start);
-      put(out, seg.end);
-    }
-    put(out, entry.dxt_dropped);
-  }
+  out.write(reinterpret_cast<const char*>(&size), sizeof(size));
+  out.write(body.data(), static_cast<std::streamsize>(body.size()));
 }
 
 bool write_log_file(const Log& log, const std::string& path) {
@@ -151,55 +147,26 @@ bool write_log_file(const Log& log, const std::string& path) {
 }
 
 std::optional<Log> read_log(std::istream& in) {
-  char magic[4];
+  char magic[sizeof(kMagic)] = {};
+  std::uint64_t size = 0;
   if (!in.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0 ||
+      !in.read(reinterpret_cast<char*>(&size), sizeof(size))) {
     return std::nullopt;
   }
-  std::uint32_t version;
-  if (!get(in, version) || version != kVersion) return std::nullopt;
-  Log log;
-  std::uint64_t nprocs;
-  if (!get(in, log.job_id) || !get(in, log.uid) || !get(in, nprocs) ||
-      !get(in, log.start_time) || !get(in, log.end_time) ||
-      !get_string(in, log.exe)) {
-    return std::nullopt;
-  }
-  log.nprocs = nprocs;
-  std::uint64_t record_count;
-  if (!get(in, record_count) || record_count > (1u << 26)) {
-    return std::nullopt;
-  }
-  log.records.reserve(record_count);
-  for (std::uint64_t i = 0; i < record_count; ++i) {
-    Log::RecordEntry entry;
-    std::uint8_t module_raw;
-    std::int32_t rank;
-    if (!get(in, module_raw) || module_raw >= kModuleCount ||
-        !get(in, rank) || !get(in, entry.record.record_id) ||
-        !get_string(in, entry.record.file_path) ||
-        !get_counters(in, entry.record.counters)) {
+  // The declared size is a claim, not an allocation: the body grows one
+  // chunk at a time as its bytes arrive.
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
+  std::string body;
+  while (body.size() < size) {
+    const std::size_t have = body.size();
+    const auto n = static_cast<std::size_t>(std::min(size - have, kChunk));
+    body.resize(have + n);
+    if (!in.read(body.data() + have, static_cast<std::streamsize>(n))) {
       return std::nullopt;
     }
-    entry.record.module = static_cast<Module>(module_raw);
-    entry.record.rank = rank;
-    std::uint64_t seg_count;
-    if (!get(in, seg_count) || seg_count > (1u << 28)) return std::nullopt;
-    entry.dxt.reserve(seg_count);
-    for (std::uint64_t s = 0; s < seg_count; ++s) {
-      DxtSegment seg;
-      std::uint8_t op_raw;
-      if (!get(in, op_raw) || op_raw >= kOpCount || !get(in, seg.offset) ||
-          !get(in, seg.length) || !get(in, seg.start) || !get(in, seg.end)) {
-        return std::nullopt;
-      }
-      seg.op = static_cast<Op>(op_raw);
-      entry.dxt.push_back(seg);
-    }
-    if (!get(in, entry.dxt_dropped)) return std::nullopt;
-    log.records.push_back(std::move(entry));
   }
-  return log;
+  return decode_body(body);
 }
 
 std::optional<Log> read_log_file(const std::string& path) {

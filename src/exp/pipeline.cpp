@@ -16,6 +16,18 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   if (!spec.workload) {
     throw std::invalid_argument("experiment spec has no workload");
   }
+  // The connector's plain-string knobs fail loudly: a typo must not
+  // silently leave the writers unpinned or the fast path on.
+  util::PinPolicy pin_policy;
+  if (!util::parse_pin_policy(spec.connector.pin, pin_policy)) {
+    throw std::invalid_argument("bad connector.pin: \"" + spec.connector.pin +
+                                "\"");
+  }
+  const std::string& fastpath = spec.connector.fastpath;
+  if (fastpath != "auto" && fastpath != "on" && fastpath != "off") {
+    throw std::invalid_argument("bad connector.fastpath: \"" + fastpath +
+                                "\"");
+  }
 
   sim::Engine engine;
   simhpc::Cluster cluster(spec.cluster);
@@ -127,13 +139,16 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   // Terminal consumers on the analysis cluster.
   ldms::CountingStore counting;
   counting.attach(*l2, tag);
-  // Delivery accounting at the terminal aggregator: classify every
-  // arrival's (producer, seq) so loss and redelivery duplicates are
-  // measurable in both modes, decoder attached or not.
+  // Delivery accounting at the terminal aggregator: every arrival's
+  // (producer, seq) is classified once — by the decoder when one is
+  // attached, else by this tracker — so loss and redelivery duplicates
+  // are measurable in both modes.
   relia::SequenceTracker l2_tracker;
-  l2->bus().subscribe(tag, [&l2_tracker](const ldms::StreamMessage& msg) {
-    l2_tracker.observe(msg.producer, msg.seq);
-  });
+  if (!spec.decode_to_dsos) {
+    l2->bus().subscribe(tag, [&l2_tracker](const ldms::StreamMessage& msg) {
+      l2_tracker.observe(msg.producer, msg.seq);
+    });
+  }
   if (spec.live_subscriber) {
     l2->bus().subscribe(tag, spec.live_subscriber);
   }
@@ -151,25 +166,21 @@ RunResult run_experiment(const ExperimentSpec& spec) {
       ccfg.parallel_query = true;
       dsos_cluster = std::make_shared<dsos::DsosCluster>(ccfg);
     }
-    if (spec.connector.ingest_threads > 0) {
-      // Parallel sharded insertion (connector.ingest_threads).  The
-      // workers are real threads like ThreadedForwarder's; virtual time
-      // stays deterministic because results are drained before any query.
-      dsos::IngestConfig icfg;
-      icfg.workers = spec.connector.ingest_threads;
-      // Writer placement (connector.pin): resolve the policy string
-      // to concrete CPUs here; the executor only takes numbers.
-      util::PinPolicy pin_policy;
-      if (util::parse_pin_policy(spec.connector.pin, pin_policy)) {
-        icfg.pin_cpus = util::resolve_pin_cpus(pin_policy);
-      }
-      ingest = std::make_unique<dsos::IngestExecutor>(*dsos_cluster, icfg);
-    }
+    // Sharded insertion: connector.ingest_threads workers, or inline on
+    // the decode thread with 0.  The workers are real threads like
+    // ThreadedForwarder's; virtual time stays deterministic because
+    // results are drained before any query.  Writer placement
+    // (connector.pin) resolves to concrete CPUs here; the executor only
+    // takes numbers.
+    dsos::IngestConfig icfg;
+    icfg.workers = spec.connector.ingest_threads;
+    icfg.pin_cpus = util::resolve_pin_cpus(pin_policy);
+    ingest = std::make_unique<dsos::IngestExecutor>(*dsos_cluster, icfg);
     if (spec.connector.trace_sample_n > 0) {
-      // Trace completion sink (connector.trace_sample_n): the decoder
-      // (serial) or the ingest workers (parallel) finish sampled spans.
+      // Trace completion sink (connector.trace_sample_n): the executor
+      // finishes sampled spans at commit.
       traces = std::make_shared<obs::TraceCollector>();
-      if (ingest) ingest->set_trace_collector(traces.get());
+      ingest->set_trace_collector(traces.get());
     }
     decoder = std::make_unique<core::DarshanDecoder>(*l2, tag, *dsos_cluster,
                                                      at_least_once,
@@ -177,7 +188,7 @@ RunResult run_experiment(const ExperimentSpec& spec) {
                                                      traces.get());
     // connector.fastpath "off" keeps the validated decode_frame
     // path for binary frames; default streams the frame cursor.
-    decoder->set_binary_fastpath(spec.connector.fastpath != "off");
+    decoder->set_binary_fastpath(fastpath != "off");
   }
   // Rollup engine: observes the event database so commit-time aggregation
   // runs on the ingest writers (never a separate decode).  Attached before
@@ -361,7 +372,8 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   result.spool_evicted += l1->spool_evicted();
   result.stored = counting.stored();
   result.mean_latency_s = counting.mean_latency_seconds();
-  const relia::SequenceTracker::ProducerStats seq_totals = l2_tracker.total();
+  const relia::SequenceTracker::ProducerStats seq_totals =
+      decoder ? decoder->tracker().total() : l2_tracker.total();
   result.seq_lost = seq_totals.lost();
   result.duplicates_dropped =
       decoder ? decoder->duplicates_dropped() : seq_totals.duplicates;

@@ -148,25 +148,4 @@ double log_bucket_percentile(const std::uint64_t* counts, std::size_t n,
   return static_cast<double>(log_bucket_hi(static_cast<std::uint32_t>(n - 1)));
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins == 0 ? 1 : bins, 0.0) {}
-
-void Histogram::add(double x, double weight) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  std::size_t bin = 0;
-  if (width > 0.0 && x > lo_) {
-    bin = static_cast<std::size_t>((x - lo_) / width);
-    bin = std::min(bin, counts_.size() - 1);
-  }
-  counts_[bin] += weight;
-  total_ += weight;
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
 }  // namespace dlc

@@ -1,6 +1,6 @@
 // Streaming and batch statistics used across the analysis layer and the
 // experiment harness: Welford accumulators, 95% confidence intervals (the
-// error bars in the paper's Fig. 5), percentiles and fixed-width histograms.
+// error bars in the paper's Fig. 5), percentiles and log-bucket histograms.
 #pragma once
 
 #include <cstddef>
@@ -106,26 +106,5 @@ double log_bucket_percentile(const std::uint64_t* counts, std::size_t n,
 /// The 1-based rank (ceil convention) shared by every log-bucket
 /// percentile walk: p=0 lands on the first sample, p=100 on the last.
 std::uint64_t log_bucket_rank(double p, std::uint64_t total);
-
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// first/last bin.  Used by the heatmap module and ASCII renderers.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x, double weight = 1.0);
-
-  std::size_t bins() const { return counts_.size(); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  double count(std::size_t i) const { return counts_[i]; }
-  double total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<double> counts_;
-  double total_ = 0.0;
-};
 
 }  // namespace dlc

@@ -104,15 +104,6 @@ TEST(Frame, HeadAndCsv) {
   EXPECT_NE(csv.find("1,read,"), std::string::npos);
 }
 
-TEST(Frame, NumbersExtractsColumn) {
-  const DataFrame df = sample_frame();
-  const auto durs = df.numbers("dur");
-  ASSERT_EQ(durs.size(), 6u);
-  EXPECT_DOUBLE_EQ(durs[5], 4.0);
-  const auto jobs = df.numbers("job");
-  EXPECT_DOUBLE_EQ(jobs[0], 1.0);
-}
-
 // ------------------------------------------------------- figure helpers ---
 
 /// Builds a DSOS cluster holding synthetic darshan_data rows.
@@ -428,23 +419,6 @@ TEST(Correlate, BucketingSmoothsNoise) {
   EXPECT_GT(bucketed, 0.9);
 }
 
-TEST(Correlate, RollingMeanAndOutliers) {
-  const std::vector<double> v{1, 1, 1, 10, 1, 1, 1};
-  const auto smooth = rolling_mean(v, 3);
-  ASSERT_EQ(smooth.size(), v.size());
-  EXPECT_NEAR(smooth[3], 4.0, 1e-12);
-  EXPECT_NEAR(smooth[0], 1.0, 1e-12);
-  EXPECT_EQ(rolling_mean(v, 1), v);
-
-  const auto mask = outliers(v, 1.5);
-  EXPECT_TRUE(mask[3]);
-  EXPECT_FALSE(mask[0]);
-  // Constant vector: no outliers, no NaNs.
-  const auto flat = outliers({2, 2, 2, 2});
-  for (bool b : flat) EXPECT_FALSE(b);
-}
-
-
 TEST(Render, AsciiHeatmapShadesByIntensity) {
   const std::vector<std::vector<double>> rows = {
       {0.0, 5.0, 10.0},
@@ -542,47 +516,6 @@ TEST(Frame, GroupByPercentiles) {
   ASSERT_EQ(agg.rows(), 1u);
   EXPECT_NEAR(agg.get_double(0, "p50"), 50.5, 0.01);
   EXPECT_NEAR(agg.get_double(0, "p95"), 95.05, 0.01);
-}
-
-
-TEST(Frame, LeftJoinMatchesAndFillsDefaults) {
-  DataFrame left;
-  left.add_int_column("rank", {0, 1, 2});
-  left.add_double_column("dur", {1.0, 2.0, 3.0});
-  DataFrame right;
-  right.add_int_column("rank", {0, 2, 2});
-  right.add_string_column("node", {"a", "c", "c2"});
-  right.add_double_column("dur", {9.0, 8.0, 7.0});  // name collision
-
-  const DataFrame joined = left.join(right, {"rank"});
-  // rank 0 -> 1 match, rank 1 -> none, rank 2 -> 2 matches: 4 rows.
-  ASSERT_EQ(joined.rows(), 4u);
-  EXPECT_TRUE(joined.has_column("dur_right"));
-  EXPECT_EQ(joined.get_int(0, "rank"), 0);
-  EXPECT_EQ(joined.get_string(0, "node"), "a");
-  EXPECT_DOUBLE_EQ(joined.get_double(0, "dur_right"), 9.0);
-  // Unmatched left row keeps values, right columns default.
-  EXPECT_EQ(joined.get_int(1, "rank"), 1);
-  EXPECT_EQ(joined.get_string(1, "node"), "");
-  EXPECT_DOUBLE_EQ(joined.get_double(1, "dur_right"), 0.0);
-  // Fan-out rows.
-  EXPECT_EQ(joined.get_string(2, "node"), "c");
-  EXPECT_EQ(joined.get_string(3, "node"), "c2");
-}
-
-TEST(Frame, JoinOnMultipleKeys) {
-  DataFrame left;
-  left.add_int_column("job", {1, 1, 2});
-  left.add_string_column("op", {"read", "write", "read"});
-  DataFrame right;
-  right.add_int_column("job", {1, 2});
-  right.add_string_column("op", {"write", "read"});
-  right.add_double_column("budget", {10.0, 20.0});
-  const DataFrame joined = left.join(right, {"job", "op"});
-  ASSERT_EQ(joined.rows(), 3u);
-  EXPECT_DOUBLE_EQ(joined.get_double(0, "budget"), 0.0);   // (1,read) no match
-  EXPECT_DOUBLE_EQ(joined.get_double(1, "budget"), 10.0);  // (1,write)
-  EXPECT_DOUBLE_EQ(joined.get_double(2, "budget"), 20.0);  // (2,read)
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for the darshan-runtime analogue: counters, DXT, event hook
 // payloads, cnt/switches semantics, heatmap, log round-trip.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <limits>
 #include <memory>
@@ -9,12 +10,13 @@
 
 #include "darshan/derived.hpp"
 #include "darshan/log.hpp"
-#include "darshan/log_compress.hpp"
 #include "darshan/runtime.hpp"
+#include "darshan_log_compare.hpp"
 #include "sim/engine.hpp"
 #include "simfs/nfs.hpp"
 #include "simhpc/cluster.hpp"
 #include "simhpc/job.hpp"
+#include "wire/varint.hpp"
 
 namespace dlc::darshan {
 namespace {
@@ -371,30 +373,20 @@ TEST(Log, BinaryRoundTrip) {
   fx.engine.run();
   fx.job->note_end(fx.engine.now());
   const Log original = fx.runtime->finalize();
+  ASSERT_EQ(counter_values(RecordCounters{}).size(), 43u);
 
   std::stringstream stream;
   write_log(original, stream);
   const auto parsed = read_log(stream);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->job_id, original.job_id);
-  EXPECT_EQ(parsed->uid, original.uid);
-  EXPECT_EQ(parsed->exe, original.exe);
-  EXPECT_EQ(parsed->nprocs, original.nprocs);
-  ASSERT_EQ(parsed->records.size(), original.records.size());
-  for (std::size_t i = 0; i < parsed->records.size(); ++i) {
-    const auto& a = parsed->records[i];
-    const auto& b = original.records[i];
-    EXPECT_EQ(a.record.record_id, b.record.record_id);
-    EXPECT_EQ(a.record.file_path, b.record.file_path);
-    EXPECT_EQ(a.record.rank, b.record.rank);
-    EXPECT_EQ(a.record.counters.bytes_written, b.record.counters.bytes_written);
-    EXPECT_EQ(a.record.counters.rw_switches, b.record.counters.rw_switches);
-    ASSERT_EQ(a.dxt.size(), b.dxt.size());
-    for (std::size_t s = 0; s < a.dxt.size(); ++s) {
-      EXPECT_EQ(a.dxt[s].offset, b.dxt[s].offset);
-      EXPECT_EQ(a.dxt[s].start, b.dxt[s].start);
-    }
-  }
+  expect_same_log(*parsed, original);
+}
+
+/// Peak resident set of this process so far, in KiB.
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
 }
 
 TEST(Log, RejectsCorruptInput) {
@@ -402,15 +394,45 @@ TEST(Log, RejectsCorruptInput) {
   EXPECT_FALSE(read_log(empty).has_value());
   std::stringstream bad("NOTALOGFILE");
   EXPECT_FALSE(read_log(bad).has_value());
-  // Truncated valid prefix.
+  // A fixed-width v1 header: magic "DLCL", version 1, a job id.
+  std::stringstream v1(std::string("DLCL\x01\0\0\0\x3f\xf7\x03\0\0\0\0\0", 16));
+  EXPECT_FALSE(read_log(v1).has_value());
+
   Fixture fx(1);
   fx.engine.spawn(simple_posix_session(*fx.runtime, 0));
   fx.engine.run();
   std::stringstream full;
   write_log(fx.runtime->finalize(), full);
   const std::string bytes = full.str();
-  std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(read_log(truncated).has_value());
+  for (std::size_t n = 0; n < bytes.size(); ++n) {
+    std::stringstream prefix(bytes.substr(0, n));
+    EXPECT_FALSE(read_log(prefix).has_value()) << "prefix of " << n;
+  }
+
+  // A rank past int's range is rejected, not truncated.
+  Log wide;
+  wide.records.emplace_back().record.rank = std::numeric_limits<int>::max();
+  std::stringstream widest;
+  write_log(wide, widest);
+  ASSERT_TRUE(read_log(widest).has_value());
+  std::string from, to;
+  wire::put_zigzag(from, std::numeric_limits<int>::max());
+  wire::put_zigzag(to, std::int64_t{std::numeric_limits<int>::max()} + 1);
+  ASSERT_EQ(from.size(), to.size());
+  std::string past = widest.str();
+  past.replace(past.find(from), from.size(), to);
+  std::stringstream past_int(past);
+  EXPECT_FALSE(read_log(past_int).has_value());
+
+  // Twelve bytes that declare a 1 GiB body: rejected without allocating
+  // the claim.
+  const std::uint64_t claim = std::uint64_t{1} << 30;
+  std::string header = "DLC2";
+  header.append(reinterpret_cast<const char*>(&claim), sizeof(claim));
+  const long rss_before = peak_rss_kib();
+  std::stringstream huge(header);
+  EXPECT_FALSE(read_log(huge).has_value());
+  EXPECT_LT(peak_rss_kib() - rss_before, 64 * 1024);
 }
 
 TEST(Log, TextDumpMentionsKeyFields) {
@@ -617,27 +639,26 @@ TEST(Derived, RegressionNeedsHistory) {
 }
 
 
-// ------------------------------------------------------ compressed log ----
+// -------------------------------------------------------- log encoding ----
 
 TEST(LogCompress, VarintRoundTrip) {
   for (const std::uint64_t v :
        {0ull, 1ull, 127ull, 128ull, 300ull, 1ull << 21, 1ull << 35,
         ~0ull}) {
     std::string buf;
-    put_varint(buf, v);
-    std::size_t pos = 0;
-    std::uint64_t out;
-    ASSERT_TRUE(get_varint(buf, pos, out)) << v;
-    EXPECT_EQ(out, v);
-    EXPECT_EQ(pos, buf.size());
+    wire::put_varint(buf, v);
+    wire::Reader in(buf);
+    EXPECT_EQ(in.varint(), v);
+    EXPECT_TRUE(in.ok()) << v;
+    EXPECT_TRUE(in.done()) << v;
   }
   // Truncated input fails cleanly.
   std::string buf;
-  put_varint(buf, 1ull << 40);
+  wire::put_varint(buf, 1ull << 40);
   buf.pop_back();
-  std::size_t pos = 0;
-  std::uint64_t out;
-  EXPECT_FALSE(get_varint(buf, pos, out));
+  wire::Reader in(buf);
+  in.varint();
+  EXPECT_FALSE(in.ok());
 }
 
 TEST(LogCompress, ZigzagRoundTrip) {
@@ -646,10 +667,10 @@ TEST(LogCompress, ZigzagRoundTrip) {
         std::int64_t{-64}, std::int64_t{1} << 40, -(std::int64_t{1} << 40),
         std::numeric_limits<std::int64_t>::min(),
         std::numeric_limits<std::int64_t>::max()}) {
-    EXPECT_EQ(zigzag_decode(zigzag_encode(v)), v) << v;
+    EXPECT_EQ(wire::zigzag_decode(wire::zigzag_encode(v)), v) << v;
   }
   // Small magnitudes encode small.
-  EXPECT_LT(zigzag_encode(-2), 8u);
+  EXPECT_LT(wire::zigzag_encode(-2), 8u);
 }
 
 TEST(LogCompress, RoundTripEqualsUncompressed) {
@@ -667,26 +688,10 @@ TEST(LogCompress, RoundTripEqualsUncompressed) {
   const Log original = fx.runtime->finalize();
 
   std::stringstream stream;
-  write_log_compressed(original, stream);
-  const auto parsed = read_log_compressed(stream);
+  write_log(original, stream);
+  const auto parsed = read_log(stream);
   ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->records.size(), original.records.size());
-  EXPECT_EQ(parsed->job_id, original.job_id);
-  EXPECT_EQ(parsed->exe, original.exe);
-  for (std::size_t i = 0; i < original.records.size(); ++i) {
-    const auto& a = parsed->records[i];
-    const auto& b = original.records[i];
-    EXPECT_EQ(a.record.file_path, b.record.file_path);
-    EXPECT_EQ(a.record.counters.bytes_written, b.record.counters.bytes_written);
-    EXPECT_EQ(a.record.counters.f_write_time, b.record.counters.f_write_time);
-    ASSERT_EQ(a.dxt.size(), b.dxt.size());
-    for (std::size_t seg = 0; seg < a.dxt.size(); ++seg) {
-      EXPECT_EQ(a.dxt[seg].offset, b.dxt[seg].offset);
-      EXPECT_EQ(a.dxt[seg].length, b.dxt[seg].length);
-      EXPECT_EQ(a.dxt[seg].start, b.dxt[seg].start);
-      EXPECT_EQ(a.dxt[seg].end, b.dxt[seg].end);
-    }
-  }
+  expect_same_log(*parsed, original);
 }
 
 TEST(LogCompress, CompressesDxtHeavyLogs) {
@@ -701,26 +706,32 @@ TEST(LogCompress, CompressesDxtHeavyLogs) {
   fx.engine.run();
   const Log log = fx.runtime->finalize();
 
-  std::stringstream raw, packed;
-  write_log(log, raw);
-  write_log_compressed(log, packed);
-  EXPECT_LT(packed.str().size() * 2, raw.str().size())
-      << "raw=" << raw.str().size() << " packed=" << packed.str().size();
+  std::size_t segments = 0;
+  for (const Log::RecordEntry& entry : log.records) {
+    segments += entry.dxt.size();
+  }
+  ASSERT_GE(segments, 2000u);
+  // A fixed-width segment takes 33 bytes; the deltas take under half.
+  std::stringstream packed;
+  write_log(log, packed);
+  EXPECT_LT(static_cast<double>(packed.str().size()),
+            16.5 * static_cast<double>(segments))
+      << "packed=" << packed.str().size() << " segments=" << segments;
 }
 
 TEST(LogCompress, RejectsCorruptInput) {
   std::stringstream empty;
-  EXPECT_FALSE(read_log_compressed(empty).has_value());
+  EXPECT_FALSE(read_log(empty).has_value());
   std::stringstream wrong_magic("DLCLxxxxxxx");
-  EXPECT_FALSE(read_log_compressed(wrong_magic).has_value());
+  EXPECT_FALSE(read_log(wrong_magic).has_value());
   Fixture fx(1);
   fx.engine.spawn(simple_posix_session(*fx.runtime, 0));
   fx.engine.run();
   std::stringstream full;
-  write_log_compressed(fx.runtime->finalize(), full);
+  write_log(fx.runtime->finalize(), full);
   const std::string bytes = full.str();
   std::stringstream truncated(bytes.substr(0, bytes.size() * 2 / 3));
-  EXPECT_FALSE(read_log_compressed(truncated).has_value());
+  EXPECT_FALSE(read_log(truncated).has_value());
 }
 
 

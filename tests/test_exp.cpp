@@ -2,6 +2,8 @@
 // campaign statistics, overhead calculus, figure datasets, table printer.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <type_traits>
 
 #include "analysis/figures.hpp"
@@ -128,6 +130,48 @@ TEST(Pipeline, TinyTransportQueueDropsBestEffort) {
   const RunResult r = run_experiment(spec);
   EXPECT_GT(r.dropped, 0u);
   EXPECT_LT(r.stored, r.messages);
+
+  // At 1 s per hop some messages still get through after a drop, so the
+  // gaps show as seq_lost (loss at the tail of a stream leaves no gap).
+  // With a decoder attached its tracker does that accounting: the same
+  // loss.
+  spec.transport.hop_latency = 1 * kSecond;
+  const RunResult counted = run_experiment(spec);
+  EXPECT_GT(counted.seq_lost, 0u);
+  spec.decode_to_dsos = true;
+  const RunResult decoded = run_experiment(spec);
+  EXPECT_EQ(decoded.dropped, counted.dropped);
+  EXPECT_EQ(decoded.seq_lost, counted.seq_lost);
+}
+
+/// What run_experiment's std::invalid_argument says about `spec`; empty
+/// when it does not throw one.
+std::string rejection(const ExperimentSpec& spec) {
+  try {
+    run_experiment(spec);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Pipeline, RejectsUnparsableConnectorStrings) {
+  ExperimentSpec pin = tiny_mpiio(simfs::FsKind::kLustre);
+  pin.decode_to_dsos = true;
+  pin.connector.ingest_threads = 2;
+  pin.connector.pin = "0,,2";
+  EXPECT_NE(rejection(pin).find("connector.pin: \"0,,2\""),
+            std::string::npos);
+
+  ExperimentSpec fastpath = tiny_mpiio(simfs::FsKind::kLustre);
+  fastpath.connector.fastpath = "of";
+  EXPECT_NE(rejection(fastpath).find("connector.fastpath: \"of\""),
+            std::string::npos);
+
+  ExperimentSpec rollup = tiny_mpiio(simfs::FsKind::kLustre);
+  rollup.decode_to_dsos = true;
+  rollup.connector.rollup_policies = "garbage policy";
+  EXPECT_NE(rejection(rollup).find("bad rollup policy"), std::string::npos);
 }
 
 TEST(Campaign, RepeatedRunsVaryAndAverage) {

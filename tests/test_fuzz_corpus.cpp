@@ -94,6 +94,10 @@ TEST(FuzzCorpus, StoreRecoverySeedsAndMutations) {
   run_corpus("store_recovery", fuzz::store_recovery_one, 24);
 }
 
+TEST(FuzzCorpus, DarshanLogSeedsAndMutations) {
+  run_corpus("darshan_log", fuzz::darshan_log_one, 400);
+}
+
 // The binary frame corpus must stay decodable as the codec evolves: a
 // freshly encoded frame exercises the accept path even if every
 // checked-in .frame seed predates a wire-format bump, and at least one

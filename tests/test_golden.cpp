@@ -1,7 +1,8 @@
 // Golden byte fixtures for every frozen encoding: connector JSON (both
 // number formats), binary wire frames, the Fig. 3 CSV rendering, the WAL
 // and sealed-segment files, the rollup_cell row, the /api/rollup body, the
-// raw figure frames (Figs. 5-9 and hot files) and the Fig. 8 panel body.
+// raw figure frames (Figs. 5-9 and hot files), the Fig. 8 panel body and
+// the darshan log.
 //
 // Each test encodes fixed inputs and compares the bytes against the files
 // in tests/golden/, then decodes each fixture and compares the rows.  A
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,6 +23,8 @@
 #include "core/connector.hpp"
 #include "core/decoder.hpp"
 #include "core/schema_darshan.hpp"
+#include "darshan/log.hpp"
+#include "darshan_log_compare.hpp"
 #include "dsos/cluster.hpp"
 #include "rollup/cell.hpp"
 #include "rollup/engine.hpp"
@@ -505,6 +509,90 @@ TEST(Golden, Fig8PanelBody) {
   const websvc::Response res = service.handle("/api/panel?module=fig8&job=2");
   ASSERT_EQ(res.status, 200);
   expect_golden("panel_fig8.json", res.body);
+}
+
+/// A hand-built darshan log over two modules: a POSIX record whose id is
+/// past 2^63 and whose DXT trace steps back in offset and in start time,
+/// and a shared MPI-IO record (rank -1) with -1 counters, no segments and
+/// dropped ones.  Every POSIX counter differs from the others, so a
+/// reordered field changes the bytes.
+darshan::Log darshan_log() {
+  darshan::Log log;
+  log.job_id = 259903;
+  log.uid = 99066;
+  log.exe = "/projects/ldms_darshan/mpi-io-test -b 16m";
+  log.nprocs = 2;
+  log.start_time = 2 * kSecond;
+  log.end_time = 9 * kSecond + 123;
+
+  darshan::Log::RecordEntry posix;
+  posix.record.module = darshan::Module::kPosix;
+  posix.record.rank = 1;
+  posix.record.record_id = 0xfedc'ba98'7654'3210ull;
+  posix.record.file_path = kPath;
+  darshan::RecordCounters& c = posix.record.counters;
+  c.opens = 2;
+  c.closes = 3;
+  c.reads = 5;
+  c.writes = 7;
+  c.flushes = 11;
+  c.seeks = 13;
+  c.bytes_read = 65'553;
+  c.bytes_written = std::uint64_t{1} << 40;
+  c.max_byte_read = 8'590'000'127;
+  c.max_byte_written = -1;
+  c.rw_switches = 17;
+  c.consec_reads = 19;
+  c.consec_writes = 23;
+  c.seq_reads = 29;
+  c.seq_writes = 31;
+  for (std::size_t i = 0; i < darshan::kSizeBinCount; ++i) {
+    c.read_size_bins[i] = 37 + static_cast<std::int64_t>(i);
+    c.write_size_bins[i] = 300 + 7 * static_cast<std::int64_t>(i);
+  }
+  c.f_open_start = 2.000017;
+  c.f_open_end = 2.25;
+  c.f_close_end = 8.75;
+  c.f_read_time = 0.125;
+  c.f_write_time = 1.5;
+  c.f_meta_time = 0.0625;
+  c.f_max_read_time = 0.03125;
+  c.f_max_write_time = 0.5;
+  using darshan::Op;
+  posix.dxt = {
+      {Op::kWrite, 4096, 65'536, 3 * kSecond + 250 * kMicrosecond,
+       3 * kSecond + 500 * kMicrosecond},
+      {Op::kWrite, 0, 4096, 3 * kSecond + 100 * kMicrosecond,
+       3 * kSecond + 400 * kMicrosecond},
+      {Op::kRead, std::uint64_t{1} << 33, 1 << 20, 5 * kSecond,
+       5 * kSecond + 999},
+  };
+  log.records.push_back(posix);
+
+  darshan::Log::RecordEntry shared;
+  shared.record.module = darshan::Module::kMpiio;
+  shared.record.rank = -1;
+  shared.record.record_id = 42;
+  shared.record.file_path = "/fscratch/golden/shared.h5";
+  shared.record.counters.opens = 2;
+  shared.record.counters.writes = 4;
+  shared.record.counters.bytes_written = 16'384;
+  shared.dxt_dropped = 1'000'000;
+  log.records.push_back(shared);
+  return log;
+}
+
+TEST(Golden, DarshanLog) {
+  const darshan::Log log = darshan_log();
+  std::ostringstream out;
+  darshan::write_log(log, out);
+  expect_golden("darshan_log.bin", out.str());
+
+  std::istringstream in(
+      read_file(fsys::path(DLC_GOLDEN_DIR) / "darshan_log.bin"));
+  const std::optional<darshan::Log> got = darshan::read_log(in);
+  ASSERT_TRUE(got.has_value());
+  darshan::expect_same_log(*got, log);
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 #include "analysis/correlate.hpp"
 #include "analysis/figures.hpp"
 #include "darshan/derived.hpp"
-#include "darshan/log_compress.hpp"
+#include "darshan/log.hpp"
 #include "exp/figdata.hpp"
 #include "exp/specs.hpp"
 #include "json/parser.hpp"
@@ -210,8 +210,8 @@ TEST_F(FullStory, DarshanLogSurvivesTheSameJob) {
   ASSERT_FALSE(r.darshan_log.records.empty());
 
   std::stringstream stream;
-  darshan::write_log_compressed(r.darshan_log, stream);
-  const auto parsed = darshan::read_log_compressed(stream);
+  darshan::write_log(r.darshan_log, stream);
+  const auto parsed = darshan::read_log(stream);
   ASSERT_TRUE(parsed.has_value());
   const darshan::AccessPattern pattern =
       darshan::access_pattern_summary(*parsed);

@@ -535,8 +535,20 @@ exp::ExperimentSpec traced_fault_spec() {
 }
 
 TEST(TraceE2e, EverySampledEventYieldsCompleteMonotonicSpan) {
+  const obs::Registry& reg = obs::Registry::global();
+  const auto counter = [&reg](std::string_view name) {
+    return reg.value(name).value_or(0.0);
+  };
+  const double received = counter("dlc.relia.received");
+  const double duplicates = counter("dlc.relia.duplicates");
   const exp::RunResult r = exp::run_experiment(traced_fault_spec());
   ASSERT_TRUE(r.traces != nullptr);
+  // One tracker classifies each arrival at the final aggregator, so the
+  // global mirrors count every arrival and every dropped duplicate once.
+  EXPECT_EQ(counter("dlc.relia.received") - received,
+            static_cast<double>(r.stored));
+  EXPECT_EQ(counter("dlc.relia.duplicates") - duplicates,
+            static_cast<double>(r.duplicates_dropped));
 
   // The fault plan really exercised redelivery: duplicates arrived and
   // were deduped, yet every published event committed exactly once and

@@ -272,19 +272,6 @@ TEST(Stats, LogBucketPercentileMonotoneAndWithinBucketBounds) {
   }
 }
 
-TEST(Stats, HistogramBinsAndClamps) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // clamps to first bin
-  h.add(0.5);
-  h.add(9.9);
-  h.add(100.0);  // clamps to last bin
-  EXPECT_DOUBLE_EQ(h.count(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.count(4), 2.0);
-  EXPECT_DOUBLE_EQ(h.total(), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
 // -------------------------------------------------------------- format ----
 
 TEST(Format, AppendIntMatchesSnprintf) {
