@@ -2,13 +2,13 @@
 // persisted zone maps, plus the crash-recovery acceptance bar.
 //
 // Phase 1 ingests the SAME event stream under each store::StoreMode
-// (memory / wal / tiered) with the store mounted under the DSOS container
-// API, timing insert + group-commit + final flush.  Each mode is timed
-// three times and the row reports the median run.  --check adds the fatal
-// perf gate: durable-mode ingest (wal and tiered) must hold >= 0.5x the
-// memory-mode events/sec — the WAL's group commit is supposed to amortize
-// the write, not halve the pipeline (Release builds only; timing gates are
-// meaningless under sanitizers).
+// (memory / tiered) with the store mounted under the DSOS container API,
+// timing insert + group-commit + final flush.  Each mode is timed three
+// times and the row reports the median run.  --check adds the fatal perf
+// gate: tiered ingest must hold >= 0.5x the memory-mode events/sec — the
+// WAL's group commit is supposed to amortize the write, not halve the
+// pipeline (Release builds only; timing gates are meaningless under
+// sanitizers).
 //
 // Phase 2 seals two disjoint job/time partitions into separate segments
 // and issues cold queries against the persisted zone maps.  ALWAYS fatal:
@@ -284,7 +284,6 @@ int main(int argc, char** argv) {
   };
   std::vector<ModeRow> modes = {
       {"memory", store::StoreMode::kMemory},
-      {"wal", store::StoreMode::kWal},
       {"tiered", store::StoreMode::kTiered},
   };
   for (ModeRow& row : modes) {
@@ -358,7 +357,7 @@ int main(int argc, char** argv) {
   BenchDir crash_dir("crash");
   std::vector<CampaignResult> campaigns;
   campaigns.push_back(run_campaign(
-      "storecrash commit after 4", mode_config(store::StoreMode::kWal, ""),
+      "storecrash commit after 4", mode_config(store::StoreMode::kTiered, ""),
       crash_dir, schema, campaign_stream, kShards, false));
   campaigns.push_back(run_campaign("storecrash commit after 7", crash_cfg,
                                    crash_dir, schema, campaign_stream,

@@ -264,7 +264,6 @@ store::StoreConfig recovery_store_config(const std::string& dir) {
   cfg.dir = dir;
   cfg.wal_group_records = 8;
   cfg.seal_bytes = 512;  // small: the template gets sealed segments
-  cfg.compact_interval_ms = 0;
   return cfg;
 }
 

@@ -372,11 +372,18 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   result.spool_evicted += l1->spool_evicted();
   result.stored = counting.stored();
   result.mean_latency_s = counting.mean_latency_seconds();
-  const relia::SequenceTracker::ProducerStats seq_totals =
-      decoder ? decoder->tracker().total() : l2_tracker.total();
-  result.seq_lost = seq_totals.lost();
-  result.duplicates_dropped =
-      decoder ? decoder->duplicates_dropped() : seq_totals.duplicates;
+  // Loss is what each node daemon stamped minus the distinct sequences
+  // that arrived, so a message lost after its producer's last arrival,
+  // or a producer with no arrival at all, still counts.
+  const relia::SequenceTracker& tracker =
+      decoder ? decoder->tracker() : l2_tracker;
+  for (const auto& d : node_daemons) {
+    const relia::SequenceTracker::ProducerStats* seen =
+        tracker.stats(d->name());
+    result.seq_lost += d->last_seq(tag) - (seen != nullptr ? seen->unique : 0);
+  }
+  result.duplicates_dropped = decoder ? decoder->duplicates_dropped()
+                                      : tracker.total().duplicates;
   if (decoder) result.decoded_rows = decoder->decoded();
   result.dsos = dsos_cluster;
   result.rollups = rollup_engine;

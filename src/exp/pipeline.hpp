@@ -130,8 +130,8 @@ struct RunResult {
   std::uint64_t decoded_rows = 0;
   /// Messages the decoder dropped as redelivered duplicates.
   std::uint64_t duplicates_dropped = 0;
-  /// Decoder-side estimate of messages published but never seen
-  /// (sequence gaps still open at job end).
+  /// Connector messages the node daemons stamped but that never reached
+  /// the terminal aggregator (tail loss included).
   std::uint64_t seq_lost = 0;
   double charged_s = 0.0;      // virtual time charged by the connector
   /// Populated when decode_to_dsos: the queryable event database.

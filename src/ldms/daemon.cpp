@@ -74,6 +74,11 @@ std::size_t LdmsDaemon::publish(std::string_view tag, PayloadFormat format,
   return bus_.publish(msg);
 }
 
+std::uint64_t LdmsDaemon::last_seq(std::string_view tag) const {
+  const auto it = next_seq_.find(tag);
+  return it == next_seq_.end() ? 0 : it->second;
+}
+
 void LdmsDaemon::add_forward(const std::string& tag, LdmsDaemon& upstream,
                              ForwardConfig config) {
   routes_.push_back(std::make_unique<Route>());

@@ -81,6 +81,10 @@ class LdmsDaemon {
   std::size_t publish(std::string_view tag, PayloadFormat format,
                       std::string payload,
                       const obs::TraceContext* trace = nullptr);
+  /// Last sequence number publish() stamped on `tag`; 0 before the
+  /// first publish.  End-of-run loss accounting compares it with the
+  /// distinct sequences that arrived.
+  std::uint64_t last_seq(std::string_view tag) const;
 
   /// Configures push-forwarding of `tag` to `upstream` (prdcr/updtr
   /// analogue).  Messages published to this daemon's bus with a matching

@@ -42,8 +42,9 @@ class SequenceTracker {
     /// Highest sequence number observed.
     std::uint64_t max_seq = 0;
     /// Open sequence gaps: messages published (per max_seq) but never
-    /// seen.  Final loss once the stream has quiesced; transient while
-    /// reordered messages are still in flight.
+    /// seen; transient while reordered messages are still in flight.
+    /// Blind to loss after the last arrival — final loss needs the
+    /// producer's own count (LdmsDaemon::last_seq).
     std::uint64_t lost() const { return max_seq - unique; }
   };
 

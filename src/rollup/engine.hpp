@@ -14,7 +14,7 @@
 // timestamp passes bucket end + grace.  Sealed cells are materialised
 // as `rollup_cell` rows into an engine-owned single-shard cluster
 // backed by its own PR 6 tiered store (one spill batch == one atomic
-// WAL group commit), so rollups survive restart and obey retention.
+// WAL group commit), so rollups survive restart.
 // Each spilled row records the seal watermark; recovery restores the
 // sealed rows, then rebuilds the unsealed tail by replaying the
 // recovered raw cluster in original per-shard insertion order —
@@ -58,7 +58,8 @@ struct RollupEngineConfig {
   /// Spill-store directory (ConnectorConfig::rollup_dir); required unless
   /// kMemory.
   std::string dir;
-  /// Retention over sealed rollup segments, seconds (0 = keep forever).
+  /// Retention over sealed rollup segments, seconds (0 = keep forever);
+  /// expires segments only through spill_store()->apply_retention().
   std::uint64_t retention_s = 0;
   /// Metrics registry (nullptr = obs::Registry::global()).
   obs::Registry* registry = nullptr;

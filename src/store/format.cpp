@@ -20,8 +20,6 @@ std::string_view store_mode_name(StoreMode m) {
   switch (m) {
     case StoreMode::kMemory:
       return "memory";
-    case StoreMode::kWal:
-      return "wal";
     case StoreMode::kTiered:
       return "tiered";
   }

@@ -40,8 +40,7 @@ std::string segment_file_name(std::size_t shard, std::uint64_t id);
 /// store).
 enum class StoreMode : std::uint8_t {
   kMemory = 0,  // paper behaviour: nothing survives the process
-  kWal = 1,     // WAL only: every commit durable, no sealing
-  kTiered = 2,  // WAL + sealed segments + compaction + retention
+  kTiered = 1,  // WAL + sealed segments
 };
 
 std::string_view store_mode_name(StoreMode m);

@@ -75,10 +75,9 @@ StoreObs& store_obs() {
 
 /// Process-wide set of open store directories.  This is the flock
 /// analog for the simulated-crash model: a directory stays claimed
-/// while a live Store owns it (including while its compactor runs) and
-/// is released by close() or by a fired crash (the "process" died, so
-/// its lock died with it).  Double-open and open-while-compacting both
-/// land here and fail loudly.
+/// while a live Store owns it and is released by close() or by a fired
+/// crash (the "process" died, so its lock died with it).  A double open
+/// lands here and fails loudly.
 struct DirRegistry {
   util::Mutex m{"StoreDirRegistry"};
   std::set<std::string> dirs DLC_GUARDED_BY(m);
@@ -102,7 +101,7 @@ void register_dir(const std::string& dir) {
     throw std::logic_error(
         "store: directory '" + dir +
         "' is already open in this process (double-open, or opening while "
-        "the owning store is still live/compacting — close it first)");
+        "the owning store is still live — close it first)");
   }
 }
 
@@ -168,6 +167,8 @@ bool FaultInjector::should_crash(CrashPoint p) {
 }
 
 /// One shard's durable state: the CommitSink its Container calls into.
+/// Its rows are the Container's own: a std::deque never moves an
+/// element, so a row reference stays valid until the cluster dies.
 struct Store::Shard final : dsos::CommitSink {
   Store* store = nullptr;
   std::size_t index = 0;
@@ -179,14 +180,13 @@ struct Store::Shard final : dsos::CommitSink {
   std::uint64_t next_seq DLC_GUARDED_BY(m) = 0;
   /// Ack frontier: everything <= durable survives a crash.
   std::uint64_t durable DLC_GUARDED_BY(m) = 0;
-  std::uint64_t recovered_high DLC_GUARDED_BY(m) = 0;
   /// Rows inserted but not yet group-committed (lost on crash — and
   /// never acked, so the at-least-once driver resubmits them).
-  std::vector<dsos::Object> pending DLC_GUARDED_BY(m);
+  std::vector<const dsos::Object*> pending DLC_GUARDED_BY(m);
   std::uint64_t pending_first DLC_GUARDED_BY(m) = 0;
-  /// Committed rows still only in the WAL (tiered mode keeps copies so
-  /// sealing needs no read-back of the log).
-  std::vector<dsos::Object> unsealed DLC_GUARDED_BY(m);
+  /// Committed rows still only in the WAL; sealing writes them from the
+  /// container with no read-back of the log.
+  std::vector<const dsos::Object*> unsealed DLC_GUARDED_BY(m);
   std::uint64_t unsealed_first DLC_GUARDED_BY(m) = 0;
   /// Schema names already written to the current WAL as dictionary
   /// frames (reset when the log is recycled after a seal).
@@ -207,7 +207,7 @@ void Store::Shard::on_insert(const dsos::Object& obj) {
   const util::LockGuard lock(m);
   const std::uint64_t seq = ++next_seq;
   if (pending.empty()) pending_first = seq;
-  pending.push_back(obj);
+  pending.push_back(&obj);
   if (pending.size() >= store->config_.wal_group_records) commit_locked();
 }
 
@@ -223,43 +223,34 @@ bool Store::Shard::commit_locked() {
     const std::uint64_t t0 = now_ns();
     // Dictionary frames for schemas this log has not described yet —
     // they must precede the data frame that references them.
-    for (const dsos::Object& row : pending) {
-      const std::string& name = row.schema->name();
+    for (const dsos::Object* row : pending) {
+      const std::string& name = row->schema->name();
       if (wal_schemas.contains(name)) continue;
-      if (!wal.append_schema(*row.schema)) return false;
+      if (!wal.append_schema(*row->schema)) return false;
       wal_schemas.insert(name);
     }
-    std::vector<const dsos::Object*> rows;
-    rows.reserve(pending.size());
-    for (const dsos::Object& row : pending) rows.push_back(&row);
     const std::size_t bytes_before = wal.bytes();
     if (store->faults_.should_crash(CrashPoint::kWalCommit)) {
-      wal.append_group(pending_first, rows, kTornFrameBytes);
+      wal.append_group(pending_first, pending, kTornFrameBytes);
       store->mark_crashed();
       throw StoreCrash("storecrash: wal commit (torn group frame)");
     }
-    const std::size_t row_count = rows.size();
-    if (!wal.append_group(pending_first, rows)) return false;
+    if (!wal.append_group(pending_first, pending)) return false;
     durable = next_seq;
     ++wal_commit_count;
-    if (store->config_.mode == StoreMode::kTiered) {
-      if (unsealed.empty()) unsealed_first = pending_first;
-      for (dsos::Object& row : pending) unsealed.push_back(std::move(row));
-    }
-    pending.clear();
+    if (unsealed.empty()) unsealed_first = pending_first;
+    unsealed.insert(unsealed.end(), pending.begin(), pending.end());
     if (obs::enabled()) {
       StoreObs& o = store_obs();
       o.wal_commits.add();
-      o.wal_records.add(row_count);
+      o.wal_records.add(pending.size());
       o.wal_bytes.add(wal.bytes() - bytes_before);
       o.wal_commit_ns.record(now_ns() - t0);
       o.wal_backlog_bytes.set(static_cast<std::int64_t>(wal.bytes()));
     }
+    pending.clear();
   }
-  if (store->config_.mode == StoreMode::kTiered &&
-      wal.bytes() >= store->config_.seal_bytes) {
-    seal_locked();
-  }
+  if (wal.bytes() >= store->config_.seal_bytes) seal_locked();
   return durable == next_seq;
 }
 
@@ -275,15 +266,12 @@ void Store::Shard::seal_locked() {
   meta.path = (fs::path(store->config_.dir) /
                segment_file_name(index, meta.id))
                   .string();
-  std::vector<const dsos::Object*> rows;
-  rows.reserve(unsealed.size());
-  for (const dsos::Object& row : unsealed) rows.push_back(&row);
   if (store->faults_.should_crash(CrashPoint::kSeal)) {
-    write_segment(&meta, rows, /*fault_cap_bytes=*/64);
+    write_segment(&meta, unsealed, /*fault_cap_bytes=*/64);
     store->mark_crashed();
     throw StoreCrash("storecrash: seal (torn .seg.tmp; WAL intact)");
   }
-  if (!write_segment(&meta, rows)) return;  // I/O error: rows stay in WAL
+  if (!write_segment(&meta, unsealed)) return;  // I/O error: rows stay in WAL
   segments.push_back(std::move(meta));
   // Only after the segment is durably renamed may the WAL be emptied; a
   // crash between the two leaves rows in both places, which recovery
@@ -360,7 +348,7 @@ RecoveryReport Store::open(dsos::DsosCluster& cluster) {
 
   if (config_.dir.empty()) {
     throw std::runtime_error(
-        "store: wal/tiered mode needs a store directory "
+        "store: tiered mode needs a store directory "
         "(StoreConfig::dir)");
   }
   if (!fs::exists(config_.dir)) {
@@ -472,17 +460,16 @@ RecoveryReport Store::open(dsos::DsosCluster& cluster) {
       recovery_.wal_frames += replay.frames;
       recovery_.torn_wal_bytes += replay.torn_bytes;
       if (replay.torn_bytes != 0) ++recovery_.torn_tails;
-      std::vector<dsos::Object> unsealed;
+      dsos::Container& container = cluster.shard(sh.index).container();
+      std::vector<const dsos::Object*> unsealed;
       for (std::size_t i = 0; i < replay.rows.size(); ++i) {
         const std::uint64_t seq = replay.first_seq + i;
         if (seq <= seg_high) {
           ++recovery_.wal_rows_skipped;  // sealed before the crash
           continue;
         }
-        if (config_.mode == StoreMode::kTiered) {
-          unsealed.push_back(replay.rows[i]);
-        }
-        cluster.insert_at(sh.index, std::move(replay.rows[i]));
+        unsealed.push_back(
+            &container.object(container.insert(std::move(replay.rows[i]))));
         ++recovery_.rows_from_wal;
       }
       const std::uint64_t high =
@@ -494,7 +481,6 @@ RecoveryReport Store::open(dsos::DsosCluster& cluster) {
       sh.segments = std::move(loaded);
       sh.next_seq = high;
       sh.durable = high;
-      sh.recovered_high = high;
       sh.unsealed = std::move(unsealed);
       sh.unsealed_first = sh.unsealed.empty() ? 0 : seg_high + 1;
       for (const dsos::SchemaPtr& schema : replay.schemas) {
@@ -532,11 +518,6 @@ RecoveryReport Store::open(dsos::DsosCluster& cluster) {
       o.quarantined.add(recovery_.quarantined_segments);
       o.segments_live.set(total_segments);
     }
-
-    if (config_.mode == StoreMode::kTiered &&
-        config_.compact_interval_ms != 0) {
-      compact_thread_ = util::Thread("dlc-compact", [this] { compactor_loop(); });
-    }
   } catch (...) {
     shards_.clear();
     unregister_dir(config_.dir);
@@ -546,15 +527,6 @@ RecoveryReport Store::open(dsos::DsosCluster& cluster) {
 }
 
 void Store::close() {
-  // Stop the compactor before taking any store lock (it acquires
-  // StoreState/StoreShard itself).
-  {
-    const util::UniqueLock stop_lock(compact_m_);
-    compact_stop_ = true;
-  }
-  compact_cv_.notify_all();
-  if (compact_thread_.joinable()) compact_thread_.join();
-
   const util::LockGuard lock(state_m_);
   if (!open_.load(std::memory_order_acquire)) return;
   if (!crashed()) {
@@ -571,6 +543,9 @@ void Store::close() {
   for (auto& shard_ptr : shards_) {
     const util::LockGuard shard_lock(shard_ptr->m);
     shard_ptr->wal.close();
+    // The rows belong to the cluster, which may die once detached.
+    shard_ptr->pending.clear();
+    shard_ptr->unsealed.clear();
   }
   if (cluster_ != nullptr) {
     for (std::size_t s = 0;
@@ -596,7 +571,7 @@ void Store::flush_all() {
 
 void Store::seal_all() {
   require_open("seal_all");
-  if (config_.mode != StoreMode::kTiered || crashed()) return;
+  if (crashed()) return;
   for (auto& shard_ptr : shards_) {
     const util::LockGuard shard_lock(shard_ptr->m);
     shard_ptr->commit_locked();
@@ -676,7 +651,7 @@ std::size_t Store::compact_shard(Shard& sh) {
 
 std::size_t Store::compact_once() {
   require_open("compact_once");
-  if (config_.mode != StoreMode::kTiered || crashed()) return 0;
+  if (crashed()) return 0;
   const std::uint64_t t0 = now_ns();
   std::size_t merged = 0;
   for (auto& shard_ptr : shards_) {
@@ -722,10 +697,7 @@ std::size_t Store::retention_shard(Shard& sh, std::int64_t now) {
 
 std::size_t Store::apply_retention() {
   require_open("apply_retention");
-  if (config_.mode != StoreMode::kTiered || config_.retention_s == 0 ||
-      crashed()) {
-    return 0;
-  }
+  if (config_.retention_s == 0 || crashed()) return 0;
   const std::int64_t now = now_unix_s();
   std::size_t deleted = 0;
   for (auto& shard_ptr : shards_) {
@@ -747,36 +719,10 @@ std::size_t Store::apply_retention() {
   return deleted;
 }
 
-void Store::compactor_loop() {
-  const auto period = std::chrono::milliseconds(config_.compact_interval_ms);
-  for (;;) {
-    {
-      util::UniqueLock lock(compact_m_);
-      const bool stop = compact_cv_.wait_for(
-          lock, period,
-          [this]() DLC_REQUIRES(compact_m_) { return compact_stop_; });
-      if (stop) return;
-    }
-    if (!is_open() || crashed()) continue;
-    try {
-      compact_once();
-      apply_retention();
-    } catch (const StoreCrash&) {
-      return;  // armed crash fired in the background: the "process" died
-    }
-  }
-}
-
 std::uint64_t Store::durable_seq(std::size_t shard) const {
   if (shard >= shards_.size()) return 0;
   const util::LockGuard shard_lock(shards_[shard]->m);
   return shards_[shard]->durable;
-}
-
-std::uint64_t Store::recovered_high_seq(std::size_t shard) const {
-  if (shard >= shards_.size()) return 0;
-  const util::LockGuard shard_lock(shards_[shard]->m);
-  return shards_[shard]->recovered_high;
 }
 
 std::vector<dsos::Object> Store::query_cold(std::string_view schema_name,
@@ -786,8 +732,9 @@ std::vector<dsos::Object> Store::query_cold(std::string_view schema_name,
   std::vector<dsos::Object> out;
   for (const auto& shard_ptr : shards_) {
     // Snapshot the meta list, then read files without the shard lock —
-    // segments are immutable and a concurrently compacted/expired input
-    // just fails its read and is skipped.
+    // segments are immutable, and an input that a concurrent
+    // compact_once()/apply_retention() removed just fails its read and
+    // is skipped.
     std::vector<SegmentMeta> metas;
     {
       const util::LockGuard shard_lock(shard_ptr->m);

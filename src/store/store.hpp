@@ -4,21 +4,25 @@
 // process; this subsystem provides that without changing a single
 // ingest/query call site.  Store::open() recovers the on-disk state
 // into a DsosCluster and attaches itself to every shard's Container as
-// a dsos::CommitSink — from then on each insert is mirrored into a
+// a dsos::CommitSink — from then on each insert is logged into a
 // per-shard group-commit buffer, each Container::commit() flushes the
-// buffer as one CRC-framed WAL group, and (in tiered mode) WAL runs are
-// sealed into immutable zone-mapped segment files that a background
-// thread compacts and expires.  Queries, zone maps and the websvc keep
-// reading the hot in-memory Container exactly as before; the segments
-// additionally serve query_cold(), which prunes on persisted zone maps
-// without decoding cold data blocks.
+// buffer as one CRC-framed WAL group, and a WAL that passes seal_bytes
+// is sealed into an immutable zone-mapped segment file.  compact_once()
+// and apply_retention() merge and expire segments when a caller runs
+// them; nothing runs them in the background.  Queries, zone maps and
+// the websvc keep reading the hot in-memory Container exactly as
+// before; the segments additionally serve query_cold(), which prunes on
+// persisted zone maps without decoding cold data blocks.
 //
-// Durability ladder (StoreConfig::mode, chosen by whoever mounts the
-// store):
+// Rows are held once.  The store keeps no copy of a row: its group-
+// commit buffer and its unsealed run point at the Container's own rows
+// (a std::deque, so they never move), which is why the cluster must
+// outlive the store or be detached via close().
+//
+// Durability (StoreConfig::mode, chosen by whoever mounts the store):
 //   memory  — nothing attached; the paper's lose-it-all behaviour.
-//   wal     — group commits are durable; recovery replays the log.
-//   tiered  — wal + sealing + compaction + retention
-//             (StoreConfig::retention_s over segment max_time).
+//   tiered  — group commits are durable and recovery replays the log;
+//             full WALs seal into segments.
 //
 // Acknowledgement contract (at_least_once): a row is *acked* once a
 // commit covering it returns true.  Crash-injection campaigns
@@ -33,8 +37,8 @@
 //
 // Threading: per-shard state is guarded by the StoreShard lock class
 // (the ingest executor's one-writer-per-shard contract does not cover
-// the drain thread's commit or the compactor), store-wide state by
-// StoreState, acquired before StoreShard.  See DESIGN.md §5c.
+// the drain thread's commit), store-wide state by StoreState, acquired
+// before StoreShard.  See DESIGN.md §5c.
 #pragma once
 
 #include <atomic>
@@ -51,7 +55,6 @@
 #include "store/format.hpp"
 #include "store/segment.hpp"
 #include "store/wal.hpp"
-#include "util/thread.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace dlc::store {
@@ -62,21 +65,18 @@ struct StoreConfig {
   std::string dir;
   /// Created when missing (false turns a missing dir into an open error).
   bool create_dir = true;
-  /// Retention over sealed segments, seconds (0 = keep forever).  A
-  /// segment expires when now >= its newest row's timestamp + retention
-  /// (exactly-at-TTL counts as expired).
+  /// Retention over sealed segments, seconds (0 = keep forever), applied
+  /// by apply_retention().  A segment expires when now >= its newest
+  /// row's timestamp + retention (exactly-at-TTL counts as expired).
   std::uint64_t retention_s = 0;
   /// Rows buffered per shard before an automatic group commit.
   std::size_t wal_group_records = 64;
-  /// WAL size that triggers sealing into a segment (tiered mode).
+  /// WAL size that triggers sealing into a segment.
   std::size_t seal_bytes = 4 * 1024 * 1024;
   /// Segments smaller than this are compaction candidates.
   std::size_t compact_min_bytes = 1024 * 1024;
   /// Max segments merged per compaction step.
   std::size_t compact_fanin = 8;
-  /// Background compaction period (0 = no thread; call compact_once()/
-  /// apply_retention() manually — what the deterministic tests do).
-  std::uint64_t compact_interval_ms = 0;
   /// Injectable clock for retention tests; default std::time.
   std::function<std::int64_t()> now_unix_s;
 };
@@ -147,18 +147,19 @@ class Store {
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
 
-  /// Recovers the directory into `cluster` (segments, then WAL tails),
-  /// attaches a commit sink to every shard and starts the compactor if
-  /// configured.  The cluster must outlive the store or be detached via
-  /// close().  Throws std::logic_error on double-open (this instance,
-  /// another instance on the same directory, or a container that is
-  /// already attached to a store) and std::runtime_error on a missing
-  /// store directory with create_dir == false.
+  /// Recovers the directory into `cluster` (segments, then WAL tails)
+  /// and attaches a commit sink to every shard.  The cluster must
+  /// outlive the store or be detached via close(): the store refers to
+  /// the rows it has not sealed yet.  Throws std::logic_error on
+  /// double-open (this instance, another instance on the same
+  /// directory, or a container that is already attached to a store) and
+  /// std::runtime_error on a missing store directory with create_dir ==
+  /// false.
   RecoveryReport open(dsos::DsosCluster& cluster);
 
-  /// Commits pending rows, detaches every sink, stops the compactor and
-  /// releases the directory.  Idempotent; safe on a crashed store (the
-  /// final flush is skipped — the process is "dead").
+  /// Commits pending rows, drops the store's row references, detaches
+  /// every sink and releases the directory.  Idempotent; safe on a
+  /// crashed store (the final flush is skipped — the process is "dead").
   void close();
 
   bool is_open() const { return open_.load(std::memory_order_acquire); }
@@ -173,7 +174,7 @@ class Store {
   /// through Container::commit on each shard).
   void flush_all();
   /// Seals every shard's unsealed rows regardless of seal_bytes
-  /// (tiered mode; end-of-campaign flush to cold storage).
+  /// (end-of-campaign flush to cold storage).
   void seal_all();
   /// One compaction sweep; returns segments merged away.
   std::size_t compact_once();
@@ -183,7 +184,6 @@ class Store {
   /// Ack frontier: every row of `shard` with seq <= durable_seq(shard)
   /// survives a crash.
   std::uint64_t durable_seq(std::size_t shard) const;
-  std::uint64_t recovered_high_seq(std::size_t shard) const;
 
   struct ColdQueryStats {
     std::uint64_t segments_total = 0;
@@ -207,8 +207,6 @@ class Store {
   std::int64_t now_unix_s() const;
   void require_open(const char* op) const;
   void mark_crashed() const;
-  RecoveryReport recover_shard(Shard& shard);
-  void compactor_loop();
   std::size_t compact_shard(Shard& shard);
   std::size_t retention_shard(Shard& shard, std::int64_t now);
 
@@ -230,11 +228,6 @@ class Store {
   std::atomic<std::uint64_t> next_segment_id_{1};
   // atomic-protocol: kind=gauge pairs=SegmentStore::stats
   std::atomic<std::int64_t> live_segments_{0};
-
-  util::Mutex compact_m_{"StoreCompactor"};
-  util::CondVar compact_cv_;
-  bool compact_stop_ DLC_GUARDED_BY(compact_m_) = false;
-  util::Thread compact_thread_;
 };
 
 }  // namespace dlc::store

@@ -157,15 +157,6 @@ class CondVar {
     cv_.wait(lock.native(), std::move(pred));
   }
 
-  /// Timed wait (periodic background threads: the store compactor).
-  /// Returns the predicate's value at wake-up.
-  template <typename Rep, typename Period, typename Pred>
-  bool wait_for(UniqueLock& lock,
-                const std::chrono::duration<Rep, Period>& dur,
-                Pred pred) DLC_NO_THREAD_SAFETY_ANALYSIS {
-    return cv_.wait_for(lock.native(), dur, std::move(pred));
-  }
-
  private:
   std::condition_variable cv_;
 };

@@ -130,14 +130,22 @@ TEST(Pipeline, TinyTransportQueueDropsBestEffort) {
   const RunResult r = run_experiment(spec);
   EXPECT_GT(r.dropped, 0u);
   EXPECT_LT(r.stored, r.messages);
+  // Best effort loses each dropped message at exactly one hop, and
+  // seq_lost counts it even when nothing of its producer arrives after
+  // it (tail loss), with or without a decoder's tracker.
+  EXPECT_EQ(r.seq_lost, r.dropped);
+  spec.decode_to_dsos = true;
+  const RunResult tail_decoded = run_experiment(spec);
+  EXPECT_EQ(tail_decoded.dropped, r.dropped);
+  EXPECT_EQ(tail_decoded.seq_lost, r.dropped);
 
-  // At 1 s per hop some messages still get through after a drop, so the
-  // gaps show as seq_lost (loss at the tail of a stream leaves no gap).
-  // With a decoder attached its tracker does that accounting: the same
-  // loss.
+  // At 1 s per hop some messages still get through after a drop; the
+  // decoder's tracker and the bus tracker count the same loss.
+  spec.decode_to_dsos = false;
   spec.transport.hop_latency = 1 * kSecond;
   const RunResult counted = run_experiment(spec);
   EXPECT_GT(counted.seq_lost, 0u);
+  EXPECT_EQ(counted.seq_lost, counted.dropped);
   spec.decode_to_dsos = true;
   const RunResult decoded = run_experiment(spec);
   EXPECT_EQ(decoded.dropped, counted.dropped);

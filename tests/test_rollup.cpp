@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -537,7 +538,7 @@ TEST(Engine, AttachIsIdempotentPerClusterAndExclusive) {
   EXPECT_THROW(RollupEngine(RollupEngineConfig{}), std::invalid_argument);
   RollupEngineConfig durable;
   durable.policies = default_rollup_policies();
-  durable.store_mode = store::StoreMode::kWal;  // no dir
+  durable.store_mode = store::StoreMode::kTiered;  // no dir
   EXPECT_THROW(RollupEngine{durable}, std::invalid_argument);
 }
 
@@ -848,8 +849,10 @@ TEST(CrashCampaign, RawWalLossNeverLeavesDurableRollupsAhead) {
   }
 
   store::StoreConfig raw_cfg;
-  raw_cfg.mode = store::StoreMode::kWal;
+  raw_cfg.mode = store::StoreMode::kTiered;
   raw_cfg.dir = raw_dir.path();
+  // Never sealed: the torn raw batch is lost from the WAL alone.
+  raw_cfg.seal_bytes = std::numeric_limits<std::size_t>::max();
   // No automatic group commits: every WAL commit is an explicit
   // Container::commit, the barrier the rollup observer hangs off.
   raw_cfg.wal_group_records = 1u << 20;

@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Atomics-protocol lint: every lock-free primitive in src/ must be
-inventoried, tagged with the protocol it implements, and mirrored in the
-DESIGN.md section 10 protocol table — the atomics twin of the section 5c
-lock-hierarchy table.
+tagged with the protocol it implements (DESIGN.md section 10).  The tags
+are the one inventory; nothing restates them.
 
 What it checks
 --------------
@@ -38,11 +37,8 @@ What it checks
    inventoried atomic are flagged (they are implicit seq_cst and
    invisible to grep-based ordering review).
 
-4. TABLE PARITY.  The inventory (file, variable, kind, pairs) and the
-   named fence sites must match the DESIGN.md section 10 tables row for
-   row: no row missing, stale, duplicated, or in the wrong table.
-   Run `tools/lint_atomics.py --dump-table` to regenerate the table
-   after an intentional change.
+`--dump-table` prints the inventory the tags declare (file, variable,
+kind, pairs) and the named fence sites, for reading.
 
 compile_commands.json (from any CMake configure) drives TU discovery so
 a .cpp dropped from the build cannot silently escape; all src/ headers
@@ -53,7 +49,7 @@ not a protocol.
 
 Run from anywhere:  python3 tools/lint_atomics.py [--repo DIR]
 Exit code 0 = clean, 1 = protocol violation (details printed),
-2 = setup/extraction failure (missing compdb, unparseable table).
+2 = setup failure (missing compdb, a src/ TU absent from it).
 
 --self-test seeds one violation of every class through the same code
 paths and fails loudly if any goes undetected — the lint proves its own
@@ -65,7 +61,6 @@ import json
 import os
 import re
 import sys
-from collections import Counter
 
 FAIL_VIOLATION = 1
 FAIL_SETUP = 2
@@ -261,39 +256,7 @@ def scan_operator_forms(lint, module_files, atomic_names_by_file):
 
 
 # --------------------------------------------------------------------------
-# DESIGN.md section 10 table parity.
-
-TABLE_ROW_RE = re.compile(
-    r"^\|\s*`([^`]+)`\s*\|\s*`([^`]+)`\s*\|\s*([a-z-]+)\s*\|\s*`([^`]+)`\s*\|")
-FENCE_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|\s*`([^`]+)`\s*\|[^|]*\|\s*$")
-ATOMICS_HEADER_RE = re.compile(r"^\|\s*File\s*\|\s*Variable\s*\|")
-FENCE_HEADER_RE = re.compile(r"^\|\s*File\s*\|\s*Fence site\s*\|")
-
-
-def parse_design_table(design_text):
-    """Extracts (atomics rows, fence rows, misplaced rows) from the
-    section 10 tables.  A row belongs to the table whose header precedes
-    it; a row shaped like the other table's (or before both headers) is
-    misplaced and counts toward neither."""
-    m = re.search(r"^## 10\. .*$", design_text, re.M)
-    if not m:
-        return None, None, None
-    end = re.search(r"^## 11\. ", design_text[m.end():], re.M)
-    section = design_text[m.end():m.end() + end.start()] if end \
-        else design_text[m.end():]
-    atomics, fences, misplaced = [], [], []
-    table = None
-    for line in section.split("\n"):
-        if ATOMICS_HEADER_RE.match(line):
-            table = "variable"
-        elif FENCE_HEADER_RE.match(line):
-            table = "fence"
-        elif am := TABLE_ROW_RE.match(line):
-            (atomics if table == "variable" else misplaced).append(am.groups())
-        elif fm := FENCE_ROW_RE.match(line):
-            (fences if table == "fence" else misplaced).append(fm.groups())
-    return atomics, fences, misplaced
-
+# Inventory printout.
 
 def dump_table(lint):
     print("| File | Variable | Kind | Pairs with |")
@@ -305,35 +268,6 @@ def dump_table(lint):
     print("| --- | --- | --- |")
     for relpath, site in sorted(set(lint.fence_sites)):
         print(f"| `{relpath}` | `{site}` | seq_cst |")
-
-
-def compare_rows(lint, table, want, got):
-    """Row-for-row comparison of one table: every wanted row exactly as
-    often as the code has it, and nothing else."""
-    want_n, got_n = Counter(want), Counter(got)
-    for r in sorted(want_n - got_n):
-        lint.errors.append(
-            f"DESIGN.md section 10 {table} table is missing "
-            f"{' | '.join(r)} — run --dump-table")
-    for r in sorted(got_n - want_n):
-        what = (f"lists {' | '.join(r)} {got_n[r]} times (duplicate row)"
-                if r in want_n else f"has stale row {' | '.join(r)}")
-        lint.errors.append(
-            f"DESIGN.md section 10 {table} table {what} — run --dump-table")
-
-
-def check_table(lint, design_text):
-    table, fence_table, misplaced = parse_design_table(design_text)
-    if table is None:
-        lint.errors.append(
-            "DESIGN.md: no '## 10.' section found for the protocol table")
-        return
-    for r in misplaced:
-        lint.errors.append(
-            f"DESIGN.md section 10 has misplaced row {' | '.join(r)} (in "
-            f"the wrong table) — run --dump-table")
-    compare_rows(lint, "variable", lint.inventory, table)
-    compare_rows(lint, "fence", set(lint.fence_sites), fence_table)
 
 
 # --------------------------------------------------------------------------
@@ -377,7 +311,7 @@ def discover_files(repo, compdb_path):
     return files
 
 
-def run(files, design_text):
+def run(files):
     lint = Lint()
     atomic_names_by_file = {}
     for relpath in sorted(files):
@@ -385,8 +319,6 @@ def run(files, design_text):
         if names:
             atomic_names_by_file[relpath] = names
     scan_operator_forms(lint, files, atomic_names_by_file)
-    if design_text is not None:
-        check_table(lint, design_text)
     return lint
 
 
@@ -430,42 +362,16 @@ SELF_TEST_CASES = [
 ]
 
 
-def self_test(real_files, design_text):
+def self_test(real_files):
     failures = []
     for label, seeded, expect in SELF_TEST_CASES:
         files = dict(real_files)
         files.update(seeded)
-        lint = run(files, None)
+        lint = run(files)
         if not any(expect in e for e in lint.errors):
             failures.append(
                 f"  seeded '{label}' went UNDETECTED (expected an error "
                 f"containing {expect!r}); got: {lint.errors or '<clean>'}")
-    # Table parity must also fail loudly, row for row: a dropped row, a
-    # duplicated row, and a fence row pasted under the variable table.
-    atomics, fences, _ = parse_design_table(design_text)
-    if atomics and fences:
-        lines = design_text.split("\n")
-        start = next(i for i, l in enumerate(lines) if l.startswith("## 10."))
-        var_rows = [i for i, l in enumerate(lines)
-                    if i > start and TABLE_ROW_RE.match(l)]
-        fence_row = next(l for l in lines[start:] if FENCE_ROW_RE.match(l))
-        first, last = var_rows[0], var_rows[-1]
-        table_cases = [
-            ("table-row removal", lines[:first] + lines[first + 1:],
-             "is missing"),
-            ("duplicated table row",
-             lines[:first + 1] + [lines[first]] + lines[first + 1:],
-             "duplicate row"),
-            ("fence row in the variable table",
-             lines[:last + 1] + [fence_row] + lines[last + 1:],
-             "misplaced row"),
-        ]
-        for label, mutated, expect in table_cases:
-            lint = run(real_files, "\n".join(mutated))
-            if not any(expect in e for e in lint.errors):
-                failures.append(
-                    f"  seeded {label} went UNDETECTED (expected an error "
-                    f"containing {expect!r}); got: {lint.errors or '<clean>'}")
     if failures:
         print("lint_atomics: SELF-TEST FAILURE (the lint is vacuous):",
               file=sys.stderr)
@@ -473,7 +379,7 @@ def self_test(real_files, design_text):
             print(f, file=sys.stderr)
         sys.exit(FAIL_VIOLATION)
     print(f"lint_atomics: self-test ok "
-          f"({len(SELF_TEST_CASES) + 3} seeded violations all detected)")
+          f"({len(SELF_TEST_CASES)} seeded violations all detected)")
 
 
 def main():
@@ -484,7 +390,8 @@ def main():
                     help="path to compile_commands.json "
                     "(default: <repo>/build/compile_commands.json)")
     ap.add_argument("--dump-table", action="store_true",
-                    help="print the DESIGN.md section 10 tables and exit")
+                    help="print the tagged inventory and fence sites and "
+                    "exit")
     ap.add_argument("--self-test", action="store_true",
                     help="seed violations and require the lint catch them")
     args = ap.parse_args()
@@ -494,14 +401,12 @@ def main():
     compdb = args.compile_commands or os.path.join(
         repo, "build", "compile_commands.json")
     files = discover_files(repo, compdb)
-    with open(os.path.join(repo, "DESIGN.md"), encoding="utf-8") as f:
-        design_text = f.read()
 
     if args.self_test:
-        self_test(files, design_text)
+        self_test(files)
         return
 
-    lint = run(files, None if args.dump_table else design_text)
+    lint = run(files)
     if args.dump_table:
         dump_table(lint)
         return
