@@ -1,5 +1,5 @@
-// Durable-store benchmark: the cost of durability and the payoff of
-// persisted zone maps, plus the crash-recovery acceptance bar.
+// Durable-store benchmark: the cost of durability, plus the
+// crash-recovery acceptance bar.
 //
 // Phase 1 ingests the SAME event stream under each store::StoreMode
 // (memory / tiered) with the store mounted under the DSOS container API,
@@ -10,18 +10,10 @@
 // pipeline (Release builds only; timing gates are meaningless under
 // sanitizers).
 //
-// Phase 2 seals two disjoint job/time partitions into separate segments
-// and issues cold queries against the persisted zone maps.  ALWAYS fatal:
-// a disjoint-partition filter must prune without decoding a single data
-// block, and a fully-disjoint filter must be answered entirely from
-// segment headers (read == 0).  Pruning that decodes cold data is a
-// correctness bug in the at-rest format, not a tuning problem.
-//
-// Phase 3 runs the FaultPlan crash campaigns (storecrash at commit, seal,
-// compaction write, compaction swap), reopening after each simulated death
-// and asserting the ROADMAP bar: zero acknowledged-event loss and
-// byte-identical query results against an uninterrupted baseline.  ALWAYS
-// fatal.
+// Phase 2 runs the FaultPlan crash campaigns (storecrash at commit and
+// seal), reopening after each simulated death and asserting the ROADMAP
+// bar: zero acknowledged-event loss and byte-identical query results
+// against an uninterrupted baseline.  ALWAYS fatal.
 //
 // Writes BENCH_store.json (override path: DLC_BENCH_OUT).  Scale knob:
 // DLC_STORE_EVENTS.
@@ -191,7 +183,7 @@ CampaignResult run_campaign(const std::string& plan_text,
                             store::StoreConfig cfg, BenchDir& dir,
                             const dsos::SchemaPtr& schema,
                             const std::vector<dsos::Object>& events,
-                            std::size_t shards, bool compact_after) {
+                            std::size_t shards) {
   CampaignResult result;
   result.plan = plan_text;
   dir.wipe();
@@ -219,7 +211,6 @@ CampaignResult run_campaign(const std::string& plan_text,
       for (const dsos::Object& e : events) db.insert(e);
       st.flush_all();
       st.seal_all();
-      if (compact_after) st.compact_once();
     } catch (const store::StoreCrash&) {
       result.fired = true;
     }
@@ -262,8 +253,7 @@ int main(int argc, char** argv) {
   const auto schema = bench_schema();
   const auto events = make_events(schema, events_n);
 
-  std::printf("== durable store: ingest cost, zone-map pruning, crash "
-              "recovery ==\n\n");
+  std::printf("== durable store: ingest cost, crash recovery ==\n\n");
   std::printf("%zu events, %zu shards, group commit every 64 rows, "
               "median of %zu runs\n\n",
               events_n, kShards, kReps);
@@ -300,77 +290,22 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  // Phase 2 — persisted zone maps on cold queries (always fatal).
-  store::Store::ColdQueryStats disjoint_stats;
-  store::Store::ColdQueryStats all_pruned_stats;
-  std::size_t disjoint_hits = 0;
-  std::size_t all_pruned_hits = 0;
-  {
-    BenchDir cold_dir("cold");
-    dsos::DsosCluster db(cluster_config(1));
-    db.register_schema(schema);
-    store::Store st(mode_config(store::StoreMode::kTiered, cold_dir.path()));
-    st.open(db);
-    const std::size_t half = std::max<std::size_t>(events_n / 2, 1);
-    // Two disjoint partitions: job 1 around t=1.6e9, job 2 around 3.2e9.
-    for (const auto& e : make_events(schema, half, 1, 16, 1.6e9)) {
-      db.insert(e);
-    }
-    st.flush_all();
-    st.seal_all();
-    for (const auto& e : make_events(schema, half, 2, 16, 3.2e9)) {
-      db.insert(e);
-    }
-    st.flush_all();
-    st.seal_all();
-
-    disjoint_hits =
-        st.query_cold("darshan_data",
-                      {{"job_id", dsos::Cmp::kEq, std::uint64_t{2}}},
-                      &disjoint_stats)
-            .size();
-    all_pruned_hits =
-        st.query_cold("darshan_data",
-                      {{"timestamp", dsos::Cmp::kGt, 9.9e9}},
-                      &all_pruned_stats)
-            .size();
-    st.close();
-
-    std::printf("Cold query over %llu segments:\n",
-                static_cast<unsigned long long>(disjoint_stats.segments_total));
-    std::printf("  job filter:  %zu hits, %llu pruned, %llu blocks read\n",
-                disjoint_hits,
-                static_cast<unsigned long long>(disjoint_stats.pruned),
-                static_cast<unsigned long long>(disjoint_stats.read));
-    std::printf("  time filter: %zu hits, %llu pruned, %llu blocks read\n\n",
-                all_pruned_hits,
-                static_cast<unsigned long long>(all_pruned_stats.pruned),
-                static_cast<unsigned long long>(all_pruned_stats.read));
-  }
-
-  // Phase 3 — crash campaigns (always fatal).
+  // Phase 2 — crash campaigns (always fatal).
   const std::size_t campaign_events = std::min<std::size_t>(events_n, 2000);
   const auto campaign_stream = make_events(schema, campaign_events);
   store::StoreConfig crash_cfg = mode_config(store::StoreMode::kTiered, "");
-  crash_cfg.seal_bytes = 2048;          // seals happen during ingest
-  crash_cfg.compact_min_bytes = 1 << 20;  // everything is a candidate
+  crash_cfg.seal_bytes = 2048;  // seals happen during ingest
   BenchDir crash_dir("crash");
   std::vector<CampaignResult> campaigns;
   campaigns.push_back(run_campaign(
       "storecrash commit after 4", mode_config(store::StoreMode::kTiered, ""),
-      crash_dir, schema, campaign_stream, kShards, false));
+      crash_dir, schema, campaign_stream, kShards));
   campaigns.push_back(run_campaign("storecrash commit after 7", crash_cfg,
                                    crash_dir, schema, campaign_stream,
-                                   kShards, false));
+                                   kShards));
   campaigns.push_back(run_campaign("storecrash seal after 2", crash_cfg,
                                    crash_dir, schema, campaign_stream,
-                                   kShards, false));
-  campaigns.push_back(run_campaign("storecrash compact after 1", crash_cfg,
-                                   crash_dir, schema, campaign_stream,
-                                   kShards, true));
-  campaigns.push_back(run_campaign("storecrash compact_swap after 1",
-                                   crash_cfg, crash_dir, schema,
-                                   campaign_stream, kShards, true));
+                                   kShards));
 
   std::printf("Crash campaigns (%zu events each):\n", campaign_events);
   for (const CampaignResult& c : campaigns) {
@@ -405,13 +340,6 @@ int main(int argc, char** argv) {
       w.end_object();
     }
     w.end_array();
-    w.key("cold_query");
-    w.begin_object();
-    w.member("segments", disjoint_stats.segments_total);
-    w.member("disjoint_filter_pruned", disjoint_stats.pruned);
-    w.member("disjoint_filter_read", disjoint_stats.read);
-    w.member("all_pruned_filter_read", all_pruned_stats.read);
-    w.end_object();
     w.key("crash_campaigns");
     w.begin_array();
     for (const CampaignResult& c : campaigns) {
@@ -430,12 +358,6 @@ int main(int argc, char** argv) {
   }
 
   // Correctness gates: ALWAYS fatal.
-  gate(disjoint_stats.pruned >= 1 && disjoint_stats.read == 1,
-       "disjoint-partition filter prunes the other partition's segment");
-  gate(disjoint_hits == std::max<std::size_t>(events_n / 2, 1),
-       "cold query returns every row of the matching partition");
-  gate(all_pruned_stats.read == 0 && all_pruned_hits == 0,
-       "fully-disjoint filter is answered from headers (0 blocks read)");
   for (const CampaignResult& c : campaigns) {
     gate(c.ok(), "crash campaign \"" + c.plan +
                      "\": fired, zero acked loss, byte-identical");

@@ -1,23 +1,16 @@
 #include "anomaly/engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
 #include "json/writer.hpp"
+#include "util/clock.hpp"
 
 namespace dlc::anomaly {
 
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::string format_seconds(double s) {
   char buf[32];
@@ -37,8 +30,7 @@ rollup::PolicyConfig anomaly_policy(double bucket_s) {
 }
 
 AnomalyEngine::AnomalyEngine(AnomalyConfig config) : config_(config) {
-  obs::Registry& reg =
-      config_.registry != nullptr ? *config_.registry : obs::Registry::global();
+  obs::Registry& reg = obs::Registry::global();
   m_cells_ = &reg.counter("dlc.anomaly.cells");
   m_late_ = &reg.counter("dlc.anomaly.late_cells");
   m_buckets_ = &reg.counter("dlc.anomaly.buckets_evaluated");
@@ -87,7 +79,7 @@ void AnomalyEngine::on_sealed(
     std::string_view policy, std::size_t shard, double watermark,
     const std::vector<std::pair<rollup::CellKey, rollup::CellAgg>>& cells) {
   if (policy != kAnomalyPolicyName) return;
-  const std::uint64_t t0 = now_ns();
+  const std::uint64_t t0 = util::now_ns();
   std::uint64_t folded = 0;
   std::uint64_t late = 0;
   std::uint64_t evaluated = 0;
@@ -149,7 +141,7 @@ void AnomalyEngine::on_sealed(
     if (late != 0) m_late_->add(late);
     if (evaluated != 0) {
       m_buckets_->add(evaluated);
-      m_eval_ns_->record(now_ns() - t0);
+      m_eval_ns_->record(util::now_ns() - t0);
       const util::LockGuard alock(alerts_m_);
       // Counters mirror the manager's monotone totals via deltas.
       m_fired_->add(manager_.total_fired() - published_fired_);

@@ -67,11 +67,8 @@ struct AnomalyConfig {
   double trend_rise = 0.5;
   /// Minimum fit quality (r^2) — noise does not trend.
   double trend_r2 = 0.5;
-  double burst_alpha = 0.3;
   BurstConfig burst;
   AlertManagerConfig alerts;
-  /// Metrics registry (nullptr = obs::Registry::global()).
-  obs::Registry* registry = nullptr;
 };
 
 struct AnomalyStats {

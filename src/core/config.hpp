@@ -131,8 +131,8 @@ struct ConnectorConfig {
   /// Empty = rollups stay in memory; non-empty runs the rollup spill
   /// store in tiered mode under this directory.
   std::string rollup_dir;
-  /// Rollup spill retention in seconds, 0 = keep forever; expires
-  /// segments only when the spill store's apply_retention() runs.
+  /// Has no effect: nothing expires sealed rollup segments.  Kept only
+  /// because e2ebench/bench.cpp assigns it.
   std::uint64_t rollup_retention_s = 0;
   /// Online anomaly detection riding the rollup seal path (default
   /// off).  When on, whoever

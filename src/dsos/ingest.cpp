@@ -1,22 +1,15 @@
 #include "dsos/ingest.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 
 #include "obs/registry.hpp"
+#include "util/clock.hpp"
 #include "util/cpu.hpp"
 
 namespace dlc::dsos {
 
 namespace {
-
-std::uint64_t real_now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Registry mirrors (cached once; see obs/registry.hpp).
 struct IngestObs {
@@ -108,7 +101,7 @@ void IngestExecutor::submit_traced(Object obj, const obs::TraceContext& trace) {
     return;
   }
   obs::TraceContext anchored = trace;
-  anchored.real_anchor_ns = real_now_ns();
+  anchored.real_anchor_ns = util::now_ns();
   pending_[shard].traces.emplace_back(pending_[shard].objects.size(),
                                       std::move(anchored));
   pending_[shard].objects.push_back(std::move(obj));
@@ -122,13 +115,10 @@ void IngestExecutor::flush_shard(std::size_t shard) {
   batch.objects.swap(pending_[shard].objects);
   batch.traces.swap(pending_[shard].traces);
   bool waited = false;
-  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t t0 = util::now_ns();
   queues_[shard]->push_wait(std::move(batch), 0, &waited);
   if (waited) {
-    const auto wait_ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
+    const std::uint64_t wait_ns = util::now_ns() - t0;
     backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
     backpressure_wait_ns_.fetch_add(wait_ns, std::memory_order_relaxed);
     if (obs::enabled()) {
@@ -207,22 +197,19 @@ void IngestExecutor::worker_loop(std::size_t w) {
     for (std::size_t s = w; s < queues_.size(); s += stride) {
       while (auto batch = queues_[s]->try_pop()) {
         if (config_.commit_hook) config_.commit_hook();
-        const auto t0 = std::chrono::steady_clock::now();
+        const std::uint64_t t0 = util::now_ns();
         for (Object& obj : batch->objects) {
           cluster_.insert_at(s, std::move(obj));
           ++done;
         }
-        const std::uint64_t t_inserted = real_now_ns();
+        const std::uint64_t t_inserted = util::now_ns();
         // Per-batch durability barrier: with a store attached this is
         // the WAL group commit for everything inserted above; without
         // one it is a no-op returning false.
         const bool durable = cluster_.commit_shard(s);
-        const std::uint64_t t_durable = durable ? real_now_ns() : 0;
+        const std::uint64_t t_durable = durable ? util::now_ns() : 0;
         if (obs::enabled()) {
-          ingest_obs().commit_ns.record(static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count()));
+          ingest_obs().commit_ns.record(util::now_ns() - t0);
         }
         if (collector_ != nullptr) {
           for (auto& [index, trace] : batch->traces) {

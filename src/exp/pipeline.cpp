@@ -47,6 +47,13 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   // cluster node n — jcfg.first_node is 0 — and is sampled by the
   // daemon named cluster.node_name(n)); "*" hits every node.
   for (const relia::FaultEvent& e : spec.fault_plan.events) {
+    if (e.kind == relia::FaultKind::kStoreCrash) {
+      // Nothing here arms a store from the plan (the rollup spill store
+      // included): a caller arms the store it mounts itself.
+      throw std::invalid_argument(
+          "fault plan storecrash arms no store in run_experiment: " +
+          relia::to_string(e));
+    }
     if (e.kind != relia::FaultKind::kIoSlow) continue;
     simfs::Incident inc;
     inc.start = e.at;
@@ -228,7 +235,6 @@ RunResult run_experiment(const ExperimentSpec& spec) {
       if (!spec.connector.rollup_dir.empty()) {
         rcfg.store_mode = store::StoreMode::kTiered;
         rcfg.dir = spec.connector.rollup_dir;
-        rcfg.retention_s = spec.connector.rollup_retention_s;
       }
       rollup_engine = std::make_shared<rollup::RollupEngine>(rcfg);
     }

@@ -91,6 +91,9 @@ struct ExperimentSpec {
   /// to the daemons by name; see relia/fault.hpp for the DSL.  Connector
   /// delivery mode (spec.connector.delivery) decides whether the faults
   /// lose events (best_effort) or only delay them (at_least_once).
+  /// `ioslow` directives slow the simulated file system; a `storecrash`
+  /// directive is rejected (std::invalid_argument), since no store here
+  /// is armed from the plan.
   relia::FaultPlan fault_plan;
 
   // --- cluster ----------------------------------------------------------

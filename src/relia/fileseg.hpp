@@ -1,18 +1,17 @@
 // Append-only file segment of length-prefixed records.
 //
-// Extracted from MessageSpool's spill-file code so the durable store's
-// WAL (store/wal.hpp) and the spool share one on-disk framing: each
-// record is a fixed 8-byte little-endian length followed by the body.
-// The fixed prefix means the reader never parses a varint across a
-// stream boundary, and a torn tail is detectable purely from lengths —
+// The durable store's WAL (store/wal.hpp) frames its records with it:
+// each record is a fixed 8-byte little-endian length followed by the
+// body.  The fixed prefix means the reader never parses a varint across
+// a stream boundary, and a torn tail is detectable purely from lengths —
 // either fewer than 8 prefix bytes remain, or fewer body bytes than the
 // prefix promises.
 //
 // The segment is deliberately dumb: one fstream, an append cursor at the
-// end and a read cursor that only moves forward, no locking (callers —
-// the spool's leaf mutex, the store's per-shard mutex — serialize), and
-// no durability stronger than a stream flush (the simulation's crash
-// model is process death, not power loss).
+// end and a read cursor that only moves forward, no locking (the caller,
+// the store's per-shard mutex, serializes), and no durability stronger
+// than a stream flush (the simulation's crash model is process death,
+// not power loss).
 //
 // append_partial() is the crash-injection seam: it writes a prefix of
 // the framed record and stops, producing exactly the torn tail a process

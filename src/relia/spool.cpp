@@ -1,45 +1,8 @@
 #include "relia/spool.hpp"
 
-#include "wire/varint.hpp"
-
 namespace dlc::relia {
 
-namespace {
-
-/// Serializes one message body (varint/zigzag fields via the wire
-/// primitives); FileSegment adds the fixed 8-byte LE length prefix, so
-/// the on-disk record format is unchanged from the pre-fileseg spool.
-std::string encode_record(const ldms::StreamMessage& msg) {
-  std::string body;
-  wire::put_string(body, msg.tag);
-  body.push_back(static_cast<char>(msg.format));
-  wire::put_string(body, msg.payload);
-  wire::put_string(body, msg.producer);
-  wire::put_varint(body, msg.seq);
-  wire::put_zigzag(body, msg.publish_time);
-  wire::put_zigzag(body, msg.deliver_time);
-  wire::put_varint(body, static_cast<std::uint64_t>(msg.hops));
-  return body;
-}
-
-bool decode_record(std::string_view body, ldms::StreamMessage& out) {
-  wire::Reader r(body);
-  out.tag = std::string(r.string());
-  const std::uint8_t format = r.byte();
-  if (format >= ldms::kPayloadFormatCount) return false;
-  out.format = static_cast<ldms::PayloadFormat>(format);
-  out.payload = std::string(r.string());
-  out.producer = std::string(r.string());
-  out.seq = r.varint();
-  out.publish_time = r.zigzag();
-  out.deliver_time = r.zigzag();
-  out.hops = static_cast<int>(r.varint());
-  return r.ok() && r.done();
-}
-
-}  // namespace
-
-MessageSpool::MessageSpool(SpoolConfig config) : config_(std::move(config)) {}
+MessageSpool::MessageSpool(SpoolConfig config) : config_(config) {}
 
 void MessageSpool::append(ldms::StreamMessage msg) {
   const util::LockGuard lock(m_);
@@ -53,68 +16,16 @@ void MessageSpool::append(ldms::StreamMessage msg) {
   }
   while (ring_.size() >= config_.max_msgs ||
          (config_.max_bytes > 0 && ring_bytes_ + bytes > config_.max_bytes)) {
-    evict_oldest();
+    ring_bytes_ -= ring_.front().payload.size();
+    ring_.pop_front();
+    ++evicted_;
   }
   ring_bytes_ += bytes;
   ring_.push_back(std::move(msg));
 }
 
-void MessageSpool::evict_oldest() {
-  ldms::StreamMessage oldest = std::move(ring_.front());
-  ring_.pop_front();
-  ring_bytes_ -= oldest.payload.size();
-  if (!config_.file_path.empty() && spill_to_file(oldest)) {
-    ++spilled_;
-  } else {
-    ++evicted_;
-  }
-}
-
-bool MessageSpool::spill_to_file(const ldms::StreamMessage& msg) {
-  if (!file_.is_open()) {
-    // Truncate on first open: the segment belongs to this spool instance
-    // alone (the durable store's WAL is the recover-on-open user).
-    if (!file_.open(config_.file_path, FileSegment::OpenMode::kTruncate)) {
-      return false;
-    }
-    file_msgs_ = 0;
-  }
-  const std::string record = encode_record(msg);
-  const std::size_t framed = record.size() + 8;  // LE length prefix
-  if (config_.file_max_bytes > 0 &&
-      framed > config_.file_max_bytes - file_.bytes()) {
-    return false;
-  }
-  if (!file_.append(record)) return false;
-  ++file_msgs_;
-  return true;
-}
-
-std::optional<ldms::StreamMessage> MessageSpool::read_from_file() {
-  std::string body;
-  if (file_.read_next(body) != FileSegment::ReadStatus::kOk) {
-    return std::nullopt;
-  }
-  ldms::StreamMessage msg;
-  if (!decode_record(body, msg)) return std::nullopt;
-  --file_msgs_;
-  if (file_msgs_ == 0) {
-    // Fully drained: recycle the segment so it never grows unbounded.
-    file_.recycle();
-  }
-  return msg;
-}
-
 std::optional<ldms::StreamMessage> MessageSpool::pop_front() {
   const util::LockGuard lock(m_);
-  if (file_msgs_ > 0) {
-    auto msg = read_from_file();
-    if (msg) return msg;
-    // Unreadable segment (truncated write, deleted file): count the
-    // stranded messages as evicted and fall through to the ring.
-    evicted_ += file_msgs_;
-    file_msgs_ = 0;
-  }
   if (ring_.empty()) return std::nullopt;
   ldms::StreamMessage msg = std::move(ring_.front());
   ring_.pop_front();
@@ -124,11 +35,9 @@ std::optional<ldms::StreamMessage> MessageSpool::pop_front() {
 
 void MessageSpool::clear() {
   const util::LockGuard lock(m_);
-  evicted_ += size_locked();
+  evicted_ += ring_.size();
   ring_.clear();
   ring_bytes_ = 0;
-  file_msgs_ = 0;
-  if (file_.is_open()) file_.recycle();
 }
 
 }  // namespace dlc::relia

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <cmath>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
 #include "json/writer.hpp"
+#include "util/clock.hpp"
 
 namespace dlc::rollup {
 
@@ -25,13 +25,6 @@ std::int64_t floor_div(std::int64_t a, std::int64_t b) {
   std::int64_t q = a / b;
   if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
   return q;
-}
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 }  // namespace
@@ -125,8 +118,7 @@ RollupEngine::RollupEngine(RollupEngineConfig config)
     }
     compiled_.push_back(std::move(c));
   }
-  obs::Registry& reg =
-      config_.registry != nullptr ? *config_.registry : obs::Registry::global();
+  obs::Registry& reg = obs::Registry::global();
   m_events_ = &reg.counter("dlc.rollup.events");
   m_late_ = &reg.counter("dlc.rollup.late_dropped");
   m_sealed_rows_ = &reg.counter("dlc.rollup.sealed_rows");
@@ -164,7 +156,6 @@ RollupRecovery RollupEngine::attach(dsos::DsosCluster& raw) {
     store::StoreConfig sc;
     sc.mode = config_.store_mode;
     sc.dir = config_.dir;
-    sc.retention_s = config_.retention_s;
     // One spill batch == one explicit commit == one atomic WAL group;
     // disable the row-count auto-commit so a batch can never tear.
     sc.wal_group_records = std::numeric_limits<std::size_t>::max();
@@ -520,7 +511,7 @@ void RollupEngine::seal_all() {
 
 std::vector<RollupCell> RollupEngine::query(std::string_view policy,
                                             const RollupQuery& q) const {
-  const std::uint64_t t0 = now_ns();
+  const std::uint64_t t0 = util::now_ns();
   const PolicyConfig* p = find_policy(policy);
   if (p == nullptr) {
     throw std::invalid_argument("rollup: unknown policy " +
@@ -600,7 +591,7 @@ std::vector<RollupCell> RollupEngine::query(std::string_view policy,
     cell.agg = std::move(agg);
     out.push_back(std::move(cell));
   }
-  if (obs::enabled()) m_query_ns_->record(now_ns() - t0);
+  if (obs::enabled()) m_query_ns_->record(util::now_ns() - t0);
   return out;
 }
 

@@ -58,11 +58,9 @@ struct RollupEngineConfig {
   /// Spill-store directory (ConnectorConfig::rollup_dir); required unless
   /// kMemory.
   std::string dir;
-  /// Retention over sealed rollup segments, seconds (0 = keep forever);
-  /// expires segments only through spill_store()->apply_retention().
+  /// Has no effect: nothing expires sealed rollup segments.  Kept only
+  /// because e2ebench/bench.cpp assigns it.
   std::uint64_t retention_s = 0;
-  /// Metrics registry (nullptr = obs::Registry::global()).
-  obs::Registry* registry = nullptr;
 };
 
 /// Engine-level crash points (beyond the spill store's own).
@@ -171,9 +169,6 @@ class RollupEngine {
   std::size_t arm_from_plan(const relia::FaultPlan& plan);
   bool crashed() const { return crashed_.load(std::memory_order_acquire); }
 
-  /// The spill store (nullptr in memory mode) — its FaultInjector,
-  /// retention and status are the caller's to drive.
-  store::Store* spill_store() { return spill_store_.get(); }
   const RollupRecovery& recovery() const { return recovery_; }
 
   std::vector<RollupCell> query(std::string_view policy,

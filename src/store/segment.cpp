@@ -271,60 +271,4 @@ bool read_segment_rows(const SegmentMeta& meta,
   return true;
 }
 
-bool segment_can_match(const SegmentMeta& meta, std::string_view schema_name,
-                       const dsos::Filter& filter) {
-  std::uint64_t schema_idx = meta.schemas.size();
-  for (std::size_t s = 0; s < meta.schemas.size(); ++s) {
-    if (meta.schemas[s]->name() == schema_name) {
-      schema_idx = s;
-      break;
-    }
-  }
-  // No rows of this schema in the segment at all.
-  if (schema_idx == meta.schemas.size()) return false;
-  const dsos::Schema& schema =
-      *meta.schemas[static_cast<std::size_t>(schema_idx)];
-
-  for (const dsos::Condition& cond : filter) {
-    const auto attr_id = schema.find_attr(cond.attr);
-    // dsos::matches rejects every object on an unknown attribute.
-    if (!attr_id) return false;
-    const SegmentZone* zone = nullptr;
-    for (const SegmentZone& z : meta.zones) {
-      if (z.schema_idx == schema_idx && z.attr_id == *attr_id) {
-        zone = &z;
-        break;
-      }
-    }
-    if (zone == nullptr) continue;  // unindexed attr: no zone to prune on
-    if (!dsos::value_matches_type(cond.value,
-                                  schema.attrs()[*attr_id].type)) {
-      continue;  // mixed-type compares order by variant index; stay safe
-    }
-    const int vs_min = dsos::compare_values(cond.value, zone->min);
-    const int vs_max = dsos::compare_values(cond.value, zone->max);
-    switch (cond.cmp) {
-      case dsos::Cmp::kEq:
-        if (vs_min < 0 || vs_max > 0) return false;
-        break;
-      case dsos::Cmp::kNe:
-        if (vs_min == 0 && vs_max == 0) return false;
-        break;
-      case dsos::Cmp::kLt:
-        if (vs_min <= 0) return false;
-        break;
-      case dsos::Cmp::kLe:
-        if (vs_min < 0) return false;
-        break;
-      case dsos::Cmp::kGt:
-        if (vs_max >= 0) return false;
-        break;
-      case dsos::Cmp::kGe:
-        if (vs_max > 0) return false;
-        break;
-    }
-  }
-  return true;
-}
-
 }  // namespace dlc::store

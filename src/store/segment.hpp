@@ -1,18 +1,18 @@
 // Immutable sealed segments: the cold tier of the durable store.
 //
 // A segment is one shard's run of contiguous-sequence rows, written
-// once at seal (or compaction) time and never modified.  The header
-// carries everything a query planner needs without touching the data
-// block: seq range, time range, the full schema definitions, and
-// persisted per-attribute zone maps — the at-rest extension of the
-// Container's in-memory zones, so cold queries over disjoint partitions
-// prune on a few hundred header bytes instead of decoding rows.
+// once at seal time and never modified.  The header describes the data
+// block without touching it: seq range, time range, the full schema
+// definitions and per-attribute zone maps.  Recovery reads the header
+// to order and validate segments, then loads every row back into the
+// Container.  No program reads the zones or created_unix_s back; they
+// stay because golden segment.bin pins the format.
 //
 // Crash safety is write-to-tmp-then-rename: a seal that dies mid-write
 // leaves only a `.seg.tmp` file, which recovery deletes (the WAL still
-// holds every row).  Compaction lists the ids it replaces in its output
-// header, so a crash after the rename but before the input deletes is
-// resolved on open by dropping any segment a live header replaces.
+// holds every row).  A header may list segment ids it `replaces`; seals
+// write none, but recovery still drops any segment a live header names,
+// because older builds compacted by writing such a header.
 //
 // Header and data block carry independent CRC-32s: the header is read
 // (and verified) on every open, the data CRC is verified whenever rows
@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "dsos/container.hpp"
@@ -47,13 +46,12 @@ struct SegmentMeta {
   std::uint64_t last_seq = 0;
   std::uint64_t row_count = 0;
   /// Min/max over the rows' first kTimestamp attribute (epoch seconds);
-  /// 0/0 when no schema in the segment has one (retention then falls
-  /// back to created_unix_s).
+  /// 0/0 when no schema in the segment has one.
   double min_time = 0.0;
   double max_time = 0.0;
   std::uint64_t created_unix_s = 0;
-  /// Segment ids this file supersedes (compaction outputs; empty for
-  /// seals).  Recovery drops any listed id that still exists on disk.
+  /// Segment ids this file supersedes (empty for seals).  Recovery
+  /// drops any listed id that still exists on disk.
   std::vector<std::uint64_t> replaces;
   std::vector<dsos::SchemaPtr> schemas;
   std::vector<SegmentZone> zones;
@@ -80,11 +78,5 @@ std::optional<SegmentMeta> read_segment_meta(const std::string& path);
 /// corruption.  Row i of the segment has sequence first_seq + i.
 bool read_segment_rows(const SegmentMeta& meta,
                        std::vector<dsos::Object>* out);
-
-/// Zone-map pruning over the persisted header, mirroring
-/// Container::can_match: false is definitive ("no row in this segment
-/// matches"), true only means "cannot rule it out".
-bool segment_can_match(const SegmentMeta& meta, std::string_view schema_name,
-                       const dsos::Filter& filter);
 
 }  // namespace dlc::store

@@ -1,7 +1,6 @@
 #include "store/store.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <ctime>
 #include <filesystem>
 #include <stdexcept>
@@ -10,19 +9,13 @@
 
 #include "json/writer.hpp"
 #include "obs/registry.hpp"
+#include "util/clock.hpp"
 
 namespace dlc::store {
 
 namespace fs = std::filesystem;
 
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// Bytes of the framed WAL record written before the injected "process
 /// death": the full 8-byte length prefix plus a sliver of the body, so
@@ -38,14 +31,9 @@ struct StoreObs {
   obs::LogHistogram& wal_commit_ns;
   obs::Counter& seals;
   obs::LogHistogram& seal_ns;
-  obs::Counter& compactions;
-  obs::LogHistogram& compact_ns;
-  obs::Counter& retention_deleted;
   obs::Counter& recovered_rows;
   obs::Counter& torn_tails;
   obs::Counter& quarantined;
-  obs::Counter& cold_pruned;
-  obs::Counter& cold_read;
   obs::Gauge& segments_live;
   obs::Gauge& wal_backlog_bytes;
 };
@@ -59,14 +47,9 @@ StoreObs& store_obs() {
       reg.histogram("dlc.store.wal_commit_ns"),
       reg.counter("dlc.store.seals"),
       reg.histogram("dlc.store.seal_ns"),
-      reg.counter("dlc.store.compactions"),
-      reg.histogram("dlc.store.compact_ns"),
-      reg.counter("dlc.store.retention_deleted"),
       reg.counter("dlc.store.recovered_rows"),
       reg.counter("dlc.store.torn_tails"),
       reg.counter("dlc.store.quarantined"),
-      reg.counter("dlc.store.cold_segments_pruned"),
-      reg.counter("dlc.store.cold_segments_read"),
       reg.gauge("dlc.store.segments_live"),
       reg.gauge("dlc.store.wal_backlog_bytes"),
   };
@@ -119,10 +102,6 @@ std::string_view crash_point_name(CrashPoint p) {
       return "commit";
     case CrashPoint::kSeal:
       return "seal";
-    case CrashPoint::kCompactWrite:
-      return "compact";
-    case CrashPoint::kCompactSwap:
-      return "compact_swap";
   }
   return "?";
 }
@@ -220,7 +199,7 @@ bool Store::Shard::on_commit() {
 bool Store::Shard::commit_locked() {
   if (store->crashed()) return false;
   if (!pending.empty()) {
-    const std::uint64_t t0 = now_ns();
+    const std::uint64_t t0 = util::now_ns();
     // Dictionary frames for schemas this log has not described yet —
     // they must precede the data frame that references them.
     for (const dsos::Object* row : pending) {
@@ -245,7 +224,7 @@ bool Store::Shard::commit_locked() {
       o.wal_commits.add();
       o.wal_records.add(pending.size());
       o.wal_bytes.add(wal.bytes() - bytes_before);
-      o.wal_commit_ns.record(now_ns() - t0);
+      o.wal_commit_ns.record(util::now_ns() - t0);
       o.wal_backlog_bytes.set(static_cast<std::int64_t>(wal.bytes()));
     }
     pending.clear();
@@ -256,13 +235,13 @@ bool Store::Shard::commit_locked() {
 
 void Store::Shard::seal_locked() {
   if (unsealed.empty()) return;
-  const std::uint64_t t0 = now_ns();
+  const std::uint64_t t0 = util::now_ns();
   SegmentMeta meta;
   meta.id = store->next_segment_id_.fetch_add(1, std::memory_order_relaxed);
   meta.shard = index;
   meta.first_seq = unsealed_first;
   meta.last_seq = unsealed_first + unsealed.size() - 1;
-  meta.created_unix_s = static_cast<std::uint64_t>(store->now_unix_s());
+  meta.created_unix_s = static_cast<std::uint64_t>(std::time(nullptr));
   meta.path = (fs::path(store->config_.dir) /
                segment_file_name(index, meta.id))
                   .string();
@@ -285,7 +264,7 @@ void Store::Shard::seal_locked() {
   if (obs::enabled()) {
     StoreObs& o = store_obs();
     o.seals.add();
-    o.seal_ns.record(now_ns() - t0);
+    o.seal_ns.record(util::now_ns() - t0);
     o.segments_live.set(
         store->live_segments_.load(std::memory_order_relaxed));
     o.wal_backlog_bytes.set(0);
@@ -294,7 +273,6 @@ void Store::Shard::seal_locked() {
 
 Store::Store(StoreConfig config) : config_(std::move(config)) {
   config_.wal_group_records = std::max<std::size_t>(1, config_.wal_group_records);
-  config_.compact_fanin = std::max<std::size_t>(2, config_.compact_fanin);
 }
 
 Store::~Store() {
@@ -304,11 +282,6 @@ Store::~Store() {
     // Destructors must not throw; close() failures are already loud at
     // every explicit call site.
   }
-}
-
-std::int64_t Store::now_unix_s() const {
-  return config_.now_unix_s ? config_.now_unix_s()
-                            : static_cast<std::int64_t>(std::time(nullptr));
 }
 
 void Store::require_open(const char* op) const {
@@ -384,8 +357,9 @@ RecoveryReport Store::open(dsos::DsosCluster& cluster) {
       }
     }
 
-    // Pass 2 — drop segments a live header replaces (compaction crashed
-    // after its swap rename but before deleting inputs).
+    // Pass 2 — drop segments a live header replaces (an older build's
+    // compaction that died after its swap rename, before deleting its
+    // inputs).
     std::set<std::uint64_t> replaced;
     for (const SegmentMeta& meta : metas) {
       replaced.insert(meta.replaces.begin(), meta.replaces.end());
@@ -579,186 +553,10 @@ void Store::seal_all() {
   }
 }
 
-std::size_t Store::compact_shard(Shard& sh) {
-  const util::LockGuard shard_lock(sh.m);
-  std::vector<SegmentMeta>& segs = sh.segments;
-  // First run of >= 2 adjacent segments all under the size threshold.
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  for (std::size_t i = 0; i < segs.size();) {
-    if (segs[i].file_bytes >= config_.compact_min_bytes) {
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < segs.size() && j - i < config_.compact_fanin &&
-           segs[j].file_bytes < config_.compact_min_bytes) {
-      ++j;
-    }
-    if (j - i >= 2) {
-      begin = i;
-      end = j;
-      break;
-    }
-    i = j;
-  }
-  if (end - begin < 2) return 0;
-
-  std::vector<dsos::Object> rows;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (!read_segment_rows(segs[i], &rows)) return 0;  // leave as-is
-  }
-  SegmentMeta meta;
-  meta.id = next_segment_id_.fetch_add(1, std::memory_order_relaxed);
-  meta.shard = sh.index;
-  meta.first_seq = segs[begin].first_seq;
-  meta.last_seq = segs[end - 1].last_seq;
-  meta.created_unix_s = static_cast<std::uint64_t>(now_unix_s());
-  for (std::size_t i = begin; i < end; ++i) {
-    meta.replaces.push_back(segs[i].id);
-  }
-  meta.path =
-      (fs::path(config_.dir) / segment_file_name(sh.index, meta.id)).string();
-  std::vector<const dsos::Object*> row_ptrs;
-  row_ptrs.reserve(rows.size());
-  for (const dsos::Object& row : rows) row_ptrs.push_back(&row);
-
-  if (faults_.should_crash(CrashPoint::kCompactWrite)) {
-    write_segment(&meta, row_ptrs, /*fault_cap_bytes=*/64);
-    mark_crashed();
-    throw StoreCrash("storecrash: compaction write (torn .seg.tmp)");
-  }
-  if (!write_segment(&meta, row_ptrs)) return 0;
-  if (faults_.should_crash(CrashPoint::kCompactSwap)) {
-    mark_crashed();
-    throw StoreCrash(
-        "storecrash: compaction swap (output renamed, inputs not deleted)");
-  }
-
-  const std::size_t merged = end - begin;
-  std::error_code ec;
-  for (std::size_t i = begin; i < end; ++i) {
-    fs::remove(segs[i].path, ec);
-  }
-  segs.erase(segs.begin() + static_cast<std::ptrdiff_t>(begin),
-             segs.begin() + static_cast<std::ptrdiff_t>(end));
-  segs.insert(segs.begin() + static_cast<std::ptrdiff_t>(begin),
-              std::move(meta));
-  live_segments_.fetch_sub(static_cast<std::int64_t>(merged - 1),
-                           std::memory_order_relaxed);
-  return merged;
-}
-
-std::size_t Store::compact_once() {
-  require_open("compact_once");
-  if (crashed()) return 0;
-  const std::uint64_t t0 = now_ns();
-  std::size_t merged = 0;
-  for (auto& shard_ptr : shards_) {
-    merged += compact_shard(*shard_ptr);
-  }
-  if (merged != 0) {
-    {
-      const util::LockGuard lock(state_m_);
-      ++compactions_;
-    }
-    if (obs::enabled()) {
-      StoreObs& o = store_obs();
-      o.compactions.add();
-      o.compact_ns.record(now_ns() - t0);
-      o.segments_live.set(live_segments_.load(std::memory_order_relaxed));
-    }
-  }
-  return merged;
-}
-
-std::size_t Store::retention_shard(Shard& sh, std::int64_t now) {
-  const util::LockGuard shard_lock(sh.m);
-  std::size_t deleted = 0;
-  std::vector<SegmentMeta>& segs = sh.segments;
-  for (auto it = segs.begin(); it != segs.end();) {
-    // Age from the newest row's timestamp, or the seal time when no
-    // schema in the segment carries one.  Exactly-at-TTL expires.
-    const double newest = it->max_time > 0.0
-                              ? it->max_time
-                              : static_cast<double>(it->created_unix_s);
-    if (static_cast<double>(now) - newest >=
-        static_cast<double>(config_.retention_s)) {
-      std::error_code ec;
-      fs::remove(it->path, ec);
-      it = segs.erase(it);
-      ++deleted;
-    } else {
-      ++it;
-    }
-  }
-  return deleted;
-}
-
-std::size_t Store::apply_retention() {
-  require_open("apply_retention");
-  if (config_.retention_s == 0 || crashed()) return 0;
-  const std::int64_t now = now_unix_s();
-  std::size_t deleted = 0;
-  for (auto& shard_ptr : shards_) {
-    deleted += retention_shard(*shard_ptr, now);
-  }
-  if (deleted != 0) {
-    live_segments_.fetch_sub(static_cast<std::int64_t>(deleted),
-                             std::memory_order_relaxed);
-    {
-      const util::LockGuard lock(state_m_);
-      retention_deleted_ += deleted;
-    }
-    if (obs::enabled()) {
-      StoreObs& o = store_obs();
-      o.retention_deleted.add(deleted);
-      o.segments_live.set(live_segments_.load(std::memory_order_relaxed));
-    }
-  }
-  return deleted;
-}
-
 std::uint64_t Store::durable_seq(std::size_t shard) const {
   if (shard >= shards_.size()) return 0;
   const util::LockGuard shard_lock(shards_[shard]->m);
   return shards_[shard]->durable;
-}
-
-std::vector<dsos::Object> Store::query_cold(std::string_view schema_name,
-                                            const dsos::Filter& filter,
-                                            ColdQueryStats* stats) const {
-  require_open("query_cold");
-  std::vector<dsos::Object> out;
-  for (const auto& shard_ptr : shards_) {
-    // Snapshot the meta list, then read files without the shard lock —
-    // segments are immutable, and an input that a concurrent
-    // compact_once()/apply_retention() removed just fails its read and
-    // is skipped.
-    std::vector<SegmentMeta> metas;
-    {
-      const util::LockGuard shard_lock(shard_ptr->m);
-      metas = shard_ptr->segments;
-    }
-    for (const SegmentMeta& meta : metas) {
-      if (stats != nullptr) ++stats->segments_total;
-      if (!segment_can_match(meta, schema_name, filter)) {
-        if (stats != nullptr) ++stats->pruned;
-        if (obs::enabled()) store_obs().cold_pruned.add();
-        continue;
-      }
-      if (stats != nullptr) ++stats->read;
-      if (obs::enabled()) store_obs().cold_read.add();
-      std::vector<dsos::Object> rows;
-      if (!read_segment_rows(meta, &rows)) continue;
-      for (dsos::Object& row : rows) {
-        if (row.schema->name() == schema_name && dsos::matches(row, filter)) {
-          out.push_back(std::move(row));
-        }
-      }
-    }
-  }
-  return out;
 }
 
 std::string Store::status_json() const {
@@ -768,12 +566,6 @@ std::string Store::status_json() const {
   w.member("dir", config_.dir);
   w.member("open", is_open());
   w.member("crashed", crashed());
-  w.member("retention_s", config_.retention_s);
-  {
-    const util::LockGuard lock(state_m_);
-    w.member("compactions", compactions_);
-    w.member("retention_deleted", retention_deleted_);
-  }
   w.member("segments_live",
            static_cast<std::int64_t>(
                live_segments_.load(std::memory_order_relaxed)));

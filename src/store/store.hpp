@@ -7,12 +7,10 @@
 // a dsos::CommitSink — from then on each insert is logged into a
 // per-shard group-commit buffer, each Container::commit() flushes the
 // buffer as one CRC-framed WAL group, and a WAL that passes seal_bytes
-// is sealed into an immutable zone-mapped segment file.  compact_once()
-// and apply_retention() merge and expire segments when a caller runs
-// them; nothing runs them in the background.  Queries, zone maps and
-// the websvc keep reading the hot in-memory Container exactly as
-// before; the segments additionally serve query_cold(), which prunes on
-// persisted zone maps without decoding cold data blocks.
+// is sealed into an immutable segment file.  Queries, zone maps and the
+// websvc keep reading the in-memory Container, which holds every row
+// for the life of the process: the store's whole job is durability —
+// group commit, seal and recovery.
 //
 // Rows are held once.  The store keeps no copy of a row: its group-
 // commit buffer and its unsealed run point at the Container's own rows
@@ -26,9 +24,9 @@
 //
 // Acknowledgement contract (at_least_once): a row is *acked* once a
 // commit covering it returns true.  Crash-injection campaigns
-// (relia::FaultPlan `storecrash` directives) kill the store mid-commit,
-// mid-seal and mid-compaction, then reopen and assert every acked row
-// is recovered — the zero-acked-loss bar in ROADMAP.md.  A fired crash
+// (relia::FaultPlan `storecrash` directives) kill the store mid-commit
+// and mid-seal, then reopen and assert every acked row is recovered —
+// the zero-acked-loss bar in ROADMAP.md.  A fired crash
 // throws store::StoreCrash and deadens the instance (every later sink
 // call no-ops, simulating the dead process); recovery happens by
 // opening a *new* Store on the same directory.  Arm crashes only under
@@ -41,9 +39,9 @@
 // before StoreShard.  See DESIGN.md §5c.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -65,20 +63,10 @@ struct StoreConfig {
   std::string dir;
   /// Created when missing (false turns a missing dir into an open error).
   bool create_dir = true;
-  /// Retention over sealed segments, seconds (0 = keep forever), applied
-  /// by apply_retention().  A segment expires when now >= its newest
-  /// row's timestamp + retention (exactly-at-TTL counts as expired).
-  std::uint64_t retention_s = 0;
   /// Rows buffered per shard before an automatic group commit.
   std::size_t wal_group_records = 64;
   /// WAL size that triggers sealing into a segment.
   std::size_t seal_bytes = 4 * 1024 * 1024;
-  /// Segments smaller than this are compaction candidates.
-  std::size_t compact_min_bytes = 1024 * 1024;
-  /// Max segments merged per compaction step.
-  std::size_t compact_fanin = 8;
-  /// Injectable clock for retention tests; default std::time.
-  std::function<std::int64_t()> now_unix_s;
 };
 
 /// Thrown when an armed crash point fires: "the process died here".
@@ -89,12 +77,10 @@ class StoreCrash : public std::runtime_error {
 
 /// Where a FaultPlan `storecrash` directive can kill the store.
 enum class CrashPoint : std::uint8_t {
-  kWalCommit = 0,    // mid group-commit: torn WAL tail
-  kSeal = 1,         // mid segment write: stray .seg.tmp, WAL intact
-  kCompactWrite = 2, // mid compaction output write: stray .seg.tmp
-  kCompactSwap = 3,  // after rename, before input deletes: replaces dup
+  kWalCommit = 0,  // mid group-commit: torn WAL tail
+  kSeal = 1,       // mid segment write: stray .seg.tmp, WAL intact
 };
-inline constexpr std::size_t kCrashPointCount = 4;
+inline constexpr std::size_t kCrashPointCount = 2;
 
 std::string_view crash_point_name(CrashPoint p);
 bool crash_point_from_name(std::string_view name, CrashPoint& out);
@@ -131,8 +117,9 @@ struct RecoveryReport {
   /// Segments renamed to .quarantined (bad header/data CRC, truncation,
   /// unknown version) plus stray .seg.tmp files deleted.
   std::uint64_t quarantined_segments = 0;
-  /// Segments dropped because a live segment's header replaces them
-  /// (compaction crashed after the swap rename).
+  /// Segments dropped because a live segment's header replaces them.
+  /// Nothing here writes a `replaces` list any more, but a directory
+  /// left by an older build's interrupted compaction can hold one.
   std::uint64_t replaced_dropped = 0;
   /// Per-shard recovered sequence frontier (everything <= this is
   /// durable; an at-least-once driver resubmits from here).
@@ -176,39 +163,19 @@ class Store {
   /// Seals every shard's unsealed rows regardless of seal_bytes
   /// (end-of-campaign flush to cold storage).
   void seal_all();
-  /// One compaction sweep; returns segments merged away.
-  std::size_t compact_once();
-  /// Deletes expired segments; returns how many.
-  std::size_t apply_retention();
 
   /// Ack frontier: every row of `shard` with seq <= durable_seq(shard)
   /// survives a crash.
   std::uint64_t durable_seq(std::size_t shard) const;
 
-  struct ColdQueryStats {
-    std::uint64_t segments_total = 0;
-    std::uint64_t pruned = 0;  // answered from the header zone maps
-    std::uint64_t read = 0;    // data blocks actually decoded
-  };
-
-  /// At-rest query over sealed segments only (the hot path stays the
-  /// Container API): prunes on persisted zone maps, decodes surviving
-  /// blocks, filters rows.  Results in (shard, seq) order.
-  std::vector<dsos::Object> query_cold(std::string_view schema_name,
-                                       const dsos::Filter& filter,
-                                       ColdQueryStats* stats = nullptr) const;
-
-  /// /api/store payload: mode, per-shard WAL/segment state, counters.
+  /// /api/store payload: mode, per-shard WAL/segment state, recovery.
   std::string status_json() const;
 
  private:
   struct Shard;
 
-  std::int64_t now_unix_s() const;
   void require_open(const char* op) const;
   void mark_crashed() const;
-  std::size_t compact_shard(Shard& shard);
-  std::size_t retention_shard(Shard& shard, std::int64_t now);
 
   StoreConfig config_;
   FaultInjector faults_;
@@ -217,8 +184,6 @@ class Store {
   mutable util::Mutex state_m_{"StoreState"};
   dsos::DsosCluster* cluster_ DLC_GUARDED_BY(state_m_) = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;  // stable between open/close
-  std::uint64_t compactions_ DLC_GUARDED_BY(state_m_) = 0;
-  std::uint64_t retention_deleted_ DLC_GUARDED_BY(state_m_) = 0;
 
   // atomic-protocol: kind=flag pairs=SegmentStore::open/close
   std::atomic<bool> open_{false};

@@ -11,6 +11,7 @@
 #include "exp/figdata.hpp"
 #include "exp/specs.hpp"
 #include "exp/table.hpp"
+#include "relia/fault.hpp"
 #include "workloads/mpi_io_test.hpp"
 
 namespace dlc::exp {
@@ -180,6 +181,22 @@ TEST(Pipeline, RejectsUnparsableConnectorStrings) {
   rollup.decode_to_dsos = true;
   rollup.connector.rollup_policies = "garbage policy";
   EXPECT_NE(rejection(rollup).find("bad rollup policy"), std::string::npos);
+}
+
+TEST(Pipeline, RejectsFaultPlanItCannotApply) {
+  // run_experiment arms no store from its fault plan, so a storecrash
+  // directive fails loudly instead of doing nothing, as a directive
+  // naming a daemon outside the topology does.
+  ExperimentSpec store = tiny_mpiio(simfs::FsKind::kLustre);
+  store.fault_plan = relia::parse_fault_plan("storecrash commit after 1\n");
+  ASSERT_TRUE(store.fault_plan.ok());
+  EXPECT_NE(rejection(store).find("storecrash commit after 1"),
+            std::string::npos);
+
+  ExperimentSpec daemon = tiny_mpiio(simfs::FsKind::kLustre);
+  daemon.fault_plan = relia::parse_fault_plan("crash nid99 at 1s for 1s\n");
+  ASSERT_TRUE(daemon.fault_plan.ok());
+  EXPECT_NE(rejection(daemon).find("unknown daemon"), std::string::npos);
 }
 
 TEST(Campaign, RepeatedRunsVaryAndAverage) {

@@ -135,50 +135,6 @@ TEST(MessageSpool, ByteBoundEvictsIndependentlyOfCount) {
   EXPECT_EQ(spool.pop_front()->seq, 2u);
 }
 
-TEST(MessageSpool, FileSegmentRoundTripsEvictedMessages) {
-  const std::string path = ::testing::TempDir() + "relia_spool_seg.bin";
-  std::remove(path.c_str());
-  relia::SpoolConfig cfg;
-  cfg.max_msgs = 2;
-  cfg.file_path = path;
-  relia::MessageSpool spool(cfg);
-  for (std::uint64_t s = 1; s <= 5; ++s) {
-    spool.append(make_msg(s, "payload-" + std::to_string(s)));
-  }
-  // Ring holds {4, 5}; {1, 2, 3} spilled to the file segment.
-  EXPECT_EQ(spool.size(), 5u);
-  EXPECT_EQ(spool.spilled(), 3u);
-  EXPECT_EQ(spool.evicted(), 0u);  // nothing lost: the file caught them
-  // Publish order is preserved across the file/ring boundary, and the
-  // spilled copies come back intact.
-  for (std::uint64_t s = 1; s <= 5; ++s) {
-    auto m = spool.pop_front();
-    ASSERT_TRUE(m.has_value()) << "seq " << s;
-    EXPECT_EQ(m->seq, s);
-    EXPECT_EQ(m->payload, "payload-" + std::to_string(s));
-    EXPECT_EQ(m->producer, "nid1");
-    EXPECT_EQ(m->format, ldms::PayloadFormat::kString);
-    EXPECT_EQ(m->publish_time, static_cast<SimTime>(s));
-  }
-  EXPECT_TRUE(spool.empty());
-  std::remove(path.c_str());
-}
-
-TEST(MessageSpool, FileSegmentCapDropsAndCounts) {
-  const std::string path = ::testing::TempDir() + "relia_spool_cap.bin";
-  std::remove(path.c_str());
-  relia::SpoolConfig cfg;
-  cfg.max_msgs = 1;
-  cfg.file_path = path;
-  cfg.file_max_bytes = 1;  // effectively: nothing fits
-  relia::MessageSpool spool(cfg);
-  spool.append(make_msg(1, "0123456789"));
-  spool.append(make_msg(2, "0123456789"));  // evicts seq 1; file refuses it
-  EXPECT_EQ(spool.evicted(), 1u);
-  EXPECT_EQ(spool.size(), 1u);
-  std::remove(path.c_str());
-}
-
 TEST(MessageSpool, ClearCountsRetainedAsEvicted) {
   relia::MessageSpool spool;
   spool.append(make_msg(1));
@@ -422,13 +378,13 @@ TEST(FaultPlan, EventsRoundTripThroughToString) {
 TEST(FaultPlan, StorecrashDirectiveIsOccurrenceCounted) {
   const auto plan = relia::parse_fault_plan(
       "storecrash commit after 3\n"
-      "storecrash compact_swap after 1\n");
+      "storecrash seal after 1\n");
   ASSERT_TRUE(plan.ok()) << plan.errors.front();
   ASSERT_EQ(plan.events.size(), 2u);
   EXPECT_EQ(plan.events[0].kind, relia::FaultKind::kStoreCrash);
   EXPECT_EQ(plan.events[0].daemon, "commit");  // crash-point name
   EXPECT_EQ(plan.events[0].count, 3u);
-  EXPECT_EQ(plan.events[1].daemon, "compact_swap");
+  EXPECT_EQ(plan.events[1].daemon, "seal");
   // Renders without an `at` clause and round-trips through the parser.
   EXPECT_EQ(relia::to_string(plan.events[0]), "storecrash commit after 3");
   const auto replay = relia::parse_fault_plan(relia::to_string(plan.events[1]));

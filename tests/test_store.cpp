@@ -1,8 +1,8 @@
 // Tests for the durable store: object-block codec round trips, WAL
-// replay with torn tails, sealed-segment corruption handling, zone-map
-// pruning over persisted headers, retention TTL edges, the open/close
-// guard rails, and FaultPlan-driven crash-recovery campaigns asserting
-// zero acknowledged-event loss with byte-identical query results.
+// replay with torn tails, sealed-segment corruption handling, the
+// open/close guard rails, and FaultPlan-driven crash-recovery campaigns
+// asserting zero acknowledged-event loss with byte-identical query
+// results.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -357,35 +357,6 @@ TEST(Segment, BitFlippedDataBlockFailsRowReadNotHeader) {
   EXPECT_FALSE(read_segment_rows(*back, &decoded));  // data CRC catches it
 }
 
-TEST(Segment, ZoneMapsPruneDisjointFilters) {
-  const TempDir dir("seg_zones");
-  const auto s = test_schema();
-  const auto rows = make_events(s, 8, /*job=*/3, /*ranks=*/2, /*t0=*/500.0);
-  std::vector<const dsos::Object*> ptrs;
-  for (const auto& r : rows) ptrs.push_back(&r);
-  SegmentMeta meta;
-  meta.path = dir.sub(segment_file_name(0, 1));
-  meta.id = 1;
-  meta.first_seq = 1;
-  meta.last_seq = 8;
-  ASSERT_TRUE(write_segment(&meta, ptrs));
-
-  using dsos::Cmp;
-  // Disjoint job id: zone [3,3] cannot contain 4.
-  EXPECT_FALSE(segment_can_match(
-      meta, "darshan_data",
-      {{"job_id", Cmp::kEq, dsos::Value{std::uint64_t{4}}}}));
-  // Disjoint time range: max_time is 507.
-  EXPECT_FALSE(segment_can_match(
-      meta, "darshan_data", {{"timestamp", Cmp::kGt, dsos::Value{1000.0}}}));
-  // Overlapping filter cannot be ruled out.
-  EXPECT_TRUE(segment_can_match(
-      meta, "darshan_data",
-      {{"job_id", Cmp::kEq, dsos::Value{std::uint64_t{3}}}}));
-  // Unknown schema: nothing in this segment can match.
-  EXPECT_FALSE(segment_can_match(meta, "other_schema", {}));
-}
-
 // ------------------------------------------------------------ store -------
 
 StoreConfig store_config(const std::string& dir, StoreMode mode,
@@ -481,117 +452,6 @@ TEST(Store, TieredModeSealsAndReopensByteIdentical) {
   EXPECT_GT(rep.segments_loaded, 0u);
   EXPECT_EQ(rep.rows_from_segments + rep.rows_from_wal, 120u);
   EXPECT_EQ(fingerprint(db), want);
-  st.close();
-}
-
-TEST(Store, CompactionMergesSmallSegmentsPreservingRows) {
-  const TempDir dir("compact");
-  const auto s = test_schema();
-  const auto events = make_events(s, 90, /*job=*/1, /*ranks=*/1);
-  const std::string want = baseline_fingerprint(s, events, 1);
-
-  StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
-  cfg.compact_min_bytes = 1 << 20;  // everything is a candidate
-  {
-    dsos::DsosCluster db(cluster_config(1));
-    db.register_schema(s);
-    Store st(cfg);
-    st.open(db);
-    // Three seals -> three small segments.
-    std::size_t i = 0;
-    for (const auto& e : events) {
-      db.insert(e);
-      if (++i % 30 == 0) {
-        st.flush_all();
-        st.seal_all();
-      }
-    }
-    const std::size_t merged = st.compact_once();
-    EXPECT_EQ(merged, 3u);
-    EXPECT_EQ(st.compact_once(), 0u);  // nothing left to merge
-    st.close();
-  }
-  dsos::DsosCluster db(cluster_config(1));
-  Store st(cfg);
-  const RecoveryReport rep = st.open(db);
-  EXPECT_EQ(rep.segments_loaded, 1u);  // one merged segment
-  EXPECT_EQ(rep.rows_from_segments, 90u);
-  EXPECT_EQ(fingerprint(db), want);
-  st.close();
-}
-
-TEST(Store, RetentionExpiresExactlyAtTtl) {
-  const TempDir dir("retention");
-  const auto s = test_schema();
-  // All rows at timestamp 100..129 => segment max_time = 129.
-  const auto events = make_events(s, 30, /*job=*/1, /*ranks=*/1,
-                                  /*t0=*/100.0);
-  std::int64_t fake_now = 150;
-  StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
-  cfg.retention_s = 50;
-  cfg.now_unix_s = [&fake_now] { return fake_now; };
-
-  dsos::DsosCluster db(cluster_config(1));
-  db.register_schema(s);
-  Store st(cfg);
-  st.open(db);
-  for (const auto& e : events) db.insert(e);
-  st.flush_all();
-  st.seal_all();
-
-  fake_now = 178;  // now - max_time = 49 < 50: kept
-  EXPECT_EQ(st.apply_retention(), 0u);
-  fake_now = 179;  // now - max_time = 50 == ttl: expired
-  EXPECT_EQ(st.apply_retention(), 1u);
-  EXPECT_EQ(st.apply_retention(), 0u);  // idempotent
-  st.close();
-
-  // The expired segment is gone from disk too.
-  std::size_t seg_files = 0;
-  for (const auto& entry : fsys::directory_iterator(dir.path())) {
-    if (entry.path().string().ends_with(".seg")) ++seg_files;
-  }
-  EXPECT_EQ(seg_files, 0u);
-}
-
-TEST(Store, QueryColdPrunesDisjointPartitionsViaPersistedZones) {
-  const TempDir dir("query_cold");
-  const auto s = test_schema();
-  StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
-
-  dsos::DsosCluster db(cluster_config(1));
-  db.register_schema(s);
-  Store st(cfg);
-  st.open(db);
-  // Two disjoint job/time partitions, sealed into separate segments.
-  for (const auto& e : make_events(s, 40, /*job=*/1, /*ranks=*/1, 100.0)) {
-    db.insert(e);
-  }
-  st.flush_all();
-  st.seal_all();
-  for (const auto& e : make_events(s, 40, /*job=*/2, /*ranks=*/1, 5000.0)) {
-    db.insert(e);
-  }
-  st.flush_all();
-  st.seal_all();
-
-  using dsos::Cmp;
-  Store::ColdQueryStats stats;
-  const auto hits = st.query_cold(
-      "darshan_data", {{"job_id", Cmp::kEq, dsos::Value{std::uint64_t{2}}}},
-      &stats);
-  EXPECT_EQ(hits.size(), 40u);
-  EXPECT_EQ(stats.segments_total, 2u);
-  EXPECT_EQ(stats.pruned, 1u);  // job 1's segment never decoded
-  EXPECT_EQ(stats.read, 1u);
-
-  Store::ColdQueryStats none;
-  const auto empty = st.query_cold(
-      "darshan_data", {{"timestamp", Cmp::kGt, dsos::Value{99999.0}}},
-      &none);
-  EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(none.pruned, 2u);  // answered entirely from headers
-  EXPECT_EQ(none.read, 0u);
   st.close();
 }
 
@@ -697,8 +557,7 @@ TEST(Store, OpenGuardsFailLoudly) {
 
   // Operations on a store that is not open.
   EXPECT_THROW(st5.flush_all(), std::logic_error);
-  EXPECT_THROW(st5.compact_once(), std::logic_error);
-  EXPECT_THROW(st5.query_cold("darshan_data", {}), std::logic_error);
+  EXPECT_THROW(st5.seal_all(), std::logic_error);
 }
 
 // ------------------------------------------------------------- persist ----
@@ -827,8 +686,7 @@ TEST(Persist, LoadClusterFailsOnMissingDir) {
 /// checks the zero-acked-loss and byte-identical bars.
 void run_crash_campaign(const std::string& dir, StoreConfig cfg,
                         const std::string& plan_text,
-                        std::size_t shards = 2, std::size_t n_events = 200,
-                        bool compact_after = false) {
+                        std::size_t shards = 2, std::size_t n_events = 200) {
   const auto s = test_schema();
   const auto events = make_events(s, n_events);
   const std::string want = baseline_fingerprint(s, events, shards);
@@ -851,7 +709,6 @@ void run_crash_campaign(const std::string& dir, StoreConfig cfg,
       }
       st.flush_all();
       st.seal_all();
-      if (compact_after) st.compact_once();
     } catch (const StoreCrash&) {
       crashed = true;
     }
@@ -915,30 +772,45 @@ TEST(CrashCampaign, CrashDuringSealLeavesWalAuthoritative) {
   }
 }
 
-TEST(CrashCampaign, CrashDuringCompactionWriteKeepsInputs) {
-  const TempDir dir("crash_compact");
-  StoreConfig cfg = store_config("", StoreMode::kTiered);
-  cfg.seal_bytes = 512;
-  cfg.compact_min_bytes = 1 << 20;
-  run_crash_campaign(dir.path(), cfg, "storecrash compact after 1\n",
-                     /*shards=*/2, /*n_events=*/200, /*compact_after=*/true);
-}
-
 TEST(CrashCampaign, CrashDuringCompactionSwapDropsReplacedInputs) {
+  // Older builds compacted by writing a merged segment whose header
+  // `replaces` its inputs, then deleting the inputs; a death between
+  // the two left both on disk.  Segment 1 is an ordinary seal, segment
+  // 3 is the merged copy of input segment 2.
   const TempDir dir("crash_swap");
-  StoreConfig cfg = store_config("", StoreMode::kTiered);
-  cfg.dir = dir.path();
-  cfg.seal_bytes = 512;
-  cfg.compact_min_bytes = 1 << 20;
-  run_crash_campaign(dir.path(), cfg, "storecrash compact_swap after 1\n",
-                     /*shards=*/2, /*n_events=*/200, /*compact_after=*/true);
-  // Reopen once more just to inspect the recovery report: the swapped
-  // output won, its inputs were dropped.
-  dsos::DsosCluster db(cluster_config(2));
-  Store st(cfg);
+  const auto s = test_schema();
+  const auto events = make_events(s, 40, /*job=*/1, /*ranks=*/1);
+  std::vector<const dsos::Object*> ptrs;
+  for (const auto& e : events) ptrs.push_back(&e);
+  const auto write = [&](std::uint64_t id, std::size_t first,
+                         std::vector<std::uint64_t> replaces) {
+    SegmentMeta meta;
+    meta.path = dir.sub(segment_file_name(0, id));
+    meta.id = id;
+    meta.first_seq = first + 1;
+    meta.last_seq = first + 20;
+    meta.replaces = std::move(replaces);
+    const std::vector<const dsos::Object*> rows(
+        ptrs.begin() + static_cast<std::ptrdiff_t>(first),
+        ptrs.begin() + static_cast<std::ptrdiff_t>(first + 20));
+    ASSERT_TRUE(write_segment(&meta, rows));
+  };
+  write(1, 0, {});
+  write(2, 20, {});
+  write(3, 20, {2});
+
+  dsos::DsosCluster db(cluster_config(1));
+  db.register_schema(s);
+  Store st(store_config(dir.path(), StoreMode::kTiered));
   const RecoveryReport rep = st.open(db);
-  EXPECT_EQ(rep.replaced_dropped, 0u);  // prior recovery already dropped
-  EXPECT_GT(rep.segments_loaded + rep.rows_from_wal, 0u);
+  EXPECT_EQ(rep.replaced_dropped, 1u);
+  EXPECT_EQ(rep.segments_loaded, 2u);
+  EXPECT_EQ(rep.rows_from_segments, 40u);
+  EXPECT_EQ(rep.high_seq[0], 40u);
+  // Every row loads exactly once, and the replaced input is gone.
+  EXPECT_EQ(db.total_objects(), 40u);
+  EXPECT_EQ(fingerprint(db), baseline_fingerprint(s, events, 1));
+  EXPECT_FALSE(fsys::exists(dir.sub(segment_file_name(0, 2))));
   st.close();
 }
 
