@@ -157,9 +157,11 @@ class AnomalyEngine : public rollup::SealObserver {
   /// the frontier is the min over ALL shards, so nothing is evaluated
   /// until every shard has sealed once (each series lives on one shard
   /// — an early frontier would see partial buckets).  A shard that
-  /// never produces anomaly-policy cells therefore pins the frontier;
-  /// with round-robin event sharding every shard seals each commit
-  /// round, so this only bites degenerate single-series feeds.
+  /// never produces anomaly-policy cells therefore pins the frontier.
+  /// The pipeline shards events by a hash of their rank, not round
+  /// robin, so a shard can go a whole job without such cells: a traced
+  /// hmmer_binary e2ebench run reports anomaly.buckets_evaluated 0.
+  /// ROADMAP item 1 makes idle shards report their watermark.
   std::vector<double> shard_watermark_ DLC_GUARDED_BY(state_m_);
   std::vector<bool> shard_sealed_ DLC_GUARDED_BY(state_m_);
   /// Highest bucket index already evaluated (cells at or below are late).

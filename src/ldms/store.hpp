@@ -4,8 +4,9 @@
 //                   message accounting, not persistence).
 //   CsvStore      — appends raw payload lines to an in-memory or file CSV
 //                   sink (store_csv plugin analogue).
-//   CallbackStore — adapter delivering messages to arbitrary code (the
-//                   Darshan decoder in core/ uses this to feed DSOS).
+//   CallbackStore — adapter delivering messages to arbitrary code.  (The
+//                   Darshan decoder in core/ does not use it: it
+//                   subscribes to the daemon's bus itself.)
 #pragma once
 
 #include <cstdint>

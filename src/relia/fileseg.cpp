@@ -25,11 +25,11 @@ bool FileSegment::reopen_stream() {
   return file_.is_open();
 }
 
-bool FileSegment::open(const std::string& path, OpenMode mode) {
+bool FileSegment::open(const std::string& path) {
   close();
   path_ = path;
-  if (mode == OpenMode::kTruncate || !std::filesystem::exists(path_)) {
-    // Create-or-truncate first: fstream's in|out refuses to create.
+  if (!std::filesystem::exists(path_)) {
+    // Create first: fstream's in|out refuses to create.
     std::ofstream create(path_, std::ios::binary | std::ios::trunc);
     if (!create.is_open()) return false;
   }

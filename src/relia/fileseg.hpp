@@ -28,11 +28,6 @@ namespace dlc::relia {
 
 class FileSegment {
  public:
-  enum class OpenMode : std::uint8_t {
-    kTruncate,  // start empty (create or wipe)
-    kKeep,      // preserve existing bytes (recovery scans them)
-  };
-
   enum class ReadStatus : std::uint8_t {
     kOk,    // one record read, cursor advanced
     kEof,   // clean end: the cursor sits exactly on end-of-data
@@ -45,10 +40,10 @@ class FileSegment {
   FileSegment(const FileSegment&) = delete;
   FileSegment& operator=(const FileSegment&) = delete;
 
-  /// Opens `path` read/write, creating it if needed.  kKeep leaves
-  /// existing content in place and positions the read cursor at the
-  /// start; appends always go to the end.  False on I/O failure.
-  bool open(const std::string& path, OpenMode mode);
+  /// Opens `path` read/write, creating it if needed.  Existing content
+  /// stays in place with the read cursor at its start; appends always
+  /// go to the end.  False on I/O failure.
+  bool open(const std::string& path);
   void close();
   bool is_open() const { return open_; }
   const std::string& path() const { return path_; }
@@ -72,7 +67,6 @@ class FileSegment {
   /// Byte offset of the read cursor (end of the last good record —
   /// recovery truncates here to quarantine a torn tail).
   std::streamoff read_pos() const { return read_pos_; }
-  void rewind() { read_pos_ = 0; }
 
   /// Drops every byte past `size` (torn-tail quarantine).  Clamps the
   /// read cursor into range.

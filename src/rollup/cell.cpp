@@ -22,16 +22,23 @@ void SparseLogHist::record(std::uint64_t sample) {
 }
 
 void SparseLogHist::merge(const SparseLogHist& other) {
+  if (buckets_.empty()) {
+    buckets_ = other.buckets_;
+    return;
+  }
+  // One pass over both ascending lists: shared buckets add in place,
+  // the others are appended and merged into order at the end.
+  const std::size_t n = buckets_.size();
+  std::size_t i = 0;
   for (const auto& [idx, count] : other.buckets_) {
-    const auto it = std::lower_bound(
-        buckets_.begin(), buckets_.end(), idx,
-        [](const auto& entry, std::uint32_t i) { return entry.first < i; });
-    if (it != buckets_.end() && it->first == idx) {
-      it->second += count;
+    while (i < n && buckets_[i].first < idx) ++i;
+    if (i < n && buckets_[i].first == idx) {
+      buckets_[i].second += count;
     } else {
-      buckets_.insert(it, {idx, count});
+      buckets_.emplace_back(idx, count);
     }
   }
+  std::inplace_merge(buckets_.begin(), buckets_.begin() + n, buckets_.end());
 }
 
 std::uint64_t SparseLogHist::total() const {
@@ -155,6 +162,8 @@ dsos::Object cell_to_row(const dsos::SchemaPtr& schema,
 bool row_to_cell(const dsos::Object& row, RollupCell& cell,
                  std::uint64_t& shard, double& watermark) {
   cell.policy = row.as_string("policy");
+  shard = row.as_uint("shard");
+  watermark = row.as_double("watermark");
   cell.key.job = row.as_uint("job_id");
   cell.key.producer = row.as_string("ProducerName");
   cell.key.rank = row.as_int("rank");
@@ -174,8 +183,6 @@ bool row_to_cell(const dsos::Object& row, RollupCell& cell,
   if (!SparseLogHist::decode(row.as_string("dur_hist"), cell.agg.dur_hist)) {
     return false;
   }
-  shard = row.as_uint("shard");
-  watermark = row.as_double("watermark");
   return true;
 }
 

@@ -4,9 +4,9 @@
 // A cell carries the Fig. 5–9 panel aggregates — op count, byte sum and
 // duration stats (sum/min/max plus a sparse log-bucket histogram in the
 // src/obs/ geometry) — keyed by the policy's projection of (job, node,
-// rank, op, module) and an absolute time bucket.  Sealed cells are
-// materialised as `rollup_cell` DSOS rows so the PR 6 tiered store
-// persists them and retention expires them like any other schema.
+// rank, op, module) and an absolute time bucket.  With a durable store
+// mode, sealed cells are also written as `rollup_cell` DSOS rows so the
+// tiered store persists them; recovery decodes each row once.
 //
 // kRollupCellFields below declares the row once: rollup_cell_schema()
 // is built from it and the policy dimensions (policy.hpp) are derived
@@ -139,7 +139,8 @@ dsos::Object cell_to_row(const dsos::SchemaPtr& schema,
                          double bucket_w, const CellAgg& agg,
                          std::uint64_t shard, double watermark);
 
-/// Durable row -> cell.  False on a malformed row (bad histogram text).
+/// Durable row -> cell.  False on a malformed row (bad histogram text);
+/// `cell.policy`, `shard` and `watermark` are set even then.
 bool row_to_cell(const dsos::Object& row, RollupCell& cell,
                  std::uint64_t& shard, double& watermark);
 

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <map>
+#include <deque>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "json/writer.hpp"
@@ -143,15 +144,9 @@ RollupRecovery RollupEngine::attach(dsos::DsosCluster& raw) {
         "rollup: engine already attached to a different cluster");
   }
   recovery_ = RollupRecovery{};
-  {
-    const util::LockGuard lock(sealed_m_);
-    dsos::ClusterConfig cc;
-    cc.shard_count = 1;
-    cc.shard_attr = "shard";
-    cc.parallel_query = false;
-    sealed_db_ = std::make_unique<dsos::DsosCluster>(cc);
-    sealed_db_->register_schema(cell_schema_);
-  }
+  // Sealed cells and frontiers recovered from the spill store.
+  std::vector<std::vector<CellStore>> restored(
+      raw.shard_count(), std::vector<CellStore>(policies_.size()));
   if (config_.store_mode != store::StoreMode::kMemory) {
     store::StoreConfig sc;
     sc.mode = config_.store_mode;
@@ -161,14 +156,16 @@ RollupRecovery RollupEngine::attach(dsos::DsosCluster& raw) {
     sc.wal_group_records = std::numeric_limits<std::size_t>::max();
     spill_store_ = std::make_unique<store::Store>(std::move(sc));
     const util::LockGuard lock(sealed_m_);
+    dsos::ClusterConfig cc;
+    cc.shard_count = 1;
+    cc.shard_attr = "shard";
+    cc.parallel_query = false;
+    sealed_db_ = std::make_unique<dsos::DsosCluster>(cc);
+    sealed_db_->register_schema(cell_schema_);
     recovery_.store = spill_store_->open(*sealed_db_);
-  }
-
-  // Per-(policy, shard) sealed frontier from the recovered rows.
-  std::vector<std::unordered_map<std::uint64_t, double>> frontier(
-      policies_.size());
-  {
-    const util::LockGuard lock(sealed_m_);
+    // Each row is decoded once, here.  One that does not decode would
+    // vanish from every panel while its watermark still holds its
+    // events behind the frontier, so recovery fails instead.
     const dsos::Container& c = sealed_db_->shard(0).container();
     for (std::size_t slot = 0; slot < c.size(); ++slot) {
       const dsos::Object& row = c.object(slot);
@@ -176,31 +173,31 @@ RollupRecovery RollupEngine::attach(dsos::DsosCluster& raw) {
       RollupCell cell;
       std::uint64_t shard = 0;
       double watermark = 0;
-      if (!row_to_cell(row, cell, shard, watermark)) continue;
-      ++recovery_.sealed_rows;
-      for (std::size_t p = 0; p < policies_.size(); ++p) {
-        if (policies_[p].name != cell.policy) continue;
-        auto [it, fresh] = frontier[p].try_emplace(shard, watermark);
-        if (!fresh) it->second = std::max(it->second, watermark);
-        break;
+      const bool ok = row_to_cell(row, cell, shard, watermark);
+      if (!ok || shard >= restored.size()) {
+        throw std::runtime_error(
+            "rollup: recovered row of policy '" + cell.policy +
+            "' on shard " + std::to_string(shard) +
+            (ok ? " names a shard the raw cluster lacks"
+                : " does not decode"));
       }
+      ++recovery_.sealed_rows;
+      const PolicyConfig* p = find_policy(cell.policy);
+      if (p == nullptr) continue;
+      CellStore& cs =
+          restored[shard][static_cast<std::size_t>(p - policies_.data())];
+      const auto [it, fresh] = cs.sealed.try_emplace(cell.key, cell.agg);
+      if (!fresh) it->second.merge(cell.agg);
+      cs.watermark = std::max(cs.watermark, watermark);
     }
   }
-
   shards_.clear();
   for (std::size_t s = 0; s < raw.shard_count(); ++s) {
     auto sh = std::make_unique<ShardState>();
     sh->sink = std::make_unique<ShardSink>(this, s);
-    sh->writer.resize(policies_.size());
     {
       const util::LockGuard lock(sh->m);
-      sh->pol.resize(policies_.size());
-      for (std::size_t p = 0; p < policies_.size(); ++p) {
-        const auto it = frontier[p].find(s);
-        if (it == frontier[p].end()) continue;
-        sh->pol[p].watermark = it->second;
-        sh->writer[p].frontier = it->second;
-      }
+      sh->cells = std::move(restored[s]);
     }
     shards_.push_back(std::move(sh));
   }
@@ -332,37 +329,41 @@ void RollupEngine::on_insert(std::size_t shard, const dsos::Object& obj) {
   if (!ids.valid) return;
   const double ts = std::get<double>(obj.values[ids.seg_ts]);
   bool folded = false;
-  for (std::size_t p = 0; p < policies_.size(); ++p) {
-    if (!matches_policy(p, obj, ids)) continue;
-    PolicyWriter& w = sh.writer[p];
-    const double width = policies_[p].bucket_s;
-    const auto bucket = static_cast<std::int64_t>(std::floor(ts / width));
-    if (static_cast<double>(bucket + 1) * width <= w.frontier) {
-      // Behind the sealed frontier: the bucket's row is immutable.
-      // During the attach() replay this is the expected skip of events
-      // a sealed row already covers, not a loss.
-      if (!replaying_) {
-        late_dropped_.fetch_add(1, std::memory_order_relaxed);
-        if (obs::enabled()) m_late_->add(1);
+  {
+    const util::LockGuard lock(sh.m);
+    for (std::size_t p = 0; p < policies_.size(); ++p) {
+      if (!matches_policy(p, obj, ids)) continue;
+      CellStore& cs = sh.cells[p];
+      const double width = policies_[p].bucket_s;
+      const auto bucket = static_cast<std::int64_t>(std::floor(ts / width));
+      if (static_cast<double>(bucket + 1) * width <= cs.watermark) {
+        // Behind the sealed frontier: the bucket's cell is immutable.
+        // During the attach() replay this is the expected skip of
+        // events a sealed row already covers, not a loss.
+        if (!replaying_) {
+          late_dropped_.fetch_add(1, std::memory_order_relaxed);
+          if (obs::enabled()) m_late_->add(1);
+        }
+        continue;
       }
-      continue;
+      CellKey key;
+      key.bucket = bucket;
+      const CompiledPolicy& cp = compiled_[p];
+      if (cp.key_job) key.job = std::get<std::uint64_t>(obj.values[ids.job]);
+      if (cp.key_producer) {
+        key.producer = std::get<std::string>(obj.values[ids.producer]);
+      }
+      if (cp.key_rank) key.rank = std::get<std::int64_t>(obj.values[ids.rank]);
+      if (cp.key_op) key.op = std::get<std::string>(obj.values[ids.op]);
+      if (cp.key_module) {
+        key.module = std::get<std::string>(obj.values[ids.module]);
+      }
+      cs.open[std::move(key)].add(
+          std::get<std::int64_t>(obj.values[ids.seg_len]),
+          std::get<double>(obj.values[ids.seg_dur]));
+      cs.max_ts = std::max(cs.max_ts, ts);
+      folded = true;
     }
-    CellKey key;
-    key.bucket = bucket;
-    const CompiledPolicy& cp = compiled_[p];
-    if (cp.key_job) key.job = std::get<std::uint64_t>(obj.values[ids.job]);
-    if (cp.key_producer) {
-      key.producer = std::get<std::string>(obj.values[ids.producer]);
-    }
-    if (cp.key_rank) key.rank = std::get<std::int64_t>(obj.values[ids.rank]);
-    if (cp.key_op) key.op = std::get<std::string>(obj.values[ids.op]);
-    if (cp.key_module) {
-      key.module = std::get<std::string>(obj.values[ids.module]);
-    }
-    w.cells[key].add(std::get<std::int64_t>(obj.values[ids.seg_len]),
-                     std::get<double>(obj.values[ids.seg_dur]));
-    w.max_ts = std::max(w.max_ts, ts);
-    folded = true;
   }
   if (folded && !replaying_) {
     events_.fetch_add(1, std::memory_order_relaxed);
@@ -378,46 +379,36 @@ void RollupEngine::on_commit(std::size_t shard, bool seal_everything) {
   {
     const util::LockGuard lock(sh.m);
     for (std::size_t p = 0; p < policies_.size(); ++p) {
-      PolicyWriter& w = sh.writer[p];
-      PolicyOpen& o = sh.pol[p];
-      SealBatch batch;
-      batch.policy = p;
-      double new_watermark = o.watermark;
-      if (seal_everything) {
-        for (auto& [key, agg] : w.cells) {
-          const double end =
-              static_cast<double>(key.bucket + 1) * policies_[p].bucket_s;
-          new_watermark = std::max(new_watermark, end);
-          batch.cells.emplace_back(key, std::move(agg));
-        }
-        w.cells.clear();
-      } else {
-        const double frontier = w.max_ts - policies_[p].grace();
-        if (frontier > o.watermark) {
-          for (auto it = w.cells.begin(); it != w.cells.end();) {
-            const double end =
-                static_cast<double>(it->first.bucket + 1) *
-                policies_[p].bucket_s;
-            if (end <= frontier) {
-              batch.cells.emplace_back(it->first, std::move(it->second));
-              it = w.cells.erase(it);
-            } else {
-              ++it;
-            }
+      CellStore& cs = sh.cells[p];
+      const double width = policies_[p].bucket_s;
+      // A bucket is ripe once it ends at or before the frontier.
+      const double frontier = seal_everything
+                                  ? std::numeric_limits<double>::infinity()
+                                  : cs.max_ts - policies_[p].grace();
+      if (frontier > cs.watermark) {
+        SealBatch batch;
+        batch.policy = p;
+        double last_end = cs.watermark;
+        for (auto it = cs.open.begin(); it != cs.open.end();) {
+          const double end = static_cast<double>(it->first.bucket + 1) * width;
+          if (end > frontier) {
+            ++it;
+            continue;
           }
-          if (!batch.cells.empty()) new_watermark = frontier;
+          last_end = std::max(last_end, end);
+          auto cell = cs.open.extract(it++);
+          batch.cells.emplace_back(cell.key(), cell.mapped());
+          cs.sealed.emplace(std::move(cell.key()), std::move(cell.mapped()));
+        }
+        if (!batch.cells.empty()) {
+          // The watermark only advances with a batch to spill, so
+          // recovery's frontier always matches the rows on disk.
+          cs.watermark = seal_everything ? last_end : frontier;
+          batch.watermark = cs.watermark;
+          batches.push_back(std::move(batch));
         }
       }
-      if (!batch.cells.empty()) {
-        // The watermark only advances when a spill records it durably,
-        // so recovery's frontier always matches the rows on disk.
-        o.watermark = new_watermark;
-        w.frontier = new_watermark;
-        batch.watermark = new_watermark;
-        batches.push_back(std::move(batch));
-      }
-      o.open = w.cells;  // commit-consistent snapshot, post-extraction
-      open_cells += o.open.size();
+      open_cells += cs.open.size();
     }
   }
   sh.open_count.store(open_cells, std::memory_order_relaxed);
@@ -448,21 +439,24 @@ void RollupEngine::spill(std::size_t shard, const SealBatch& batch) {
   }
   const PolicyConfig& policy = policies_[batch.policy];
   const util::LockGuard lock(sealed_m_);
-  if (!sealed_db_) return;
-  for (const auto& [key, agg] : batch.cells) {
-    sealed_db_->shard(0).container().insert(
-        cell_to_row(cell_schema_, policy.name, key, policy.bucket_s, agg,
-                    shard, batch.watermark));
+  if (sealed_db_) {
+    for (const auto& [key, agg] : batch.cells) {
+      sealed_db_->shard(0).container().insert(
+          cell_to_row(cell_schema_, policy.name, key, policy.bucket_s, agg,
+                      shard, batch.watermark));
+    }
   }
   if (should_crash(RollupCrashPoint::kSpill)) {
     mark_crashed();
     throw store::StoreCrash("rollup: crashed at rollup_spill");
   }
-  try {
-    sealed_db_->commit_shard(0);
-  } catch (const store::StoreCrash&) {
-    mark_crashed();
-    throw;
+  if (sealed_db_) {
+    try {
+      sealed_db_->commit_shard(0);
+    } catch (const store::StoreCrash&) {
+      mark_crashed();
+      throw;
+    }
   }
   sealed_rows_ += batch.cells.size();
   ++spills_;
@@ -546,50 +540,67 @@ std::vector<RollupCell> RollupEngine::query(std::string_view policy,
     return start >= q.from_s && start < q.to_s;
   };
 
-  // (fine key, shard) -> contribution.  The map's order — key fields,
-  // then fine bucket, then shard — is the canonical fold order, so the
-  // floating-point sums are independent of how much has sealed.
-  std::map<std::pair<CellKey, std::uint64_t>, CellAgg> contrib;
+  // One contribution per (fine key, shard): a cell is open or sealed,
+  // never both, because events behind the watermark drop.  Open cells
+  // keep folding, so they are copied under the shard's lock; sealed
+  // ones never change or leave their map, so they are read in place.
+  // Sorting by key fields, then fine bucket, then shard gives the
+  // canonical fold order, so the floating-point sums are independent
+  // of how much has sealed.
+  struct Ref {
+    const CellKey* key;
+    std::size_t shard;
+    const CellAgg* agg;
+  };
+  std::vector<Ref> refs;
+  std::deque<std::pair<CellKey, CellAgg>> open_copies;
+  std::vector<std::uint64_t> jobs = q.jobs;
+  std::sort(jobs.begin(), jobs.end());
+  jobs.erase(std::unique(jobs.begin(), jobs.end()), jobs.end());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const ShardState& sh = *shards_[s];
     const util::LockGuard lock(sh.m);
-    if (pidx >= sh.pol.size()) continue;
-    for (const auto& [key, agg] : sh.pol[pidx].open) {
-      if (pass(key)) contrib[{key, s}].merge(agg);
+    const CellStore& cs = sh.cells[pidx];
+    for (const auto& [key, agg] : cs.open) {
+      if (!pass(key)) continue;
+      const auto& [k, a] = open_copies.emplace_back(key, agg);
+      refs.push_back({&k, s, &a});
     }
-  }
-  {
-    const util::LockGuard lock(sealed_m_);
-    if (sealed_db_) {
-      const dsos::Filter filter{
-          {"policy", dsos::Cmp::kEq, std::string(policy)}};
-      for (const dsos::Object* row :
-           sealed_db_->query("rollup_cell", "policy_bucket", filter)) {
-        RollupCell cell;
-        std::uint64_t shard = 0;
-        double watermark = 0;
-        if (!row_to_cell(*row, cell, shard, watermark)) continue;
-        if (pass(cell.key)) contrib[{cell.key, shard}].merge(cell.agg);
+    const auto take = [&](const auto& cell) {
+      if (pass(cell.first)) refs.push_back({&cell.first, s, &cell.second});
+    };
+    if (jobs.empty()) {
+      for (const auto& cell : cs.sealed) take(cell);
+      continue;
+    }
+    constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+    for (const std::uint64_t job : jobs) {
+      // The least key of `job`; its sealed cells follow contiguously.
+      const CellKey first{job, "", kMin, "", "", kMin};
+      for (auto it = cs.sealed.lower_bound(first);
+           it != cs.sealed.end() && it->first.job == job; ++it) {
+        take(*it);
       }
     }
   }
+  std::sort(refs.begin(), refs.end(), [](const Ref& a, const Ref& b) {
+    return std::tie(*a.key, a.shard) < std::tie(*b.key, b.shard);
+  });
 
-  std::map<CellKey, CellAgg> folded;
-  for (auto& [key_shard, agg] : contrib) {
-    CellKey key = key_shard.first;
-    if (factor > 1) key.bucket = floor_div(key.bucket, factor);
-    folded[key].merge(agg);
-  }
+  // Re-bucketing keeps equal coarse keys adjacent: within one key
+  // prefix the fine buckets ascend, and floor_div is monotone.
   std::vector<RollupCell> out;
-  out.reserve(folded.size());
-  for (auto& [key, agg] : folded) {
-    RollupCell cell;
-    cell.policy = std::string(policy);
-    cell.key = key;
-    cell.bucket_start = static_cast<double>(key.bucket) * out_w;
-    cell.bucket_w = out_w;
-    cell.agg = std::move(agg);
-    out.push_back(std::move(cell));
+  for (const Ref& ref : refs) {
+    CellKey key = *ref.key;
+    if (factor > 1) key.bucket = floor_div(key.bucket, factor);
+    if (out.empty() || out.back().key != key) {
+      RollupCell& cell = out.emplace_back();
+      cell.policy = std::string(policy);
+      cell.key = std::move(key);
+      cell.bucket_start = static_cast<double>(cell.key.bucket) * out_w;
+      cell.bucket_w = out_w;
+    }
+    out.back().agg.merge(*ref.agg);
   }
   if (obs::enabled()) m_query_ns_->record(util::now_ns() - t0);
   return out;
@@ -601,7 +612,7 @@ RollupStats RollupEngine::stats() const {
   st.late_dropped = late_dropped_.load(std::memory_order_relaxed);
   for (const auto& sh : shards_) {
     const util::LockGuard lock(sh->m);
-    for (const PolicyOpen& o : sh->pol) st.cells_open += o.open.size();
+    for (const CellStore& cs : sh->cells) st.cells_open += cs.open.size();
   }
   {
     const util::LockGuard lock(sealed_m_);
@@ -630,7 +641,7 @@ std::string RollupEngine::status_json() const {
     std::size_t cells = 0;
     for (const auto& sh : shards_) {
       const util::LockGuard lock(sh->m);
-      if (p < sh->pol.size()) cells += sh->pol[p].open.size();
+      cells += sh->cells[p].open.size();
     }
     w.begin_object();
     w.member("name", policy.name);

@@ -4,21 +4,22 @@
 // attach() mounts one commit observer (dsos::CommitSink) on every shard
 // of the raw cluster.  From then on each decoded event is matched
 // against every policy on its shard's single writer thread and folded
-// into a *pending* cell map lock-free; Container::commit() — the same
-// barrier the durable store group-commits on — merges pending cells
-// into the shard's *open* (query-visible) cells under the RollupShard
-// lock, so ingest stays parallel and readers only ever see
-// commit-consistent aggregates.
+// at insert into that (policy, shard)'s *open* cells under the
+// RollupShard lock; Container::commit() — the same barrier the durable
+// store group-commits on — moves ripe cells into the ordered *sealed*
+// map under the same lock.  Each cell lives in exactly one of the two,
+// and queries read both in place.
 //
 // Bucket lifecycle: a cell's bucket seals once the shard's max event
-// timestamp passes bucket end + grace.  Sealed cells are materialised
-// as `rollup_cell` rows into an engine-owned single-shard cluster
-// backed by its own PR 6 tiered store (one spill batch == one atomic
-// WAL group commit), so rollups survive restart.
-// Each spilled row records the seal watermark; recovery restores the
-// sealed rows, then rebuilds the unsealed tail by replaying the
-// recovered raw cluster in original per-shard insertion order —
-// making post-crash rollups byte-identical to an uninterrupted run.
+// timestamp passes bucket end + grace.  With a durable store mode,
+// sealed cells are also written as `rollup_cell` rows into an
+// engine-owned single-shard cluster backed by its own tiered store (one
+// spill batch == one atomic WAL group commit), so rollups survive
+// restart.  Each spilled row records the seal watermark; recovery
+// decodes the sealed rows once into the sealed maps, then rebuilds the
+// open tail by replaying the recovered raw cluster in original
+// per-shard insertion order — making post-crash rollups byte-identical
+// to an uninterrupted run.
 // Events older than the sealed frontier are dropped and counted
 // (dlc.rollup.late_dropped); with the default grace of 2 bucket widths
 // this never fires on in-order-ish streams.
@@ -34,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -53,7 +55,8 @@ namespace dlc::rollup {
 
 struct RollupEngineConfig {
   std::vector<PolicyConfig> policies;
-  /// Durability of sealed cells (memory keeps them queryable only).
+  /// Durability of sealed cells (memory keeps them queryable only and
+  /// encodes no rows).
   store::StoreMode store_mode = store::StoreMode::kMemory;
   /// Spill-store directory (ConnectorConfig::rollup_dir); required unless
   /// kMemory.
@@ -103,8 +106,8 @@ struct RollupStats {
   std::uint64_t events = 0;        // raw events folded (sum over policies)
   std::uint64_t late_dropped = 0;  // events behind a sealed frontier
   std::uint64_t cells_open = 0;
-  std::uint64_t sealed_rows = 0;  // rows spilled by this instance
-  std::uint64_t spills = 0;       // spill batches (= atomic commits)
+  std::uint64_t sealed_rows = 0;  // cells sealed by this instance
+  std::uint64_t spills = 0;       // seal batches (atomic spill commits)
 };
 
 /// Query over one policy's cells.  Sealed and open contributions for
@@ -134,18 +137,19 @@ class RollupEngine {
   /// commit observer on every shard of `raw` and rebuilds the unsealed
   /// tail from the cluster's current contents.  Call before ingest
   /// starts; idempotent for the same cluster, throws std::logic_error
-  /// for a second one.  The cluster must outlive the engine or be
-  /// released via detach().
+  /// for a second one and std::runtime_error when a recovered row does
+  /// not decode or names a shard `raw` lacks.  The cluster must outlive
+  /// the engine or be released via detach().
   RollupRecovery attach(dsos::DsosCluster& raw);
 
   /// Removes the observers and closes the spill store.  Idempotent.
   void detach();
   bool attached() const { return raw_ != nullptr; }
 
-  /// Merges pending cells into the query-visible state and seals what
-  /// the watermarks allow.  Runs the commit path on every shard — call
-  /// only at quiescent points (after IngestExecutor::drain(), or under
-  /// serial ingest where no commits happen otherwise).
+  /// Seals what the watermarks allow.  Runs the commit path on every
+  /// shard — call only at quiescent points (after
+  /// IngestExecutor::drain(), or under serial ingest where no commits
+  /// happen otherwise).
   void flush();
 
   /// flush() + seal every open cell regardless of watermark (end of
@@ -190,25 +194,18 @@ class RollupEngine {
     bool valid = false;
   };
 
-  /// Writer side of one (policy, shard): the *running* unsealed cells,
-  /// owned by the shard's single writer thread (lock-free insert path,
-  /// like Container::objects_).  Cells accumulate continuously in
-  /// insert order — never as merged partial sums — so the double
-  /// `dur_sum` is bit-identical to a raw scan of the shard in slot
-  /// order regardless of commit batching.  `frontier` mirrors the
-  /// sealed watermark for the late-drop check; it is only written by
-  /// the commit path, which runs on the writer thread itself (or the
-  /// drain thread at quiescence), so the unguarded read cannot race.
-  struct PolicyWriter {
-    std::unordered_map<CellKey, CellAgg, CellKeyHash> cells;
-    double max_ts = -std::numeric_limits<double>::infinity();
-    double frontier = -std::numeric_limits<double>::infinity();
-  };
-
-  /// Reader side: the commit-consistent snapshot queries see, refreshed
-  /// from PolicyWriter at every Container::commit under the shard lock.
-  struct PolicyOpen {
+  /// The cells of one (policy, shard).  `open` cells accumulate at
+  /// insert, in insert order — never as merged partial sums — so the
+  /// double `dur_sum` is bit-identical to a raw scan of the shard in
+  /// slot order regardless of commit batching.  A commit moves ripe
+  /// cells into `sealed`, which is ordered so a job filter can seek it.
+  /// A sealed cell never changes or leaves the map, so a query may read
+  /// it after releasing the lock.  Events whose bucket ends at or
+  /// before `watermark` are late.
+  struct CellStore {
     std::unordered_map<CellKey, CellAgg, CellKeyHash> open;
+    std::map<CellKey, CellAgg> sealed;
+    double max_ts = -std::numeric_limits<double>::infinity();
     double watermark = -std::numeric_limits<double>::infinity();
   };
 
@@ -228,8 +225,7 @@ class RollupEngine {
 
   struct ShardState {
     mutable util::Mutex m{"RollupShard"};
-    std::vector<PolicyWriter> writer;  // writer-thread-owned, unguarded
-    std::vector<PolicyOpen> pol DLC_GUARDED_BY(m);
+    std::vector<CellStore> cells DLC_GUARDED_BY(m);  // one per policy
     /// This shard's open-cell count as of its last commit — lets the
     /// dlc.rollup.cells_open gauge publish the engine-wide total
     /// without taking the other shards' locks on the commit path.
@@ -242,7 +238,8 @@ class RollupEngine {
     std::unique_ptr<ShardSink> sink;
   };
 
-  /// One policy's extracted seal batch, spilled outside the shard lock.
+  /// Copy of one policy's newly sealed cells, spilled and handed to
+  /// the observers outside the shard lock.
   struct SealBatch {
     std::size_t policy = 0;
     double watermark = 0.0;
@@ -267,15 +264,16 @@ class RollupEngine {
   RollupRecovery recovery_;
   bool replaying_ = false;  // attach()-time rebuild: skip metrics/drops
 
-  /// Sealed side: a single-shard cluster of `rollup_cell` rows plus its
-  /// optional durable store.  RollupSealed is taken *after* RollupShard
-  /// is released (spill batches are extracted first), never nested.
   /// Seal observers.  The mutex is a leaf taken only to copy the list;
   /// on_sealed itself runs with no engine lock held (RollupShard and
   /// RollupSealed are released before notify_sealed).
   mutable util::Mutex observers_m_{"RollupObservers"};
   std::vector<SealObserver*> observers_ DLC_GUARDED_BY(observers_m_);
 
+  /// Spill side: with a durable store mode, a single-shard cluster of
+  /// `rollup_cell` rows and its tiered store (null in memory mode).
+  /// RollupSealed is taken *after* RollupShard is released (seal
+  /// batches are copied out first), never nested.
   dsos::SchemaPtr cell_schema_;
   mutable util::Mutex sealed_m_{"RollupSealed"};
   std::unique_ptr<dsos::DsosCluster> sealed_db_ DLC_GUARDED_BY(sealed_m_);

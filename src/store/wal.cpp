@@ -37,7 +37,7 @@ std::string frame_body(std::uint8_t type, std::string_view payload) {
 }  // namespace
 
 bool WalWriter::open(const std::string& path) {
-  return seg_.open(path, relia::FileSegment::OpenMode::kKeep);
+  return seg_.open(path);
 }
 
 void WalWriter::close() { seg_.close(); }
@@ -66,7 +66,7 @@ bool WalWriter::append_group(std::uint64_t first_seq,
 bool replay_wal(const std::string& path, WalReplay* out) {
   if (!std::filesystem::exists(path)) return true;  // empty log
   relia::FileSegment seg;
-  if (!seg.open(path, relia::FileSegment::OpenMode::kKeep)) return false;
+  if (!seg.open(path)) return false;
 
   std::map<std::string, dsos::SchemaPtr, std::less<>> dict;
   const wire::SchemaResolver resolve =

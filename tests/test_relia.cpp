@@ -150,7 +150,7 @@ TEST(FileSegment, AppendReadRoundTripAndCleanEof) {
   const std::string path = ::testing::TempDir() + "relia_fileseg_rt.bin";
   std::remove(path.c_str());
   relia::FileSegment seg;
-  ASSERT_TRUE(seg.open(path, relia::FileSegment::OpenMode::kTruncate));
+  ASSERT_TRUE(seg.open(path));
   ASSERT_TRUE(seg.append("alpha"));
   ASSERT_TRUE(seg.append(""));  // zero-length bodies are legal frames
   ASSERT_TRUE(seg.append("gamma"));
@@ -164,10 +164,12 @@ TEST(FileSegment, AppendReadRoundTripAndCleanEof) {
   EXPECT_EQ(seg.read_next(body), relia::FileSegment::ReadStatus::kOk);
   EXPECT_EQ(body, "gamma");
   EXPECT_EQ(seg.read_next(body), relia::FileSegment::ReadStatus::kEof);
-  // rewind replays from the start.
-  seg.rewind();
-  EXPECT_EQ(seg.read_next(body), relia::FileSegment::ReadStatus::kOk);
+  // A second segment on the same file replays from the start.
+  relia::FileSegment reader;
+  ASSERT_TRUE(reader.open(path));
+  EXPECT_EQ(reader.read_next(body), relia::FileSegment::ReadStatus::kOk);
   EXPECT_EQ(body, "alpha");
+  reader.close();
   seg.close();
   std::remove(path.c_str());
 }
@@ -176,7 +178,7 @@ TEST(FileSegment, PartialAppendLeavesDetectableTornTail) {
   const std::string path = ::testing::TempDir() + "relia_fileseg_torn.bin";
   std::remove(path.c_str());
   relia::FileSegment seg;
-  ASSERT_TRUE(seg.open(path, relia::FileSegment::OpenMode::kTruncate));
+  ASSERT_TRUE(seg.open(path));
   ASSERT_TRUE(seg.append("good-record"));
   // Process dies 12 bytes into the next frame (8-byte prefix + 4 bytes
   // of body).  True = the partial write itself hit the disk.
@@ -184,7 +186,6 @@ TEST(FileSegment, PartialAppendLeavesDetectableTornTail) {
   seg.flush();
 
   std::string body;
-  seg.rewind();
   EXPECT_EQ(seg.read_next(body), relia::FileSegment::ReadStatus::kOk);
   EXPECT_EQ(body, "good-record");
   const std::streamoff good_end = seg.read_pos();
@@ -196,11 +197,14 @@ TEST(FileSegment, PartialAppendLeavesDetectableTornTail) {
   EXPECT_EQ(seg.bytes(), static_cast<std::size_t>(good_end));
   ASSERT_TRUE(seg.append("after-recovery"));
   ASSERT_TRUE(seg.flush());
-  seg.rewind();
-  EXPECT_EQ(seg.read_next(body), relia::FileSegment::ReadStatus::kOk);
-  EXPECT_EQ(seg.read_next(body), relia::FileSegment::ReadStatus::kOk);
+  relia::FileSegment reader;
+  ASSERT_TRUE(reader.open(path));
+  EXPECT_EQ(reader.read_next(body), relia::FileSegment::ReadStatus::kOk);
+  EXPECT_EQ(body, "good-record");
+  EXPECT_EQ(reader.read_next(body), relia::FileSegment::ReadStatus::kOk);
   EXPECT_EQ(body, "after-recovery");
-  EXPECT_EQ(seg.read_next(body), relia::FileSegment::ReadStatus::kEof);
+  EXPECT_EQ(reader.read_next(body), relia::FileSegment::ReadStatus::kEof);
+  reader.close();
   seg.close();
   std::remove(path.c_str());
 }
@@ -210,12 +214,12 @@ TEST(FileSegment, KeepModePreservesBytesAcrossReopen) {
   std::remove(path.c_str());
   {
     relia::FileSegment seg;
-    ASSERT_TRUE(seg.open(path, relia::FileSegment::OpenMode::kTruncate));
+    ASSERT_TRUE(seg.open(path));
     ASSERT_TRUE(seg.append("persisted"));
     ASSERT_TRUE(seg.flush());
   }
   relia::FileSegment seg;
-  ASSERT_TRUE(seg.open(path, relia::FileSegment::OpenMode::kKeep));
+  ASSERT_TRUE(seg.open(path));
   std::string body;
   EXPECT_EQ(seg.read_next(body), relia::FileSegment::ReadStatus::kOk);
   EXPECT_EQ(body, "persisted");
@@ -232,7 +236,7 @@ TEST(FileSegment, RecycleEmptiesAndResetsCursors) {
   const std::string path = ::testing::TempDir() + "relia_fileseg_rec.bin";
   std::remove(path.c_str());
   relia::FileSegment seg;
-  ASSERT_TRUE(seg.open(path, relia::FileSegment::OpenMode::kTruncate));
+  ASSERT_TRUE(seg.open(path));
   ASSERT_TRUE(seg.append("sealed-away"));
   ASSERT_TRUE(seg.flush());
   ASSERT_TRUE(seg.recycle());

@@ -2,9 +2,10 @@
 // log-bucket histogram, cell row round trips, engine fold/seal/query
 // semantics, covering-policy selection, the randomized rollup-vs-raw
 // equivalence property (including duplicate + out-of-order delivery and
-// an at-least-once pipeline run under a transport fault plan), and
-// FaultPlan-driven crash-recovery campaigns asserting recovered rollups
-// answer queries byte-identically to an uninterrupted run.
+// an at-least-once pipeline run under a transport fault plan), a reader
+// racing parallel ingest writers, and FaultPlan-driven crash-recovery
+// campaigns asserting recovered rollups answer queries byte-identically
+// to an uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,10 +18,13 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dsos/cluster.hpp"
+#include "dsos/ingest.hpp"
 #include "dsos/schema.hpp"
 #include "exp/pipeline.hpp"
 #include "exp/specs.hpp"
@@ -411,6 +415,27 @@ TEST(Engine, FoldsCommittedEventsIntoProjectedCells) {
                            *engine.find_policy("ops"));
 }
 
+TEST(Engine, FoldedRowShowsInItsOpenCellBeforeAnyCommit) {
+  const auto s = test_schema();
+  dsos::DsosCluster db(cluster_config(2));
+  db.register_schema(s);
+  RollupEngineConfig cfg;
+  cfg.policies = must_parse("ops key=job_id,op bucket=60s").policies;
+  RollupEngine engine(cfg);
+  engine.attach(db);
+
+  // No commit: the rows are in their open cells at insert, as they are
+  // in a raw query of the cluster.
+  db.insert(event(s, 1, 0, "read", 100.0, 0.25, 1000));
+  db.insert(event(s, 1, 1, "read", 101.0, 0.5, 200));
+  const std::vector<RollupCell> cells = engine.query("ops", {});
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(cells[0].agg.count, 2u);
+  EXPECT_EQ(cells[0].agg.bytes, 1200u);
+  EXPECT_GT(engine.stats().cells_open, 0u);
+  expect_matches_reference(engine, db, *engine.find_policy("ops"));
+}
+
 TEST(Engine, MatchClausesFilterBeforeFolding) {
   const auto s = test_schema();
   dsos::DsosCluster db(cluster_config(1));
@@ -700,6 +725,78 @@ TEST(EquivalenceProperty, AtLeastOncePipelineRollupsMatchRawScan) {
   }
 }
 
+/// A reader loops over query(), stats() and status_json() while three
+/// ingest writers fold into four shards.  Every read sees each shard
+/// whole, so a policy's total count never falls; after drain() the
+/// cells equal a serial run's, bit for bit.
+TEST(EquivalenceProperty, ReaderRacingParallelWritersSeesSerialCells) {
+  const auto s = test_schema();
+  const char* ops[] = {"read", "write", "open", "close"};
+  std::vector<PolicyConfig> policies = default_rollup_policies();
+  for (PolicyConfig& p : policies) {
+    // Short buckets, no grace: cells seal while the reader runs.
+    p.bucket_s = std::min(p.bucket_s, 30.0);
+    p.grace_s = 0.0;
+  }
+  Rng rng(17);
+  std::vector<dsos::Object> stream;
+  for (int i = 0; i < 6000; ++i) {
+    stream.push_back(event(
+        s, 1 + static_cast<std::uint64_t>(rng.uniform_int(0, 2)),
+        rng.uniform_int(0, 7), ops[rng.uniform_int(0, 3)], 100.0 + 0.25 * i,
+        rng.uniform(1e-4, 0.01), rng.uniform_int(-1, 4096),
+        "nid0004" + std::to_string(rng.uniform_int(0, 3))));
+  }
+  const auto run = [&](std::size_t workers, bool race) {
+    dsos::DsosCluster db(cluster_config(4));
+    db.register_schema(s);
+    RollupEngineConfig cfg;
+    cfg.policies = policies;
+    RollupEngine engine(cfg);
+    engine.attach(db);
+    std::atomic<bool> done{false};
+    std::thread reader;
+    if (race) {
+      reader = std::thread([&] {
+        std::vector<std::uint64_t> last(policies.size(), 0);
+        while (!done.load(std::memory_order_acquire)) {
+          for (std::size_t p = 0; p < policies.size(); ++p) {
+            std::uint64_t total = 0;
+            for (const RollupCell& c : engine.query(policies[p].name, {})) {
+              total += c.agg.count;
+            }
+            EXPECT_GE(total, last[p]) << policies[p].name;
+            last[p] = total;
+          }
+          EXPECT_LE(engine.stats().events, stream.size());
+          EXPECT_FALSE(engine.status_json().empty());
+        }
+      });
+    }
+    dsos::IngestConfig icfg;
+    icfg.workers = workers;
+    dsos::IngestExecutor ex(db, icfg);
+    for (const dsos::Object& e : stream) ex.submit(e);
+    ex.drain();
+    done.store(true, std::memory_order_release);
+    if (reader.joinable()) reader.join();
+    engine.flush();
+    EXPECT_EQ(engine.stats().late_dropped, 0u);
+    EXPECT_GT(engine.stats().sealed_rows, 0u);
+    std::map<std::string, std::string> prints;
+    for (const PolicyConfig& p : policies) {
+      prints[p.name] = cell_fingerprint(engine.query(p.name, {}));
+    }
+    return prints;
+  };
+  const std::map<std::string, std::string> serial = run(0, false);
+  const std::map<std::string, std::string> raced = run(3, true);
+  for (const PolicyConfig& p : policies) {
+    EXPECT_FALSE(serial.at(p.name).empty()) << p.name;
+    EXPECT_EQ(raced.at(p.name), serial.at(p.name)) << p.name;
+  }
+}
+
 // ------------------------------------------------- crash campaigns --------
 
 /// Drives a deterministic stream into a cluster with a durable-spill
@@ -959,6 +1056,76 @@ TEST(CrashCampaign, SealedRollupsSurviveRestartWithoutRawReplay) {
   EXPECT_GT(rec.sealed_rows, 0u);
   EXPECT_EQ(rec.replayed_events, 0u);
   EXPECT_EQ(cell_fingerprint(engine.query("ops", {})), want);
+}
+
+/// Writes one `rollup_cell` row through a tiered store laid out like the
+/// engine's spill cluster, then returns what attach() throws over a
+/// 2-shard raw cluster ("" when it does not throw).
+std::string attach_error_over_spilled_row(const std::string& dir,
+                                          std::uint64_t shard,
+                                          const std::string& dur_hist) {
+  {
+    dsos::ClusterConfig cc;
+    cc.shard_count = 1;
+    cc.shard_attr = "shard";
+    cc.parallel_query = false;
+    dsos::DsosCluster spill(cc);
+    spill.register_schema(rollup_cell_schema());
+    store::StoreConfig sc;
+    sc.mode = store::StoreMode::kTiered;
+    sc.dir = dir;
+    store::Store st(sc);
+    st.open(spill);
+    CellKey key;
+    key.job = 1;
+    key.op = "read";
+    key.bucket = 10;
+    CellAgg agg;
+    agg.add(64, 0.01);
+    dsos::Object row =
+        cell_to_row(rollup_cell_schema(), "ops", key, 10.0, agg, shard, 110.0);
+    row.values[*row.schema->find_attr("dur_hist")] = dur_hist;
+    spill.insert(std::move(row));
+    spill.commit_shard(0);
+    st.close();
+  }
+  dsos::DsosCluster db(cluster_config(2));
+  db.register_schema(test_schema());
+  RollupEngineConfig cfg;
+  cfg.policies = must_parse("ops key=job_id,op bucket=10s").policies;
+  cfg.store_mode = store::StoreMode::kTiered;
+  cfg.dir = dir;
+  RollupEngine engine(cfg);
+  try {
+    engine.attach(db);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CrashCampaign, BadSpilledRowFailsRecoveryLoudly) {
+  // A row that does not decode, or that names a shard the raw cluster
+  // lacks, would vanish from every panel while its watermark still
+  // holds its events behind the frontier.
+  const TempDir garbage("badhist");
+  const std::string bad_hist =
+      attach_error_over_spilled_row(garbage.path(), 1, "not-a-histogram");
+  EXPECT_NE(bad_hist.find("policy 'ops' on shard 1"), std::string::npos)
+      << bad_hist;
+  EXPECT_NE(bad_hist.find("does not decode"), std::string::npos) << bad_hist;
+
+  const TempDir stray("badshard");
+  SparseLogHist hist;
+  hist.record(10'000'000);
+  const std::string bad_shard =
+      attach_error_over_spilled_row(stray.path(), 5, hist.encode());
+  EXPECT_NE(bad_shard.find("policy 'ops' on shard 5 names a shard"),
+            std::string::npos)
+      << bad_shard;
+
+  const TempDir good("goodrow");
+  EXPECT_EQ(attach_error_over_spilled_row(good.path(), 1, hist.encode()), "");
 }
 
 }  // namespace
