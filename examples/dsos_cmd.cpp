@@ -37,8 +37,8 @@ using namespace dlc;
 namespace {
 
 /// The demo's event database: four dsosd shards routed by rank.  The
-/// store keeps one WAL and segment set per shard, so a reopen must use
-/// the same shard count.
+/// store keeps one write-ahead log per shard, so a reopen must use the
+/// same shard count.
 std::unique_ptr<dsos::DsosCluster> make_db() {
   dsos::ClusterConfig cfg;
   cfg.shard_count = 4;

@@ -263,12 +263,12 @@ store::StoreConfig recovery_store_config(const std::string& dir) {
   cfg.mode = store::StoreMode::kTiered;
   cfg.dir = dir;
   cfg.wal_group_records = 8;
-  cfg.seal_bytes = 512;  // small: the template gets sealed segments
   return cfg;
 }
 
-/// Builds the template store directory once per process: sealed segments
-/// plus an unsealed WAL tail, so mutations can hit every on-disk format.
+/// Builds the template store directory once per process: two sessions
+/// of group commits in each shard's WAL, with schema and data frames for
+/// mutations to hit.
 const std::string& template_store_dir() {
   static const std::string dir = [] {
     std::string d = (fsys::temp_directory_path() /
@@ -288,16 +288,18 @@ const std::string& template_store_dir() {
                    std::uint64_t{64u + static_cast<unsigned>(i)},
                    std::string(i % 2 ? "write" : "read")}));
     }
-    st.flush_all();
-    st.seal_all();
-    // A second batch left in the WAL (unsealed) so recovery exercises
-    // both the segment and the WAL replay path.
+    st.close();
+    // A second session appends behind the recovered rows, so replay
+    // crosses a reopen's sequence continuation.
+    dsos::DsosCluster db2(recovery_cluster_config());
+    store::Store st2(recovery_store_config(d));
+    st2.open(db2);
     for (int i = 0; i < 16; ++i) {
-      db.insert(dsos::make_object(
+      db2.insert(dsos::make_object(
           schema, {std::uint64_t{8}, std::int64_t{i % 4}, 200.0 + i,
                    std::uint64_t{32}, std::string("open")}));
     }
-    st.close();
+    st2.close();
     return d;
   }();
   return dir;
@@ -387,7 +389,7 @@ int store_recovery_one(const std::uint8_t* data, std::size_t size) {
 
   // Recovery must not crash, and must be idempotent: opening the
   // recovered directory a second time yields exactly the same rows
-  // (quarantine/truncate decisions are themselves durable).
+  // (torn-tail truncation is itself durable).
   try {
     const std::string first = recovered_rows(dir);
     const std::string second = recovered_rows(dir);

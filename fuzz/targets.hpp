@@ -11,7 +11,7 @@
 //   rollup_policy_one   rollup policy DSL: parse never throws; every
 //                       accepted policy round-trips through to_string.
 //   store_recovery_one  store recovery on a mutated on-disk store dir:
-//                       open() quarantines, never crashes; recovery is
+//                       open() truncates, never crashes; recovery is
 //                       idempotent (second open yields the same rows).
 //   darshan_log_one     darshan::read_log on raw bytes: never crashes or
 //                       throws; an accepted log re-encodes to bytes that

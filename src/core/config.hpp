@@ -131,7 +131,7 @@ struct ConnectorConfig {
   /// Empty = rollups stay in memory; non-empty runs the rollup spill
   /// store in tiered mode under this directory.
   std::string rollup_dir;
-  /// Has no effect: nothing expires sealed rollup segments.  Kept only
+  /// Has no effect: nothing expires sealed rollup rows.  Kept only
   /// because e2ebench/bench.cpp assigns it.
   std::uint64_t rollup_retention_s = 0;
   /// Online anomaly detection riding the rollup seal path (default

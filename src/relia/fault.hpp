@@ -20,10 +20,11 @@
 // progress at <time> (an operator bouncing the daemon early).
 // `storecrash` targets the durable store instead of a daemon: it kills
 // the "process" at the <n>-th occurrence of the named store operation
-// (commit | seal, or the rollup engine's rollup_seal | rollup_spill),
-// leaving a torn write behind — consumed by store::FaultInjector and
-// rollup::RollupEngine::arm_from_plan on a store the caller mounts, not
-// by the transport; exp::run_experiment rejects it.  It is
+// (the store's `commit`, or the rollup engine's `rollup_seal` |
+// `rollup_spill`), leaving a torn write behind — consumed by
+// store::FaultInjector and rollup::RollupEngine::arm_from_plan on a
+// store the caller mounts, not by the transport; exp::run_experiment
+// rejects it.  It is
 // occurrence-counted, not timed: the store runs on real threads off the
 // virtual timeline.
 // `ioslow` perturbs the simulated file system instead of the transport:
@@ -62,7 +63,7 @@ std::string_view fault_kind_name(FaultKind k);
 struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
   /// The daemon the fault applies to (the *from* side for partitions;
-  /// the crash-point name — commit/seal/rollup_seal/rollup_spill — for
+  /// the crash-point name — commit/rollup_seal/rollup_spill — for
   /// storecrash; the node name, or "*", for ioslow).
   std::string daemon;
   /// Partition target (empty otherwise).

@@ -1,4 +1,4 @@
-// Append-only file segment of length-prefixed records.
+// Append-only file of length-prefixed records.
 //
 // The durable store's WAL (store/wal.hpp) frames its records with it:
 // each record is a fixed 8-byte little-endian length followed by the
@@ -7,7 +7,7 @@
 // either fewer than 8 prefix bytes remain, or fewer body bytes than the
 // prefix promises.
 //
-// The segment is deliberately dumb: one fstream, an append cursor at the
+// The file is deliberately dumb: one fstream, an append cursor at the
 // end and a read cursor that only moves forward, no locking (the caller,
 // the store's per-shard mutex, serializes), and no durability stronger
 // than a stream flush (the simulation's crash model is process death,
@@ -16,7 +16,7 @@
 // append_partial() is the crash-injection seam: it writes a prefix of
 // the framed record and stops, producing exactly the torn tail a process
 // killed mid-write leaves behind.  FaultPlan store campaigns use it to
-// prove recovery quarantines such tails (see store/store.hpp).
+// prove recovery truncates such tails (see store/store.hpp).
 #pragma once
 
 #include <cstdint>
@@ -71,10 +71,6 @@ class FileSegment {
   /// Drops every byte past `size` (torn-tail quarantine).  Clamps the
   /// read cursor into range.
   bool truncate_to(std::streamoff size);
-
-  /// Empties the segment and resets both cursors (a fully-drained spool
-  /// or a freshly sealed WAL).
-  bool recycle() { return truncate_to(0); }
 
   /// Bytes currently in the file (frames included).
   std::size_t bytes() const { return bytes_; }

@@ -500,7 +500,6 @@ void RollupEngine::flush() {
 
 void RollupEngine::seal_all() {
   for (std::size_t s = 0; s < shards_.size(); ++s) on_commit(s, true);
-  if (spill_store_ && !crashed()) spill_store_->seal_all();
 }
 
 std::vector<RollupCell> RollupEngine::query(std::string_view policy,

@@ -61,7 +61,7 @@ struct RollupEngineConfig {
   /// Spill-store directory (ConnectorConfig::rollup_dir); required unless
   /// kMemory.
   std::string dir;
-  /// Has no effect: nothing expires sealed rollup segments.  Kept only
+  /// Has no effect: nothing expires sealed rollup rows.  Kept only
   /// because e2ebench/bench.cpp assigns it.
   std::uint64_t retention_s = 0;
 };

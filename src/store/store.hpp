@@ -1,37 +1,36 @@
-// Durable tiered segment store mounted *under* the DSOS container API.
+// Durable write-ahead-log store mounted *under* the DSOS container API.
 //
 // The paper's aggregation tier assumes campaign data outlives the
 // process; this subsystem provides that without changing a single
 // ingest/query call site.  Store::open() recovers the on-disk state
 // into a DsosCluster and attaches itself to every shard's Container as
 // a dsos::CommitSink — from then on each insert is logged into a
-// per-shard group-commit buffer, each Container::commit() flushes the
-// buffer as one CRC-framed WAL group, and a WAL that passes seal_bytes
-// is sealed into an immutable segment file.  Queries, zone maps and the
-// websvc keep reading the in-memory Container, which holds every row
-// for the life of the process: the store's whole job is durability —
-// group commit, seal and recovery.
+// per-shard group-commit buffer, and each Container::commit() flushes
+// the buffer as one CRC-framed group onto that shard's write-ahead log.
+// Queries, zone maps and the websvc keep reading the in-memory
+// Container, which holds every row for the life of the process: the
+// store's whole job is durability — group commit and recovery.
 //
 // Rows are held once.  The store keeps no copy of a row: its group-
-// commit buffer and its unsealed run point at the Container's own rows
-// (a std::deque, so they never move), which is why the cluster must
-// outlive the store or be detached via close().
+// commit buffer points at the Container's own rows (a std::deque, so
+// they never move) from the insert until the commit that writes them,
+// which is why the cluster must outlive the store or be detached via
+// close().
 //
 // Durability (StoreConfig::mode, chosen by whoever mounts the store):
 //   memory  — nothing attached; the paper's lose-it-all behaviour.
-//   tiered  — group commits are durable and recovery replays the log;
-//             full WALs seal into segments.
+//   tiered  — group commits are durable and recovery replays the log.
 //
 // Acknowledgement contract (at_least_once): a row is *acked* once a
 // commit covering it returns true.  Crash-injection campaigns
-// (relia::FaultPlan `storecrash` directives) kill the store mid-commit
-// and mid-seal, then reopen and assert every acked row is recovered —
-// the zero-acked-loss bar in ROADMAP.md.  A fired crash
-// throws store::StoreCrash and deadens the instance (every later sink
-// call no-ops, simulating the dead process); recovery happens by
-// opening a *new* Store on the same directory.  Arm crashes only under
-// serial ingest — a StoreCrash unwinding an ingest-executor worker
-// thread would terminate the process for real.
+// (relia::FaultPlan `storecrash commit` directives) kill the store
+// mid-commit, then reopen and assert every acked row is recovered —
+// the zero-acked-loss bar in ROADMAP.md.  A fired crash throws
+// store::StoreCrash and deadens the instance (every later sink call
+// no-ops, simulating the dead process); recovery happens by opening a
+// *new* Store on the same directory.  Arm crashes only under serial
+// ingest — a StoreCrash unwinding an ingest-executor worker thread
+// would terminate the process for real.
 //
 // Threading: per-shard state is guarded by the StoreShard lock class
 // (the ingest executor's one-writer-per-shard contract does not cover
@@ -43,7 +42,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,7 +49,6 @@
 #include "dsos/cluster.hpp"
 #include "relia/fault.hpp"
 #include "store/format.hpp"
-#include "store/segment.hpp"
 #include "store/wal.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -65,8 +62,6 @@ struct StoreConfig {
   bool create_dir = true;
   /// Rows buffered per shard before an automatic group commit.
   std::size_t wal_group_records = 64;
-  /// WAL size that triggers sealing into a segment.
-  std::size_t seal_bytes = 4 * 1024 * 1024;
 };
 
 /// Thrown when an armed crash point fires: "the process died here".
@@ -78,9 +73,8 @@ class StoreCrash : public std::runtime_error {
 /// Where a FaultPlan `storecrash` directive can kill the store.
 enum class CrashPoint : std::uint8_t {
   kWalCommit = 0,  // mid group-commit: torn WAL tail
-  kSeal = 1,       // mid segment write: stray .seg.tmp, WAL intact
 };
-inline constexpr std::size_t kCrashPointCount = 2;
+inline constexpr std::size_t kCrashPointCount = 1;
 
 std::string_view crash_point_name(CrashPoint p);
 bool crash_point_from_name(std::string_view name, CrashPoint& out);
@@ -105,22 +99,10 @@ class FaultInjector {
 
 /// What open() reconstructed from disk.
 struct RecoveryReport {
-  std::uint64_t segments_loaded = 0;
-  std::uint64_t rows_from_segments = 0;
   std::uint64_t wal_frames = 0;
   std::uint64_t rows_from_wal = 0;
-  /// WAL rows already covered by a sealed segment (the crash-between-
-  /// seal-and-truncate window) — skipped, not duplicated.
-  std::uint64_t wal_rows_skipped = 0;
   std::uint64_t torn_tails = 0;      // WALs truncated at a torn frame
-  std::uint64_t torn_wal_bytes = 0;  // bytes quarantined off WAL tails
-  /// Segments renamed to .quarantined (bad header/data CRC, truncation,
-  /// unknown version) plus stray .seg.tmp files deleted.
-  std::uint64_t quarantined_segments = 0;
-  /// Segments dropped because a live segment's header replaces them.
-  /// Nothing here writes a `replaces` list any more, but a directory
-  /// left by an older build's interrupted compaction can hold one.
-  std::uint64_t replaced_dropped = 0;
+  std::uint64_t torn_wal_bytes = 0;  // bytes truncated off WAL tails
   /// Per-shard recovered sequence frontier (everything <= this is
   /// durable; an at-least-once driver resubmits from here).
   std::vector<std::uint64_t> high_seq;
@@ -134,14 +116,15 @@ class Store {
   Store(const Store&) = delete;
   Store& operator=(const Store&) = delete;
 
-  /// Recovers the directory into `cluster` (segments, then WAL tails)
-  /// and attaches a commit sink to every shard.  The cluster must
-  /// outlive the store or be detached via close(): the store refers to
-  /// the rows it has not sealed yet.  Throws std::logic_error on
-  /// double-open (this instance, another instance on the same
-  /// directory, or a container that is already attached to a store) and
-  /// std::runtime_error on a missing store directory with create_dir ==
-  /// false.
+  /// Replays every shard's WAL into `cluster` and attaches a commit sink
+  /// to every shard.  The cluster must outlive the store or be detached
+  /// via close(): the store refers to the rows it has not committed yet.
+  /// Throws std::logic_error on double-open (this instance, another
+  /// instance on the same directory, or a container that is already
+  /// attached to a store) and std::runtime_error on a missing store
+  /// directory with create_dir == false, or on a directory holding a
+  /// `*.seg` file: an older build sealed rows out of its WAL into such
+  /// segments, and opening without them would drop acknowledged rows.
   RecoveryReport open(dsos::DsosCluster& cluster);
 
   /// Commits pending rows, drops the store's row references, detaches
@@ -160,16 +143,10 @@ class Store {
   /// Durability barrier: group-commits every shard (what drain() hits
   /// through Container::commit on each shard).
   void flush_all();
-  /// Seals every shard's unsealed rows regardless of seal_bytes
-  /// (end-of-campaign flush to cold storage).
-  void seal_all();
 
   /// Ack frontier: every row of `shard` with seq <= durable_seq(shard)
   /// survives a crash.
   std::uint64_t durable_seq(std::size_t shard) const;
-
-  /// /api/store payload: mode, per-shard WAL/segment state, recovery.
-  std::string status_json() const;
 
  private:
   struct Shard;
@@ -185,14 +162,10 @@ class Store {
   dsos::DsosCluster* cluster_ DLC_GUARDED_BY(state_m_) = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;  // stable between open/close
 
-  // atomic-protocol: kind=flag pairs=SegmentStore::open/close
+  // atomic-protocol: kind=flag pairs=Store::open/close
   std::atomic<bool> open_{false};
   // atomic-protocol: kind=flag pairs=crash-injection-test-hooks
   mutable std::atomic<bool> crashed_{false};
-  // atomic-protocol: kind=counter pairs=segment-id-allocation
-  std::atomic<std::uint64_t> next_segment_id_{1};
-  // atomic-protocol: kind=gauge pairs=SegmentStore::stats
-  std::atomic<std::int64_t> live_segments_{0};
 };
 
 }  // namespace dlc::store

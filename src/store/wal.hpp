@@ -1,5 +1,9 @@
 // Per-shard write-ahead log over relia::FileSegment.
 //
+// The log is the store's only on-disk form: every committed row of a
+// shard stays in its WAL for the life of the store directory, and
+// recovery rebuilds the shard by replaying it from the first frame.
+//
 // Group commit is the atomicity unit: one data frame carries every row
 // of one commit, covered by a single CRC-32.  A process killed
 // mid-write leaves either a short FileSegment record (length prefix
@@ -44,9 +48,6 @@ class WalWriter {
   bool append_group(std::uint64_t first_seq,
                     const std::vector<const dsos::Object*>& rows,
                     std::size_t torn_frame_bytes = 0);
-
-  /// Empties the log after its rows are sealed into a segment.
-  bool recycle() { return seg_.recycle(); }
 
   std::size_t bytes() const { return seg_.bytes(); }
 

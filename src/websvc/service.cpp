@@ -358,7 +358,6 @@ Response DashboardService::handle(const std::string& path_and_query) const {
     if (path == "/metrics") return api_metrics();
     if (path == "/api/obs") return api_obs();
     if (path == "/api/obs/spans") return api_obs_spans();
-    if (path == "/api/store") return api_store();
     if (path == "/api/rollup") return api_rollup_status();
     if (path.starts_with("/api/rollup/")) {
       return api_rollup_cells(path.substr(sizeof("/api/rollup/") - 1),
@@ -418,13 +417,6 @@ Response DashboardService::api_obs_spans() const {
     return Response{200, "application/json", "{\"spans\":[]}"};
   }
   return Response{200, "application/json", collector_->spans_json()};
-}
-
-Response DashboardService::api_store() const {
-  if (store_ == nullptr) {
-    return not_found("no durable store attached (memory mode)");
-  }
-  return Response{200, "application/json", store_->status_json()};
 }
 
 Response DashboardService::api_health() const {

@@ -27,9 +27,6 @@
 //                                          JSON (incl. writer-placement
 //                                          gauges); /metrics' JSON twin
 //   /api/obs/spans                      -> slow-span exemplar ring (JSON)
-//   /api/store                          -> durable-store status (WAL and
-//                                          segment state per shard; 404
-//                                          when no store is attached)
 //   /api/rollup                         -> rollup-engine status (policies,
 //                                          cell counts, spill state; 404
 //                                          when no engine is attached)
@@ -67,7 +64,6 @@
 #include "obs/registry.hpp"
 #include "obs/spans.hpp"
 #include "rollup/engine.hpp"
-#include "store/store.hpp"
 
 namespace dlc::websvc {
 
@@ -119,10 +115,6 @@ class DashboardService {
     collector_ = collector;
   }
 
-  /// Durable store behind /api/store; nullptr (the default) makes the
-  /// route answer 404 (memory-mode deployment).
-  void set_store(const store::Store* store) { store_ = store; }
-
   /// Rollup engine behind /api/rollup and the rollup-served figure
   /// panels; nullptr (the default) makes /api/rollup answer 404 and all
   /// panels run raw scans.
@@ -154,7 +146,6 @@ class DashboardService {
   Response api_metrics() const;
   Response api_obs() const;
   Response api_obs_spans() const;
-  Response api_store() const;
   Response api_rollup_status() const;
   Response api_rollup_cells(const std::string& policy,
                             const Params& params) const;
@@ -164,7 +155,6 @@ class DashboardService {
   std::map<std::string, AnalysisModule> modules_;
   const obs::Registry* registry_ = &obs::Registry::global();
   const obs::TraceCollector* collector_ = nullptr;
-  const store::Store* store_ = nullptr;
   const rollup::RollupEngine* rollup_ = nullptr;
   const anomaly::AnomalyEngine* anomaly_ = nullptr;
   mutable std::uint64_t requests_ = 0;

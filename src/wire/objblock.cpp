@@ -39,8 +39,8 @@ bool get_interned(Reader& r, std::vector<std::string>& table,
   return true;
 }
 
-}  // namespace
-
+/// Appends one typed value with no interning.  The value's alternative
+/// must match `t` (validated at insert time).
 void put_value(std::string& out, const dsos::Value& v, dsos::AttrType t) {
   switch (t) {
     case dsos::AttrType::kInt64:
@@ -61,6 +61,7 @@ void put_value(std::string& out, const dsos::Value& v, dsos::AttrType t) {
   }
 }
 
+/// Reads one typed value; false on malformed input.
 bool get_value(Reader& r, dsos::AttrType t, dsos::Value& out) {
   switch (t) {
     case dsos::AttrType::kInt64:
@@ -81,6 +82,8 @@ bool get_value(Reader& r, dsos::AttrType t, dsos::Value& out) {
   }
   return r.ok();
 }
+
+}  // namespace
 
 void put_schema_def(std::string& out, const dsos::Schema& schema) {
   put_string(out, schema.name());

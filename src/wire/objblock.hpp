@@ -12,18 +12,17 @@
 //
 // Blocks are fully self-contained (the interning table never spans
 // blocks) for the same reason transport frames are: the enclosing WAL
-// frame or segment is the unit of loss, and cross-block state would
-// corrupt every block after a quarantined one.
+// frame is the unit of loss, and cross-block state would corrupt every
+// block after a truncated one.
 //
 // Schema *definitions* are encoded separately (put_schema_def) — the WAL
-// writes them as dictionary frames and segments carry them in the
-// header, so recovery needs no out-of-band schema registry.
+// writes them as dictionary frames, so recovery needs no out-of-band
+// schema registry.
 //
-// Single-value helpers (put_value/get_value) also serve the persisted
-// zone maps in segment headers.  Both switch over every dsos::AttrType
-// with no default, and the build treats a missing case as an error
-// (-Werror=switch), so a type added to the schema layer cannot silently
-// miss the durable format.
+// The value codec switches over every dsos::AttrType with no default,
+// and the build treats a missing case as an error (-Werror=switch), so a
+// type added to the schema layer cannot silently miss the durable
+// format.
 #pragma once
 
 #include <functional>
@@ -36,13 +35,6 @@
 
 namespace dlc::wire {
 
-/// Appends one typed value (no interning — zone-map singles).  The
-/// value's alternative must match `t` (validated at insert time).
-void put_value(std::string& out, const dsos::Value& v, dsos::AttrType t);
-
-/// Reads one typed value; false on malformed input.
-bool get_value(Reader& r, dsos::AttrType t, dsos::Value& out);
-
 /// Appends a full schema definition (name, typed attrs, joint indices).
 void put_schema_def(std::string& out, const dsos::Schema& schema);
 
@@ -51,7 +43,7 @@ void put_schema_def(std::string& out, const dsos::Schema& schema);
 dsos::SchemaPtr get_schema_def(Reader& r);
 
 /// Resolves a schema name during decode (recovery passes a lookup over
-/// the schemas replayed from WAL dictionary frames / segment headers).
+/// the schemas replayed from WAL dictionary frames).
 using SchemaResolver = std::function<dsos::SchemaPtr(std::string_view)>;
 
 /// Encodes `rows` (any mix of schemas, order preserved) as one block.

@@ -1,6 +1,6 @@
 // Golden byte fixtures for every frozen encoding: connector JSON (both
 // number formats), binary wire frames, the Fig. 3 CSV rendering, the WAL
-// and sealed-segment files, the rollup_cell row, the /api/rollup body, the
+// file, the rollup_cell row, the /api/rollup body, the
 // raw figure frames (Figs. 5-9 and hot files), the Fig. 8 panel body and
 // the darshan log.
 //
@@ -32,7 +32,6 @@
 #include "simfs/nfs.hpp"
 #include "simhpc/cluster.hpp"
 #include "simhpc/job.hpp"
-#include "store/segment.hpp"
 #include "store/wal.hpp"
 #include "websvc/service.hpp"
 #include "wire/codec.hpp"
@@ -317,42 +316,6 @@ TEST(Golden, WalFrames) {
   ASSERT_EQ(replay.schemas.size(), 1u);
   EXPECT_EQ(replay.schemas[0]->name(), "darshan_data");
   EXPECT_EQ(csv(replay.rows), csv(rows));
-}
-
-TEST(Golden, SegmentFile) {
-  const JobFixture job;
-  const auto rows =
-      decode_json(json_messages(job, json::NumberFormat::kSnprintf));
-  const Scratch scratch("seg");
-  store::SegmentMeta meta;
-  meta.path = (scratch.dir / "seg-1-00000007.seg").string();
-  meta.id = 7;
-  meta.shard = 1;
-  meta.first_seq = 41;
-  meta.last_seq = 44;
-  meta.created_unix_s = 1'656'633'600;
-  meta.replaces = {3, 5};
-  ASSERT_TRUE(store::write_segment(&meta, ptrs(rows)));
-  expect_golden("segment.bin", read_file(meta.path));
-
-  const std::string copy = (scratch.dir / "seg-1-00000008.seg").string();
-  write_file(copy, read_file(fsys::path(DLC_GOLDEN_DIR) / "segment.bin"));
-  const auto got = store::read_segment_meta(copy);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->id, 7u);
-  EXPECT_EQ(got->shard, 1u);
-  EXPECT_EQ(got->first_seq, 41u);
-  EXPECT_EQ(got->last_seq, 44u);
-  EXPECT_EQ(got->row_count, 4u);
-  EXPECT_EQ(got->created_unix_s, 1'656'633'600u);
-  EXPECT_EQ(got->replaces, (std::vector<std::uint64_t>{3, 5}));
-  EXPECT_DOUBLE_EQ(got->min_time, job.epoch.to_epoch_seconds(2 * kSecond + 17));
-  EXPECT_DOUBLE_EQ(got->max_time,
-                   job.epoch.to_epoch_seconds(5 * kSecond + 999));
-  EXPECT_EQ(got->zones.size(), meta.zones.size());
-  std::vector<dsos::Object> read_rows;
-  ASSERT_TRUE(store::read_segment_rows(*got, &read_rows));
-  EXPECT_EQ(csv(read_rows), csv(rows));
 }
 
 TEST(Golden, RollupCellRow) {

@@ -116,7 +116,7 @@ TEST_F(FullStory, PersistReloadAnswersIdentically) {
   scfg.dir = dir;
   {
     // Every campaign row goes through a store onto disk, shard by shard,
-    // and ends in sealed segments.
+    // and ends in the shards' write-ahead logs.
     dsos::DsosCluster written(cfg);
     written.register_schema(
         dataset_->db->shard(0).container().schema("darshan_data"));
@@ -128,14 +128,13 @@ TEST_F(FullStory, PersistReloadAnswersIdentically) {
         written.insert_at(s, c.object(i));
       }
     }
-    store.seal_all();
     store.close();
   }
   dsos::DsosCluster reloaded(cfg);
   scfg.create_dir = false;
   store::Store store(scfg);
   const store::RecoveryReport rep = store.open(reloaded);
-  EXPECT_EQ(rep.rows_from_segments, dataset_->db->total_objects());
+  EXPECT_EQ(rep.rows_from_wal, dataset_->db->total_objects());
   EXPECT_EQ(reloaded.total_objects(), dataset_->db->total_objects());
 
   const dsos::Filter filter{

@@ -237,13 +237,13 @@ TEST(FileSegment, RecycleEmptiesAndResetsCursors) {
   std::remove(path.c_str());
   relia::FileSegment seg;
   ASSERT_TRUE(seg.open(path));
-  ASSERT_TRUE(seg.append("sealed-away"));
+  ASSERT_TRUE(seg.append("dropped"));
   ASSERT_TRUE(seg.flush());
-  ASSERT_TRUE(seg.recycle());
+  ASSERT_TRUE(seg.truncate_to(0));
   EXPECT_EQ(seg.bytes(), 0u);
   std::string body;
   EXPECT_EQ(seg.read_next(body), relia::FileSegment::ReadStatus::kEof);
-  // A recycled segment starts a fresh run.
+  // An emptied segment starts a fresh run.
   ASSERT_TRUE(seg.append("next-run"));
   ASSERT_TRUE(seg.flush());
   EXPECT_EQ(seg.read_next(body), relia::FileSegment::ReadStatus::kOk);
@@ -382,13 +382,13 @@ TEST(FaultPlan, EventsRoundTripThroughToString) {
 TEST(FaultPlan, StorecrashDirectiveIsOccurrenceCounted) {
   const auto plan = relia::parse_fault_plan(
       "storecrash commit after 3\n"
-      "storecrash seal after 1\n");
+      "storecrash rollup_seal after 1\n");
   ASSERT_TRUE(plan.ok()) << plan.errors.front();
   ASSERT_EQ(plan.events.size(), 2u);
   EXPECT_EQ(plan.events[0].kind, relia::FaultKind::kStoreCrash);
   EXPECT_EQ(plan.events[0].daemon, "commit");  // crash-point name
   EXPECT_EQ(plan.events[0].count, 3u);
-  EXPECT_EQ(plan.events[1].daemon, "seal");
+  EXPECT_EQ(plan.events[1].daemon, "rollup_seal");
   // Renders without an `at` clause and round-trips through the parser.
   EXPECT_EQ(relia::to_string(plan.events[0]), "storecrash commit after 3");
   const auto replay = relia::parse_fault_plan(relia::to_string(plan.events[1]));
@@ -396,7 +396,7 @@ TEST(FaultPlan, StorecrashDirectiveIsOccurrenceCounted) {
   EXPECT_EQ(replay.events[0].count, 1u);
 
   // Occurrence 0 never fires: rejected at parse time, not silently armed.
-  EXPECT_FALSE(relia::parse_fault_plan("storecrash seal after 0\n").ok());
+  EXPECT_FALSE(relia::parse_fault_plan("storecrash commit after 0\n").ok());
 }
 
 TEST(FaultPlan, IoslowDirectiveParsesAllClauses) {

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -948,8 +947,6 @@ TEST(CrashCampaign, RawWalLossNeverLeavesDurableRollupsAhead) {
   store::StoreConfig raw_cfg;
   raw_cfg.mode = store::StoreMode::kTiered;
   raw_cfg.dir = raw_dir.path();
-  // Never sealed: the torn raw batch is lost from the WAL alone.
-  raw_cfg.seal_bytes = std::numeric_limits<std::size_t>::max();
   // No automatic group commits: every WAL commit is an explicit
   // Container::commit, the barrier the rollup observer hangs off.
   raw_cfg.wal_group_records = 1u << 20;

@@ -1,14 +1,12 @@
 // Tests for the durable store: object-block codec round trips, WAL
-// replay with torn tails, sealed-segment corruption handling, the
-// open/close guard rails, and FaultPlan-driven crash-recovery campaigns
-// asserting zero acknowledged-event loss with byte-identical query
-// results.
+// replay with torn tails, the open/close guard rails, and FaultPlan-driven
+// crash-recovery campaigns asserting zero acknowledged-event loss with
+// byte-identical query results.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,7 +19,6 @@
 #include "dsos/schema.hpp"
 #include "relia/fault.hpp"
 #include "store/format.hpp"
-#include "store/segment.hpp"
 #include "store/store.hpp"
 #include "store/wal.hpp"
 #include "wire/objblock.hpp"
@@ -270,93 +267,6 @@ TEST(Wal, BitFlippedFrameStopsReplayAtLastGoodFrame) {
   EXPECT_GT(rep.torn_bytes, 0u);
 }
 
-// ------------------------------------------------------------ segments ----
-
-TEST(Segment, WriteReadRoundTripWithZones) {
-  const TempDir dir("seg_roundtrip");
-  const auto s = test_schema();
-  const auto rows = make_events(s, 8, /*job=*/3, /*ranks=*/2, /*t0=*/500.0);
-  std::vector<const dsos::Object*> ptrs;
-  for (const auto& r : rows) ptrs.push_back(&r);
-
-  SegmentMeta meta;
-  meta.path = dir.sub(segment_file_name(0, 1));
-  meta.id = 1;
-  meta.shard = 0;
-  meta.first_seq = 1;
-  meta.last_seq = 8;
-  meta.created_unix_s = 1234;
-  ASSERT_TRUE(write_segment(&meta, ptrs));
-  EXPECT_EQ(meta.row_count, 8u);
-  EXPECT_EQ(meta.min_time, 500.0);
-  EXPECT_EQ(meta.max_time, 507.0);
-  EXPECT_FALSE(meta.zones.empty());
-  EXPECT_FALSE(fsys::exists(meta.path + ".tmp"));
-
-  const auto back = read_segment_meta(meta.path);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->id, 1u);
-  EXPECT_EQ(back->row_count, 8u);
-  EXPECT_EQ(back->min_time, 500.0);
-  EXPECT_EQ(back->max_time, 507.0);
-  EXPECT_EQ(back->zones.size(), meta.zones.size());
-  ASSERT_EQ(back->schemas.size(), 1u);
-  EXPECT_EQ(back->schemas[0]->name(), "darshan_data");
-
-  std::vector<dsos::Object> decoded;
-  ASSERT_TRUE(read_segment_rows(*back, &decoded));
-  ASSERT_EQ(decoded.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(decoded[i].as_double("timestamp"),
-              rows[i].as_double("timestamp"));
-  }
-}
-
-TEST(Segment, TruncatedFileFailsHeaderValidation) {
-  const TempDir dir("seg_trunc");
-  const auto s = test_schema();
-  const auto rows = make_events(s, 4);
-  std::vector<const dsos::Object*> ptrs;
-  for (const auto& r : rows) ptrs.push_back(&r);
-  SegmentMeta meta;
-  meta.path = dir.sub(segment_file_name(0, 1));
-  meta.id = 1;
-  meta.first_seq = 1;
-  meta.last_seq = 4;
-  ASSERT_TRUE(write_segment(&meta, ptrs));
-  fsys::resize_file(meta.path, fsys::file_size(meta.path) - 10);
-  EXPECT_FALSE(read_segment_meta(meta.path).has_value());
-}
-
-TEST(Segment, BitFlippedDataBlockFailsRowReadNotHeader) {
-  const TempDir dir("seg_bitflip");
-  const auto s = test_schema();
-  const auto rows = make_events(s, 4);
-  std::vector<const dsos::Object*> ptrs;
-  for (const auto& r : rows) ptrs.push_back(&r);
-  SegmentMeta meta;
-  meta.path = dir.sub(segment_file_name(0, 1));
-  meta.id = 1;
-  meta.first_seq = 1;
-  meta.last_seq = 4;
-  ASSERT_TRUE(write_segment(&meta, ptrs));
-  const auto size = fsys::file_size(meta.path);
-  {
-    std::fstream f(meta.path,
-                   std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(size) - 4);
-    char c = 0;
-    f.read(&c, 1);
-    f.seekp(static_cast<std::streamoff>(size) - 4);
-    c = static_cast<char>(c ^ 0x01);
-    f.write(&c, 1);
-  }
-  const auto back = read_segment_meta(meta.path);
-  ASSERT_TRUE(back.has_value());  // header CRC untouched
-  std::vector<dsos::Object> decoded;
-  EXPECT_FALSE(read_segment_rows(*back, &decoded));  // data CRC catches it
-}
-
 // ------------------------------------------------------------ store -------
 
 StoreConfig store_config(const std::string& dir, StoreMode mode,
@@ -386,9 +296,7 @@ TEST(Store, WalModeSurvivesCleanReopenByteIdentical) {
   const auto events = make_events(s, 100);
   const std::string want = baseline_fingerprint(s, events, 2);
 
-  // Never sealed: every row comes back from the WAL.
-  StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
-  cfg.seal_bytes = std::numeric_limits<std::size_t>::max();
+  const StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
   {
     dsos::DsosCluster db(cluster_config(2));
     db.register_schema(s);
@@ -422,53 +330,39 @@ TEST(Store, EmptyWalRecoversToEmptyCluster) {
   dsos::DsosCluster db(cluster_config(2));
   Store st(cfg);
   const RecoveryReport rep = st.open(db);
-  EXPECT_EQ(rep.rows_from_wal + rep.rows_from_segments, 0u);
+  EXPECT_EQ(rep.rows_from_wal, 0u);
   EXPECT_EQ(rep.torn_tails, 0u);
   EXPECT_EQ(db.total_objects(), 0u);
   st.close();
 }
 
-TEST(Store, TieredModeSealsAndReopensByteIdentical) {
-  const TempDir dir("tiered_reopen");
+TEST(Store, AppendsAfterRecoveryAndReplaysEverySession) {
+  // Three sessions on one directory: each reopen must continue the WAL's
+  // sequence where recovery left it, or the next replay stops at the
+  // first non-contiguous frame and silently drops every later row.
+  const TempDir dir("sessions");
   const auto s = test_schema();
   const auto events = make_events(s, 120);
   const std::string want = baseline_fingerprint(s, events, 2);
-
-  StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
-  cfg.seal_bytes = 256;  // seal every few commits
-  {
+  const StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
+  for (std::size_t session = 0; session < 2; ++session) {
     dsos::DsosCluster db(cluster_config(2));
     db.register_schema(s);
     Store st(cfg);
-    st.open(db);
-    for (const auto& e : events) db.insert(e);
-    st.flush_all();
-    st.seal_all();
+    const RecoveryReport rep = st.open(db);
+    EXPECT_EQ(rep.rows_from_wal, 60 * session);
+    for (std::size_t i = 60 * session; i < 60 * (session + 1); ++i) {
+      db.insert(events[i]);
+    }
     st.close();
   }
   dsos::DsosCluster db(cluster_config(2));
   Store st(cfg);
   const RecoveryReport rep = st.open(db);
-  EXPECT_GT(rep.segments_loaded, 0u);
-  EXPECT_EQ(rep.rows_from_segments + rep.rows_from_wal, 120u);
+  EXPECT_EQ(rep.rows_from_wal, 120u);
+  EXPECT_EQ(rep.torn_tails, 0u);
+  EXPECT_EQ(rep.high_seq[0] + rep.high_seq[1], 120u);
   EXPECT_EQ(fingerprint(db), want);
-  st.close();
-}
-
-TEST(Store, StatusJsonReportsModeAndShards) {
-  const TempDir dir("status");
-  const auto s = test_schema();
-  const StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
-  dsos::DsosCluster db(cluster_config(2));
-  db.register_schema(s);
-  Store st(cfg);
-  st.open(db);
-  for (const auto& e : make_events(s, 20)) db.insert(e);
-  st.flush_all();
-  const std::string json = st.status_json();
-  EXPECT_NE(json.find("\"mode\":\"tiered\""), std::string::npos);
-  EXPECT_NE(json.find("\"shards\":["), std::string::npos);
-  EXPECT_NE(json.find("\"durable_seq\""), std::string::npos);
   st.close();
 }
 
@@ -485,9 +379,10 @@ std::size_t heap_in_use() {
 }
 
 TEST(Store, TieredStoreHoldsNoRowCopies) {
-  // Below seal_bytes a tiered store refers to the container's rows: it
-  // may add a pointer per row, doubled at worst by vector growth, over
-  // the same inserts with no store attached, and no copy of a row.
+  // A tiered store refers to a container row only from its insert until
+  // the commit that writes it, so after flush_all() it holds no per-row
+  // state: over the same inserts with no store attached it may add a
+  // bounded group-commit buffer and a WAL stream, but not a byte a row.
   constexpr std::size_t kRows = 50000;
   const TempDir dir("heap");
   const auto s = test_schema();
@@ -509,7 +404,7 @@ TEST(Store, TieredStoreHoldsNoRowCopies) {
     GTEST_SKIP() << "the allocator does not report heap use (mallinfo2)";
   }
   const double stored = heap_growth(StoreMode::kTiered);
-  EXPECT_LE(stored - bare, 32.0 * kRows)
+  EXPECT_LE(stored - bare, 1.0 * kRows)
       << "bare " << bare << " B, with the store " << stored << " B";
 }
 
@@ -557,7 +452,52 @@ TEST(Store, OpenGuardsFailLoudly) {
 
   // Operations on a store that is not open.
   EXPECT_THROW(st5.flush_all(), std::logic_error);
-  EXPECT_THROW(st5.seal_all(), std::logic_error);
+}
+
+TEST(Store, OpenRefusesSegmentFromAnOlderBuild) {
+  // An older build sealed WAL rows into seg-*.seg files and emptied the
+  // WAL behind them; opening without those rows would drop acked data.
+  const TempDir dir("old_segment");
+  const auto s = test_schema();
+  const StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
+  {
+    dsos::DsosCluster db(cluster_config(2));
+    db.register_schema(s);
+    Store st(cfg);
+    st.open(db);
+    for (const auto& e : make_events(s, 20)) db.insert(e);
+    st.close();
+  }
+  const std::string seg = dir.sub("seg-0-00000001.seg");
+  std::ofstream(seg, std::ios::binary) << "DSG1";
+
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    dsos::DsosCluster db(cluster_config(2));
+    Store st(cfg);
+    try {
+      st.open(db);
+      ADD_FAILURE() << "open accepted a directory holding " << seg;
+    } catch (const std::logic_error& e) {
+      ADD_FAILURE() << "the directory stayed claimed: " << e.what();
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("seg-0-00000001.seg"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(st.is_open());
+    EXPECT_EQ(db.total_objects(), 0u);
+    for (std::size_t sh = 0; sh < db.shard_count(); ++sh) {
+      EXPECT_EQ(db.shard(sh).container().commit_sink(), nullptr);
+    }
+  }
+  EXPECT_TRUE(fsys::exists(seg));  // left for the operator, not renamed
+
+  // Once the operator moves the segment away the directory opens.
+  fsys::remove(seg);
+  dsos::DsosCluster db(cluster_config(2));
+  Store st(cfg);
+  EXPECT_EQ(st.open(db).rows_from_wal, 20u);
+  st.close();
 }
 
 // ------------------------------------------------------------- persist ----
@@ -612,7 +552,7 @@ TEST(Persist, RejectsCorruptStreams) {
     EXPECT_EQ(db.total_objects(), 0u);
     st.close();
   }
-  // A sealed segment missing its last bytes is quarantined, not loaded.
+  // A WAL missing its last bytes loses only its last group commit.
   const TempDir dir("persist_truncated");
   const StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
   {
@@ -620,20 +560,17 @@ TEST(Persist, RejectsCorruptStreams) {
     db.register_schema(s);
     Store st(cfg);
     st.open(db);
-    for (const auto& e : make_events(s, 20)) db.insert(e);
-    st.seal_all();
+    for (const auto& e : make_events(s, 20)) db.insert(e);  // 8 + 8 + 4
     st.close();
   }
-  const std::string seg = dir.sub(segment_file_name(0, 1));
-  ASSERT_TRUE(fsys::exists(seg));
-  fsys::resize_file(seg, fsys::file_size(seg) - 4);
+  const std::string wal = dir.sub(wal_file_name(0));
+  fsys::resize_file(wal, fsys::file_size(wal) - 4);
   dsos::DsosCluster db(cluster_config(1));
   Store st(cfg);
   const RecoveryReport rep = st.open(db);
-  EXPECT_EQ(rep.quarantined_segments, 1u);
-  EXPECT_EQ(rep.segments_loaded, 0u);
-  EXPECT_EQ(db.total_objects(), 0u);
-  EXPECT_TRUE(fsys::exists(seg + ".quarantined"));
+  EXPECT_EQ(rep.torn_tails, 1u);
+  EXPECT_EQ(rep.rows_from_wal, 16u);
+  EXPECT_EQ(db.total_objects(), 16u);
   st.close();
 }
 
@@ -650,13 +587,12 @@ TEST(Persist, ClusterRoundTripOnDisk) {
       cluster.insert(row(s, 1, static_cast<std::int64_t>(i * 7 % 10),
                          50.0 - static_cast<double>(i) * 0.5, 64 + i));
     }
-    st.seal_all();
     st.close();
   }
   dsos::DsosCluster loaded(cluster_config(3));
   Store st(cfg);
   const RecoveryReport rep = st.open(loaded);
-  EXPECT_EQ(rep.rows_from_segments, 100u);
+  EXPECT_EQ(rep.rows_from_wal, 100u);
   EXPECT_EQ(loaded.total_objects(), 100u);
   // Each row comes back on the shard it was written to.
   for (std::size_t shard = 0; shard < 3; ++shard) {
@@ -708,7 +644,6 @@ void run_crash_campaign(const std::string& dir, StoreConfig cfg,
         db.insert(e);
       }
       st.flush_all();
-      st.seal_all();
     } catch (const StoreCrash&) {
       crashed = true;
     }
@@ -755,127 +690,24 @@ TEST(CrashCampaign, TornWalCommitLosesNoAckedEvents) {
 
 TEST(CrashCampaign, TornWalCommitTieredMode) {
   const TempDir dir("crash_commit_tiered");
-  StoreConfig cfg = store_config("", StoreMode::kTiered);
-  cfg.seal_bytes = 512;
-  run_crash_campaign(dir.path(), cfg, "storecrash commit after 5\n");
-}
-
-TEST(CrashCampaign, CrashDuringSealLeavesWalAuthoritative) {
-  const TempDir dir("crash_seal");
-  StoreConfig cfg = store_config("", StoreMode::kTiered);
-  cfg.seal_bytes = 512;  // seals happen during ingest
-  run_crash_campaign(dir.path(), cfg, "storecrash seal after 2\n");
-  // The torn .seg.tmp must be gone after recovery.
-  for (const auto& entry : fsys::directory_iterator(dir.path())) {
-    EXPECT_FALSE(entry.path().string().ends_with(".seg.tmp"))
-        << entry.path();
-  }
-}
-
-TEST(CrashCampaign, CrashDuringCompactionSwapDropsReplacedInputs) {
-  // Older builds compacted by writing a merged segment whose header
-  // `replaces` its inputs, then deleting the inputs; a death between
-  // the two left both on disk.  Segment 1 is an ordinary seal, segment
-  // 3 is the merged copy of input segment 2.
-  const TempDir dir("crash_swap");
-  const auto s = test_schema();
-  const auto events = make_events(s, 40, /*job=*/1, /*ranks=*/1);
-  std::vector<const dsos::Object*> ptrs;
-  for (const auto& e : events) ptrs.push_back(&e);
-  const auto write = [&](std::uint64_t id, std::size_t first,
-                         std::vector<std::uint64_t> replaces) {
-    SegmentMeta meta;
-    meta.path = dir.sub(segment_file_name(0, id));
-    meta.id = id;
-    meta.first_seq = first + 1;
-    meta.last_seq = first + 20;
-    meta.replaces = std::move(replaces);
-    const std::vector<const dsos::Object*> rows(
-        ptrs.begin() + static_cast<std::ptrdiff_t>(first),
-        ptrs.begin() + static_cast<std::ptrdiff_t>(first + 20));
-    ASSERT_TRUE(write_segment(&meta, rows));
-  };
-  write(1, 0, {});
-  write(2, 20, {});
-  write(3, 20, {2});
-
-  dsos::DsosCluster db(cluster_config(1));
-  db.register_schema(s);
-  Store st(store_config(dir.path(), StoreMode::kTiered));
-  const RecoveryReport rep = st.open(db);
-  EXPECT_EQ(rep.replaced_dropped, 1u);
-  EXPECT_EQ(rep.segments_loaded, 2u);
-  EXPECT_EQ(rep.rows_from_segments, 40u);
-  EXPECT_EQ(rep.high_seq[0], 40u);
-  // Every row loads exactly once, and the replaced input is gone.
-  EXPECT_EQ(db.total_objects(), 40u);
-  EXPECT_EQ(fingerprint(db), baseline_fingerprint(s, events, 1));
-  EXPECT_FALSE(fsys::exists(dir.sub(segment_file_name(0, 2))));
-  st.close();
-}
-
-TEST(CrashCampaign, BitFlippedSegmentIsQuarantinedLoudly) {
-  const TempDir dir("crash_bitflip");
-  const auto s = test_schema();
-  StoreConfig cfg = store_config(dir.path(), StoreMode::kTiered);
-  {
-    dsos::DsosCluster db(cluster_config(1));
-    db.register_schema(s);
-    Store st(cfg);
-    st.open(db);
-    for (const auto& e : make_events(s, 40, 1, 1)) db.insert(e);
-    st.flush_all();
-    st.seal_all();
-    st.close();
-  }
-  // Flip a byte in the segment's data block.
-  std::string seg_path;
-  for (const auto& entry : fsys::directory_iterator(dir.path())) {
-    if (entry.path().string().ends_with(".seg")) {
-      seg_path = entry.path().string();
-    }
-  }
-  ASSERT_FALSE(seg_path.empty());
-  const auto size = fsys::file_size(seg_path);
-  {
-    std::fstream f(seg_path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekg(static_cast<std::streamoff>(size) - 8);
-    char c = 0;
-    f.read(&c, 1);
-    f.seekp(static_cast<std::streamoff>(size) - 8);
-    c = static_cast<char>(c ^ 0x10);
-    f.write(&c, 1);
-  }
-  dsos::DsosCluster db(cluster_config(1));
-  Store st(cfg);
-  const RecoveryReport rep = st.open(db);
-  EXPECT_EQ(rep.quarantined_segments, 1u);
-  EXPECT_EQ(rep.rows_from_segments, 0u);  // nothing resurrected as garbage
-  bool quarantine_file = false;
-  for (const auto& entry : fsys::directory_iterator(dir.path())) {
-    if (entry.path().string().ends_with(".quarantined")) {
-      quarantine_file = true;
-    }
-  }
-  EXPECT_TRUE(quarantine_file);  // evidence kept for post-mortem
-  st.close();
+  run_crash_campaign(dir.path(), store_config("", StoreMode::kTiered),
+                     "storecrash commit after 5\n");
 }
 
 // ------------------------------------------------- fault plan / injector --
 
 TEST(FaultInjector, PlanRoundTripAndOccurrenceCounting) {
   const relia::FaultPlan plan =
-      relia::parse_fault_plan("# store campaign\nstorecrash seal after 2\n");
+      relia::parse_fault_plan("# store campaign\nstorecrash commit after 2\n");
   ASSERT_TRUE(plan.ok());
   ASSERT_EQ(plan.events.size(), 1u);
-  EXPECT_EQ(relia::to_string(plan.events[0]), "storecrash seal after 2");
+  EXPECT_EQ(relia::to_string(plan.events[0]), "storecrash commit after 2");
 
   FaultInjector fi;
   EXPECT_EQ(fi.arm_from_plan(plan), 1u);
-  EXPECT_FALSE(fi.should_crash(CrashPoint::kSeal));  // occurrence 1
-  EXPECT_TRUE(fi.should_crash(CrashPoint::kSeal));   // occurrence 2 fires
-  EXPECT_FALSE(fi.should_crash(CrashPoint::kSeal));  // disarmed after
-  EXPECT_FALSE(fi.should_crash(CrashPoint::kWalCommit));
+  EXPECT_FALSE(fi.should_crash(CrashPoint::kWalCommit));  // occurrence 1
+  EXPECT_TRUE(fi.should_crash(CrashPoint::kWalCommit));   // occurrence 2 fires
+  EXPECT_FALSE(fi.should_crash(CrashPoint::kWalCommit));  // disarmed after
 }
 
 TEST(FaultInjector, UnknownPointNamesAreSkipped) {
