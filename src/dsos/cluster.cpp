@@ -84,14 +84,6 @@ std::size_t DsosCluster::total_objects() const {
   return total;
 }
 
-std::vector<const Object*> DsosCluster::query_auto(
-    std::string_view schema_name, const Filter& filter,
-    std::size_t limit) const {
-  const IndexDef& index =
-      shards_.front()->container().best_index(schema_name, filter);
-  return query(schema_name, index.name, filter, limit);
-}
-
 std::vector<const Object*> DsosCluster::query(std::string_view schema_name,
                                               std::string_view index_name,
                                               const Filter& filter,

@@ -80,12 +80,6 @@ class DsosCluster {
                                    const Filter& filter = {},
                                    std::size_t limit = 0) const;
 
-  /// Like query() but lets the planner pick the index from the filter's
-  /// equality conditions (Container::best_index on shard 0).
-  std::vector<const Object*> query_auto(std::string_view schema_name,
-                                        const Filter& filter = {},
-                                        std::size_t limit = 0) const;
-
  private:
   std::size_t shard_of(const Object& obj);
 

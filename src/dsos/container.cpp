@@ -235,42 +235,6 @@ std::vector<QueryHit> Container::query(std::string_view schema_name,
   return hits;
 }
 
-const IndexDef& Container::best_index(std::string_view schema_name,
-                                      const Filter& filter) const {
-  const SchemaState& state = schema_state(schema_name);
-  const Schema& schema = *state.schema;
-  if (schema.indices().empty()) {
-    throw std::out_of_range("dsos: schema has no indices");
-  }
-  std::size_t best = 0;
-  std::size_t best_prefix = 0;
-  for (std::size_t i = 0; i < schema.indices().size(); ++i) {
-    const IndexDef& def = schema.indices()[i];
-    std::size_t prefix = 0;
-    for (const std::size_t attr_id : def.attr_ids) {
-      const std::string& attr_name = schema.attrs()[attr_id].name;
-      const bool has_eq = std::any_of(
-          filter.begin(), filter.end(), [&](const Condition& c) {
-            return c.cmp == Cmp::kEq && c.attr == attr_name;
-          });
-      if (!has_eq) break;
-      ++prefix;
-    }
-    if (prefix > best_prefix) {
-      best_prefix = prefix;
-      best = i;
-    }
-  }
-  return schema.indices()[best];
-}
-
-std::vector<QueryHit> Container::query_auto(std::string_view schema_name,
-                                            const Filter& filter,
-                                            std::size_t limit) const {
-  return query(schema_name, best_index(schema_name, filter).name, filter,
-               limit);
-}
-
 std::vector<const Object*> Container::select(std::string_view schema_name,
                                              std::string_view index_name,
                                              const Filter& filter,

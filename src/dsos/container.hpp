@@ -100,18 +100,6 @@ class Container {
                                     const Filter& filter = {},
                                     std::size_t limit = 0) const;
 
-  /// Query planning: the index whose leading attributes match the longest
-  /// run of equality conditions in `filter` (ties broken by declaration
-  /// order).  This is what a SOS client library does when the caller does
-  /// not name an index.
-  const IndexDef& best_index(std::string_view schema_name,
-                             const Filter& filter) const;
-
-  /// query() against the planner-chosen index.
-  std::vector<QueryHit> query_auto(std::string_view schema_name,
-                                   const Filter& filter = {},
-                                   std::size_t limit = 0) const;
-
   /// Diagnostic: how many index entries were scanned by the last query on
   /// this container (measures joint-index selectivity; bench_dsos).
   std::uint64_t last_scanned() const {
@@ -132,9 +120,6 @@ class Container {
   /// according to the per-attribute min/max zones.  False is definitive
   /// ("no object matches"); true only means "cannot rule it out".
   bool can_match(std::string_view schema_name, const Filter& filter) const;
-
-  /// Arena backing the encoded index keys (diagnostics).
-  const Arena& key_arena() const { return key_arena_; }
 
   /// Attaches (or, with nullptr, detaches) the persistence sink.
   /// Replacing a live sink with a different one throws — two stores
@@ -163,7 +148,9 @@ class Container {
   /// reports all rows durable; false when no sink is attached (memory
   /// mode: nothing is ever durable, observers still run — there is no
   /// durability to order against) or the flush failed (observers are
-  /// skipped; the batch stays pending and re-commits later).
+  /// skipped; the batch is never acked, and the store that failed to
+  /// write it is dead — an at-least-once driver resubmits from its
+  /// recovered frontier).
   bool commit() {
     if (sink_ != nullptr) {
       if (!sink_->on_commit()) return false;

@@ -48,8 +48,8 @@ RunResult run_experiment(const ExperimentSpec& spec) {
   // daemon named cluster.node_name(n)); "*" hits every node.
   for (const relia::FaultEvent& e : spec.fault_plan.events) {
     if (e.kind == relia::FaultKind::kStoreCrash) {
-      // Nothing here arms a store from the plan (the rollup spill store
-      // included): a caller arms the store it mounts itself.
+      // Nothing here arms a log from the plan (the rollup spill's
+      // included): a caller arms the store or engine it builds itself.
       throw std::invalid_argument(
           "fault plan storecrash arms no store in run_experiment: " +
           relia::to_string(e));

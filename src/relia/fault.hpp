@@ -20,10 +20,10 @@
 // progress at <time> (an operator bouncing the daemon early).
 // `storecrash` targets the durable store instead of a daemon: it kills
 // the "process" at the <n>-th occurrence of the named store operation
-// (the store's `commit`, or the rollup engine's `rollup_seal` |
-// `rollup_spill`), leaving a torn write behind — consumed by
-// store::FaultInjector and rollup::RollupEngine::arm_from_plan on a
-// store the caller mounts, not by the transport; exp::run_experiment
+// (the one point is `commit`, a store::Log group commit), leaving a
+// torn write behind — consumed by store::FaultInjector, through
+// store::Store::faults() or rollup::RollupEngine::arm_from_plan, on a
+// log the caller opens, not by the transport; exp::run_experiment
 // rejects it.  It is
 // occurrence-counted, not timed: the store runs on real threads off the
 // virtual timeline.
@@ -63,8 +63,8 @@ std::string_view fault_kind_name(FaultKind k);
 struct FaultEvent {
   FaultKind kind = FaultKind::kCrash;
   /// The daemon the fault applies to (the *from* side for partitions;
-  /// the crash-point name — commit/rollup_seal/rollup_spill — for
-  /// storecrash; the node name, or "*", for ioslow).
+  /// the crash-point name, `commit`, for storecrash; the node name, or
+  /// "*", for ioslow).
   std::string daemon;
   /// Partition target (empty otherwise).
   std::string upstream;

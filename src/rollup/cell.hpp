@@ -5,8 +5,9 @@
 // duration stats (sum/min/max plus a sparse log-bucket histogram in the
 // src/obs/ geometry) — keyed by the policy's projection of (job, node,
 // rank, op, module) and an absolute time bucket.  With a durable store
-// mode, sealed cells are also written as `rollup_cell` DSOS rows so the
-// tiered store persists them; recovery decodes each row once.
+// mode, each seal batch is also encoded as `rollup_cell` rows that the
+// engine commits to its spill log and then frees; recovery decodes each
+// replayed row once.
 //
 // kRollupCellFields below declares the row once: rollup_cell_schema()
 // is built from it and the policy dimensions (policy.hpp) are derived
@@ -128,8 +129,10 @@ struct RollupCell {
   CellAgg agg;
 };
 
-/// The `rollup_cell` schema (cell fields + row extras; indexed by
-/// (policy, bucket) and (policy, job_id, bucket)).
+/// The `rollup_cell` schema (cell fields + row extras).  It declares
+/// the (policy, bucket) and (policy, job_id, bucket) indices although
+/// nothing builds them: the spill log's schema frame carries them, so
+/// dropping them would change the WAL bytes (golden rollup_cell.bin).
 dsos::SchemaPtr rollup_cell_schema();
 
 /// Cell -> durable row.  `watermark` is the per-(policy, shard) seal

@@ -30,29 +30,6 @@ std::int64_t floor_div(std::int64_t a, std::int64_t b) {
 
 }  // namespace
 
-std::string_view rollup_crash_point_name(RollupCrashPoint p) {
-  switch (p) {
-    case RollupCrashPoint::kSeal:
-      return "rollup_seal";
-    case RollupCrashPoint::kSpill:
-      return "rollup_spill";
-  }
-  return "?";
-}
-
-bool rollup_crash_point_from_name(std::string_view name,
-                                  RollupCrashPoint& out) {
-  if (name == "rollup_seal") {
-    out = RollupCrashPoint::kSeal;
-    return true;
-  }
-  if (name == "rollup_spill") {
-    out = RollupCrashPoint::kSpill;
-    return true;
-  }
-  return false;
-}
-
 struct RollupEngine::ShardSink final : dsos::CommitSink {
   ShardSink(RollupEngine* e, std::size_t s) : engine(e), shard(s) {}
   void on_insert(const dsos::Object& obj) override {
@@ -73,7 +50,7 @@ RollupEngine::RollupEngine(RollupEngineConfig config)
   }
   if (config_.store_mode != store::StoreMode::kMemory && config_.dir.empty()) {
     throw std::invalid_argument(
-        "rollup: durable spill store needs a directory");
+        "rollup: durable spill log needs a directory");
   }
   cell_schema_ = rollup_cell_schema();
   compiled_.reserve(policies_.size());
@@ -144,52 +121,39 @@ RollupRecovery RollupEngine::attach(dsos::DsosCluster& raw) {
         "rollup: engine already attached to a different cluster");
   }
   recovery_ = RollupRecovery{};
-  // Sealed cells and frontiers recovered from the spill store.
+  // Sealed cells and frontiers recovered from the spill log.
   std::vector<std::vector<CellStore>> restored(
       raw.shard_count(), std::vector<CellStore>(policies_.size()));
   if (config_.store_mode != store::StoreMode::kMemory) {
-    store::StoreConfig sc;
-    sc.mode = config_.store_mode;
-    sc.dir = config_.dir;
-    // One spill batch == one explicit commit == one atomic WAL group;
-    // disable the row-count auto-commit so a batch can never tear.
-    sc.wal_group_records = std::numeric_limits<std::size_t>::max();
-    spill_store_ = std::make_unique<store::Store>(std::move(sc));
-    const util::LockGuard lock(sealed_m_);
-    dsos::ClusterConfig cc;
-    cc.shard_count = 1;
-    cc.shard_attr = "shard";
-    cc.parallel_query = false;
-    sealed_db_ = std::make_unique<dsos::DsosCluster>(cc);
-    sealed_db_->register_schema(cell_schema_);
-    recovery_.store = spill_store_->open(*sealed_db_);
     // Each row is decoded once, here.  One that does not decode would
     // vanish from every panel while its watermark still holds its
     // events behind the frontier, so recovery fails instead.
-    const dsos::Container& c = sealed_db_->shard(0).container();
-    for (std::size_t slot = 0; slot < c.size(); ++slot) {
-      const dsos::Object& row = c.object(slot);
-      if (row.schema->name() != "rollup_cell") continue;
-      RollupCell cell;
-      std::uint64_t shard = 0;
-      double watermark = 0;
-      const bool ok = row_to_cell(row, cell, shard, watermark);
-      if (!ok || shard >= restored.size()) {
-        throw std::runtime_error(
-            "rollup: recovered row of policy '" + cell.policy +
-            "' on shard " + std::to_string(shard) +
-            (ok ? " names a shard the raw cluster lacks"
-                : " does not decode"));
+    const auto restore = [&](std::size_t, store::WalReplay& wal) {
+      for (const dsos::Object& row : wal.rows) {
+        if (row.schema->name() != "rollup_cell") continue;
+        RollupCell cell;
+        std::uint64_t shard = 0;
+        double watermark = 0;
+        const bool ok = row_to_cell(row, cell, shard, watermark);
+        if (!ok || shard >= restored.size()) {
+          throw std::runtime_error(
+              "rollup: recovered row of policy '" + cell.policy +
+              "' on shard " + std::to_string(shard) +
+              (ok ? " names a shard the raw cluster lacks"
+                  : " does not decode"));
+        }
+        ++recovery_.sealed_rows;
+        const PolicyConfig* p = find_policy(cell.policy);
+        if (p == nullptr) continue;
+        CellStore& cs =
+            restored[shard][static_cast<std::size_t>(p - policies_.data())];
+        const auto [it, fresh] = cs.sealed.try_emplace(cell.key, cell.agg);
+        if (!fresh) it->second.merge(cell.agg);
+        cs.watermark = std::max(cs.watermark, watermark);
       }
-      ++recovery_.sealed_rows;
-      const PolicyConfig* p = find_policy(cell.policy);
-      if (p == nullptr) continue;
-      CellStore& cs =
-          restored[shard][static_cast<std::size_t>(p - policies_.data())];
-      const auto [it, fresh] = cs.sealed.try_emplace(cell.key, cell.agg);
-      if (!fresh) it->second.merge(cell.agg);
-      cs.watermark = std::max(cs.watermark, watermark);
-    }
+    };
+    recovery_.store =
+        spill_log_.open(config_.dir, /*create_dir=*/true, 1, restore);
   }
   shards_.clear();
   for (std::size_t s = 0; s < raw.shard_count(); ++s) {
@@ -231,28 +195,11 @@ void RollupEngine::detach() {
     }
     raw_ = nullptr;
   }
-  if (spill_store_) spill_store_->close();
+  spill_log_.close();
 }
 
 std::size_t RollupEngine::arm_from_plan(const relia::FaultPlan& plan) {
-  std::size_t armed = 0;
-  for (const relia::FaultEvent& ev : plan.events) {
-    if (ev.kind != relia::FaultKind::kStoreCrash) continue;
-    RollupCrashPoint p{};
-    if (rollup_crash_point_from_name(ev.daemon, p)) {
-      crash_after_[static_cast<std::size_t>(p)].store(
-          ev.count, std::memory_order_release);
-      ++armed;
-    }
-  }
-  if (spill_store_) armed += spill_store_->faults().arm_from_plan(plan);
-  return armed;
-}
-
-bool RollupEngine::should_crash(RollupCrashPoint p) {
-  auto& remaining = crash_after_[static_cast<std::size_t>(p)];
-  if (remaining.load(std::memory_order_acquire) == 0) return false;
-  return remaining.fetch_sub(1, std::memory_order_acq_rel) == 1;
+  return spill_log_.is_open() ? spill_log_.faults().arm_from_plan(plan) : 0;
 }
 
 const RollupEngine::AttrIds& RollupEngine::resolve_ids(
@@ -425,45 +372,36 @@ void RollupEngine::on_commit(std::size_t shard, bool seal_everything) {
   for (SealBatch& batch : batches) {
     std::sort(batch.cells.begin(), batch.cells.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
-    spill(shard, batch);
     // Observers see the batch only once its rows are durable, with no
-    // engine lock held (RollupShard and RollupSealed both released).
+    // engine lock held.  A failed spill has deadened the engine.
+    if (!spill(shard, batch)) return;
     notify_sealed(shard, batch);
   }
 }
 
-void RollupEngine::spill(std::size_t shard, const SealBatch& batch) {
-  if (should_crash(RollupCrashPoint::kSeal)) {
-    mark_crashed();
-    throw store::StoreCrash("rollup: crashed at rollup_seal");
-  }
-  const PolicyConfig& policy = policies_[batch.policy];
-  const util::LockGuard lock(sealed_m_);
-  if (sealed_db_) {
+bool RollupEngine::spill(std::size_t shard, const SealBatch& batch) {
+  if (spill_log_.is_open()) {
+    const PolicyConfig& policy = policies_[batch.policy];
+    std::vector<dsos::Object> rows;
+    rows.reserve(batch.cells.size());  // the group's pointers stay valid
+    std::vector<const dsos::Object*> group;
+    group.reserve(batch.cells.size());
     for (const auto& [key, agg] : batch.cells) {
-      sealed_db_->shard(0).container().insert(
+      group.push_back(&rows.emplace_back(
           cell_to_row(cell_schema_, policy.name, key, policy.bucket_s, agg,
-                      shard, batch.watermark));
+                      shard, batch.watermark)));
     }
+    // A group that does not land has killed the log, and with it the
+    // engine (crashed()).
+    if (!spill_log_.commit(0, group)) return false;
   }
-  if (should_crash(RollupCrashPoint::kSpill)) {
-    mark_crashed();
-    throw store::StoreCrash("rollup: crashed at rollup_spill");
-  }
-  if (sealed_db_) {
-    try {
-      sealed_db_->commit_shard(0);
-    } catch (const store::StoreCrash&) {
-      mark_crashed();
-      throw;
-    }
-  }
-  sealed_rows_ += batch.cells.size();
-  ++spills_;
+  sealed_rows_.fetch_add(batch.cells.size(), std::memory_order_relaxed);
+  spills_.fetch_add(1, std::memory_order_relaxed);
   if (obs::enabled()) {
     m_sealed_rows_->add(batch.cells.size());
     m_spills_->add(1);
   }
+  return true;
 }
 
 void RollupEngine::add_seal_observer(SealObserver* observer) {
@@ -613,11 +551,8 @@ RollupStats RollupEngine::stats() const {
     const util::LockGuard lock(sh->m);
     for (const CellStore& cs : sh->cells) st.cells_open += cs.open.size();
   }
-  {
-    const util::LockGuard lock(sealed_m_);
-    st.sealed_rows = sealed_rows_;
-    st.spills = spills_;
-  }
+  st.sealed_rows = sealed_rows_.load(std::memory_order_relaxed);
+  st.spills = spills_.load(std::memory_order_relaxed);
   return st;
 }
 

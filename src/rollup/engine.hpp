@@ -11,27 +11,26 @@
 // and queries read both in place.
 //
 // Bucket lifecycle: a cell's bucket seals once the shard's max event
-// timestamp passes bucket end + grace.  With a durable store mode,
-// sealed cells are also written as `rollup_cell` rows into an
-// engine-owned single-shard cluster backed by its own tiered store (one
-// spill batch == one atomic WAL group commit), so rollups survive
-// restart.  Each spilled row records the seal watermark; recovery
-// decodes the sealed rows once into the sealed maps, then rebuilds the
-// open tail by replaying the recovered raw cluster in original
-// per-shard insertion order — making post-crash rollups byte-identical
-// to an uninterrupted run.
+// timestamp passes bucket end + grace.  With a durable store mode, each
+// seal batch is also encoded as `rollup_cell` rows and committed as one
+// group to the engine's own store::Log (one WAL in the spill directory),
+// which keeps nothing afterwards, so rollups survive restart without a
+// second in-memory copy.  Each spilled row records the seal watermark;
+// recovery decodes the replayed rows once into the sealed maps, then
+// rebuilds the open tail by replaying the recovered raw cluster in
+// original per-shard insertion order — making post-crash rollups
+// byte-identical to an uninterrupted run.
 // Events older than the sealed frontier are dropped and counted
 // (dlc.rollup.late_dropped); with the default grace of 2 bucket widths
 // this never fires on in-order-ish streams.
 //
-// Crash injection mirrors the store: relia::FaultPlan `storecrash`
-// directives with points `rollup_seal` (before the spill writes
-// anything) and `rollup_spill` (after the rows are buffered, before
-// the WAL commit) throw store::StoreCrash and deaden the engine; the
-// spill store's own `commit` point tears the WAL frame itself.
+// A spill whose group commit fails deadens the engine: crashed() turns
+// true, the batch is neither counted nor shown to observers, and served
+// panels fall back to raw scans.  The spill log's `commit` crash point
+// (relia::FaultPlan `storecrash commit`) tears the group frame instead,
+// throws store::StoreCrash and deadens the engine the same way.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <limits>
@@ -66,26 +65,16 @@ struct RollupEngineConfig {
   std::uint64_t retention_s = 0;
 };
 
-/// Engine-level crash points (beyond the spill store's own).
-enum class RollupCrashPoint : std::uint8_t {
-  kSeal = 0,   // cells extracted, nothing written yet
-  kSpill = 1,  // rows buffered into the spill sink, WAL commit pending
-};
-inline constexpr std::size_t kRollupCrashPointCount = 2;
-
-std::string_view rollup_crash_point_name(RollupCrashPoint p);
-bool rollup_crash_point_from_name(std::string_view name,
-                                  RollupCrashPoint& out);
-
 /// Observer of sealed batches — how downstream streaming stages (the
 /// anomaly engine) ride the seal path, mirroring how the engine itself
 /// rides dsos::CommitSinks.  on_sealed fires after the batch has been
-/// durably spilled, on the thread that drove the commit (a shard writer
-/// thread, or the drain/flush thread), with cells in canonical CellKey
-/// order and NO engine lock held — observers may query the engine or
-/// take their own locks freely.  Batches sealed by the attach()-time
-/// recovery replay fire too when the observer is registered before
-/// attach(); register after attach() to see only live seals.
+/// durably spilled (never for a batch whose spill failed), on the
+/// thread that drove the commit (a shard writer thread, or the
+/// drain/flush thread), with cells in canonical CellKey order and NO
+/// engine lock held — observers may query the engine or take their own
+/// locks freely.  Batches sealed by the attach()-time recovery replay
+/// fire too when the observer is registered before attach(); register
+/// after attach() to see only live seals.
 class SealObserver {
  public:
   virtual ~SealObserver() = default;
@@ -97,16 +86,16 @@ class SealObserver {
 
 /// What attach() reconstructed.
 struct RollupRecovery {
-  std::uint64_t sealed_rows = 0;      // rows restored from the spill store
+  std::uint64_t sealed_rows = 0;      // rows restored from the spill log
   std::uint64_t replayed_events = 0;  // raw events rebuilt into open cells
-  store::RecoveryReport store;        // spill store's own report
+  store::RecoveryReport store;        // spill log's own report
 };
 
 struct RollupStats {
   std::uint64_t events = 0;        // raw events folded (sum over policies)
   std::uint64_t late_dropped = 0;  // events behind a sealed frontier
   std::uint64_t cells_open = 0;
-  std::uint64_t sealed_rows = 0;  // cells sealed by this instance
+  std::uint64_t sealed_rows = 0;  // cells sealed (and spilled) by this instance
   std::uint64_t spills = 0;       // seal batches (atomic spill commits)
 };
 
@@ -133,7 +122,7 @@ class RollupEngine {
   RollupEngine(const RollupEngine&) = delete;
   RollupEngine& operator=(const RollupEngine&) = delete;
 
-  /// Opens the spill store (recovering sealed cells), registers a
+  /// Opens the spill log (recovering sealed cells), registers a
   /// commit observer on every shard of `raw` and rebuilds the unsealed
   /// tail from the cluster's current contents.  Call before ingest
   /// starts; idempotent for the same cluster, throws std::logic_error
@@ -142,7 +131,8 @@ class RollupEngine {
   /// the engine or be released via detach().
   RollupRecovery attach(dsos::DsosCluster& raw);
 
-  /// Removes the observers and closes the spill store.  Idempotent.
+  /// Removes the observers and closes the spill log (a later flush()
+  /// seals in memory only).  Idempotent.
   void detach();
   bool attached() const { return raw_ != nullptr; }
 
@@ -153,7 +143,7 @@ class RollupEngine {
   void flush();
 
   /// flush() + seal every open cell regardless of watermark (end of
-  /// campaign / orderly shutdown: push everything to the spill store).
+  /// campaign / orderly shutdown: push everything to the spill log).
   void seal_all();
 
   const std::vector<PolicyConfig>& policies() const { return policies_; }
@@ -165,13 +155,14 @@ class RollupEngine {
   void add_seal_observer(SealObserver* observer);
   void remove_seal_observer(SealObserver* observer);
 
-  /// Arms engine-level crash points from `storecrash rollup_seal|
-  /// rollup_spill after <n>` directives and forwards the rest to the
-  /// spill store's injector.  Returns how many were armed.  Only under
-  /// serial ingest — a StoreCrash unwinding a worker thread would
-  /// terminate the process for real.
+  /// Arms the spill log's `storecrash commit after <n>` directives
+  /// (none unless attached in a durable store mode).  Returns how many
+  /// were armed.  Only under serial ingest — a StoreCrash unwinding a
+  /// worker thread would terminate the process for real.
   std::size_t arm_from_plan(const relia::FaultPlan& plan);
-  bool crashed() const { return crashed_.load(std::memory_order_acquire); }
+  /// True once the spill log died: a group commit failed or its armed
+  /// crash point fired.  The engine is inert from then on.
+  bool crashed() const { return spill_log_.crashed(); }
 
   const RollupRecovery& recovery() const { return recovery_; }
 
@@ -180,7 +171,7 @@ class RollupEngine {
 
   RollupStats stats() const;
   /// /api/rollup payload: policies with per-policy cell counts, totals,
-  /// spill-store state.
+  /// spill state.
   std::string status_json() const;
 
  private:
@@ -248,13 +239,11 @@ class RollupEngine {
 
   void on_insert(std::size_t shard, const dsos::Object& obj);
   void on_commit(std::size_t shard, bool seal_everything = false);
-  void spill(std::size_t shard, const SealBatch& batch);
+  bool spill(std::size_t shard, const SealBatch& batch);
   void notify_sealed(std::size_t shard, const SealBatch& batch);
   const AttrIds& resolve_ids(ShardState& sh, const dsos::Object& obj);
   bool matches_policy(std::size_t policy, const dsos::Object& obj,
                       const AttrIds& ids) const;
-  bool should_crash(RollupCrashPoint p);
-  void mark_crashed() const { crashed_.store(true, std::memory_order_release); }
 
   std::vector<PolicyConfig> policies_;
   std::vector<CompiledPolicy> compiled_;
@@ -265,31 +254,25 @@ class RollupEngine {
   bool replaying_ = false;  // attach()-time rebuild: skip metrics/drops
 
   /// Seal observers.  The mutex is a leaf taken only to copy the list;
-  /// on_sealed itself runs with no engine lock held (RollupShard and
-  /// RollupSealed are released before notify_sealed).
+  /// on_sealed itself runs with no engine lock held (RollupShard is
+  /// released before notify_sealed).
   mutable util::Mutex observers_m_{"RollupObservers"};
   std::vector<SealObserver*> observers_ DLC_GUARDED_BY(observers_m_);
 
-  /// Spill side: with a durable store mode, a single-shard cluster of
-  /// `rollup_cell` rows and its tiered store (null in memory mode).
-  /// RollupSealed is taken *after* RollupShard is released (seal
-  /// batches are copied out first), never nested.
+  /// Spill side: the log every seal batch is committed to as one group
+  /// on its shard 0, open from attach() to detach() in a durable store
+  /// mode only.  Its StoreLog lock is taken only after RollupShard is
+  /// released (seal batches are copied out first), never nested.
   dsos::SchemaPtr cell_schema_;
-  mutable util::Mutex sealed_m_{"RollupSealed"};
-  std::unique_ptr<dsos::DsosCluster> sealed_db_ DLC_GUARDED_BY(sealed_m_);
-  std::unique_ptr<store::Store> spill_store_;
-  std::uint64_t sealed_rows_ DLC_GUARDED_BY(sealed_m_) = 0;
-  std::uint64_t spills_ DLC_GUARDED_BY(sealed_m_) = 0;
-
-  // atomic-protocol: kind=flag pairs=crash-injection-test-hooks
-  mutable std::atomic<bool> crashed_{false};
-  // atomic-protocol: kind=counter pairs=crash-injection-test-hooks
-  std::array<std::atomic<std::uint64_t>, kRollupCrashPointCount>
-      crash_after_{};
+  store::Log spill_log_;
   // atomic-protocol: kind=counter pairs=RollupEngine::stats
   std::atomic<std::uint64_t> events_{0};
   // atomic-protocol: kind=counter pairs=RollupEngine::stats
   std::atomic<std::uint64_t> late_dropped_{0};
+  // atomic-protocol: kind=counter pairs=RollupEngine::stats
+  std::atomic<std::uint64_t> sealed_rows_{0};
+  // atomic-protocol: kind=counter pairs=RollupEngine::stats
+  std::atomic<std::uint64_t> spills_{0};
 
   // Pre-resolved dlc.rollup.* instruments (nullptr when obs is off).
   obs::Counter* m_events_ = nullptr;

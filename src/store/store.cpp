@@ -132,71 +132,195 @@ bool FaultInjector::should_crash(CrashPoint p) {
   return false;
 }
 
-/// One shard's durable state: the CommitSink its Container calls into.
-/// Its pending rows are the Container's own: a std::deque never moves
-/// an element, so a row reference stays valid until the cluster dies.
-struct Store::Shard final : dsos::CommitSink {
-  Store* store = nullptr;
-
-  mutable util::Mutex m{"StoreShard"};
+/// One shard's WAL and the sequence its next group starts after.
+struct Log::Shard {
+  mutable util::Mutex m{"StoreLog"};
   WalWriter wal DLC_GUARDED_BY(m);
   /// Ack frontier: everything <= durable survives a crash.  Seqs are
-  /// 1-based per shard; the pending rows take durable + 1 onward.
+  /// 1-based per shard; a group takes durable + 1 onward.
   std::uint64_t durable DLC_GUARDED_BY(m) = 0;
-  /// Rows inserted but not yet group-committed (lost on crash — and
-  /// never acked, so the at-least-once driver resubmits them).
-  std::vector<const dsos::Object*> pending DLC_GUARDED_BY(m);
   /// Schema names already written to the WAL as dictionary frames.
   std::set<std::string, std::less<>> wal_schemas DLC_GUARDED_BY(m);
-
-  void on_insert(const dsos::Object& obj) override;
-  bool on_commit() override;
-  bool commit_locked() DLC_REQUIRES(m);
 };
 
-void Store::Shard::on_insert(const dsos::Object& obj) {
-  if (store->crashed()) return;  // dead process: drop silently, never ack
-  const util::LockGuard lock(m);
-  pending.push_back(&obj);
-  if (pending.size() >= store->config_.wal_group_records) commit_locked();
+Log::Log() = default;
+Log::~Log() { close(); }
+
+RecoveryReport Log::open(const std::string& dir, bool create_dir,
+                         std::size_t shards, const ReplaySink& replay) {
+  if (is_open()) throw std::logic_error("store: double open of the same log");
+  if (crashed()) {
+    throw std::logic_error(
+        "store: reopening a crashed instance — the simulated process died; "
+        "recover by constructing a new Store on the same directory");
+  }
+  if (!fs::exists(dir)) {
+    if (!create_dir) {
+      throw std::runtime_error("store: missing store directory '" + dir +
+                               "' (create it or set create_dir)");
+    }
+    fs::create_directories(dir);
+  } else if (!fs::is_directory(dir)) {
+    throw std::runtime_error("store: '" + dir +
+                             "' exists but is not a directory");
+  }
+  // An older build sealed WAL rows into *.seg files and emptied the WAL
+  // behind them; recovering without those rows would silently drop
+  // acknowledged data.
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".seg") {
+      throw std::runtime_error(
+          "store: '" + entry.path().string() +
+          "' is a sealed segment written by an older build; this build "
+          "recovers from the write-ahead log only and would lose its rows");
+    }
+  }
+  register_dir(dir);
+
+  RecoveryReport rep;
+  rep.high_seq.assign(shards, 0);
+  try {
+    shards_.clear();
+    for (std::size_t s = 0; s < shards; ++s) {
+      auto shard = std::make_unique<Shard>();
+      const std::string wal_path = (fs::path(dir) / wal_file_name(s)).string();
+      WalReplay wal;
+      if (!replay_wal(wal_path, &wal)) {
+        throw std::runtime_error("store: cannot replay WAL '" + wal_path +
+                                 "'");
+      }
+      rep.wal_frames += wal.frames;
+      rep.rows_from_wal += wal.rows.size();
+      rep.torn_wal_bytes += wal.torn_bytes;
+      if (wal.torn_bytes != 0) ++rep.torn_tails;
+      rep.high_seq[s] = wal.last_seq;
+      {
+        const util::LockGuard shard_lock(shard->m);
+        shard->durable = wal.last_seq;
+        for (const dsos::SchemaPtr& schema : wal.schemas) {
+          // Still described in the (truncated-to-valid) log file.
+          shard->wal_schemas.insert(schema->name());
+        }
+        if (!shard->wal.open(wal_path)) {
+          throw std::runtime_error("store: cannot open WAL '" + wal_path +
+                                   "' for appending");
+        }
+      }
+      replay(s, wal);
+      shards_.push_back(std::move(shard));
+    }
+  } catch (...) {
+    shards_.clear();
+    unregister_dir(dir);
+    throw;
+  }
+  dir_ = dir;
+  open_.store(true, std::memory_order_release);
+  if (obs::enabled()) {
+    StoreObs& o = store_obs();
+    o.recovered_rows.add(rep.rows_from_wal);
+    o.torn_tails.add(rep.torn_tails);
+  }
+  return rep;
 }
 
-bool Store::Shard::on_commit() {
-  if (store->crashed()) return false;
-  const util::LockGuard lock(m);
-  return commit_locked();
-}
-
-bool Store::Shard::commit_locked() {
-  if (store->crashed()) return false;
-  if (pending.empty()) return true;
+bool Log::commit(std::size_t shard,
+                 const std::vector<const dsos::Object*>& rows) {
+  if (!is_open()) return false;
+  Shard& sh = *shards_[shard];
+  const util::LockGuard lock(sh.m);
+  if (crashed()) return false;
+  if (rows.empty()) return true;
   const std::uint64_t t0 = util::now_ns();
   // Dictionary frames for schemas this log has not described yet — they
   // must precede the data frame that references them.
-  for (const dsos::Object* row : pending) {
+  for (const dsos::Object* row : rows) {
     const std::string& name = row->schema->name();
-    if (wal_schemas.contains(name)) continue;
-    if (!wal.append_schema(*row->schema)) return false;
-    wal_schemas.insert(name);
+    if (sh.wal_schemas.contains(name)) continue;
+    if (!sh.wal.append_schema(*row->schema)) {
+      mark_crashed();
+      return false;
+    }
+    sh.wal_schemas.insert(name);
   }
-  const std::size_t bytes_before = wal.bytes();
-  if (store->faults_.should_crash(CrashPoint::kWalCommit)) {
-    wal.append_group(durable + 1, pending, kTornFrameBytes);
-    store->mark_crashed();
+  const std::size_t bytes_before = sh.wal.bytes();
+  if (faults_.should_crash(CrashPoint::kWalCommit)) {
+    sh.wal.append_group(sh.durable + 1, rows, kTornFrameBytes);
+    mark_crashed();
     throw StoreCrash("storecrash: wal commit (torn group frame)");
   }
-  if (!wal.append_group(durable + 1, pending)) return false;
-  durable += pending.size();
+  // A failed write may leave part of the frame behind; appending after
+  // it would hide every later group from replay.
+  if (!sh.wal.append_group(sh.durable + 1, rows)) {
+    mark_crashed();
+    return false;
+  }
+  sh.durable += rows.size();
   if (obs::enabled()) {
     StoreObs& o = store_obs();
     o.wal_commits.add();
-    o.wal_records.add(pending.size());
-    o.wal_bytes.add(wal.bytes() - bytes_before);
+    o.wal_records.add(rows.size());
+    o.wal_bytes.add(sh.wal.bytes() - bytes_before);
     o.wal_commit_ns.record(util::now_ns() - t0);
   }
-  pending.clear();
   return true;
 }
+
+void Log::mark_crashed() {
+  crashed_.store(true, std::memory_order_release);
+  // The simulated process is dead: its claim on the directory dies with
+  // it, so recovery can open a fresh log on the same dir.
+  unregister_dir(dir_);
+}
+
+void Log::close() {
+  if (!is_open()) return;
+  for (auto& shard : shards_) {
+    const util::LockGuard shard_lock(shard->m);
+    shard->wal.close();
+  }
+  if (!crashed()) unregister_dir(dir_);  // a crash already released it
+  open_.store(false, std::memory_order_release);
+}
+
+std::uint64_t Log::durable_seq(std::size_t shard) const {
+  if (shard >= shards_.size()) return 0;
+  const util::LockGuard shard_lock(shards_[shard]->m);
+  return shards_[shard]->durable;
+}
+
+/// One shard's CommitSink: references to the rows its Container inserted
+/// since the last commit.  A std::deque never moves an element, so a row
+/// reference stays valid until the cluster dies.
+struct Store::Sink final : dsos::CommitSink {
+  Sink(Log& l, std::size_t s, std::size_t group)
+      : log(l), shard(s), group_records(group) {}
+
+  void on_insert(const dsos::Object& obj) override {
+    if (log.crashed()) return;  // dead process: drop silently, never ack
+    const util::LockGuard lock(m);
+    pending.push_back(&obj);
+    if (pending.size() >= group_records) commit_locked();
+  }
+  bool on_commit() override {
+    const util::LockGuard lock(m);
+    return commit_locked();
+  }
+  /// The pending rows are dropped whether the group lands or not: a
+  /// failed group deadens the log, and its rows were never acked.  (A
+  /// fired crash leaves them to close(), like the rest of a dead store.)
+  bool commit_locked() DLC_REQUIRES(m) {
+    const bool durable = log.commit(shard, pending);
+    pending.clear();
+    return durable;
+  }
+
+  Log& log;
+  const std::size_t shard;
+  const std::size_t group_records;
+  util::Mutex m{"StoreShard"};
+  std::vector<const dsos::Object*> pending DLC_GUARDED_BY(m);
+};
 
 Store::Store(StoreConfig config) : config_(std::move(config)) {
   config_.wal_group_records = std::max<std::size_t>(1, config_.wal_group_records);
@@ -211,186 +335,90 @@ Store::~Store() {
   }
 }
 
-void Store::require_open(const char* op) const {
-  if (!is_open()) {
-    throw std::logic_error(std::string("store: ") + op +
-                           " on a store that is not open");
-  }
-}
-
-void Store::mark_crashed() const {
-  crashed_.store(true, std::memory_order_release);
-  // The simulated process is dead: its claim on the directory dies with
-  // it, so recovery can open a fresh Store on the same dir.
-  if (config_.mode != StoreMode::kMemory && !config_.dir.empty()) {
-    unregister_dir(config_.dir);
-  }
-}
-
 RecoveryReport Store::open(dsos::DsosCluster& cluster) {
   const util::LockGuard lock(state_m_);
-  if (open_.load(std::memory_order_acquire)) {
+  if (is_open()) {
     throw std::logic_error("store: double open of the same Store instance");
   }
-  if (crashed()) {
-    throw std::logic_error(
-        "store: reopening a crashed instance — the simulated process died; "
-        "recover by constructing a new Store on the same directory");
-  }
-  recovery_ = RecoveryReport{};
-  recovery_.high_seq.assign(cluster.shard_count(), 0);
-
+  RecoveryReport rep;
   if (config_.mode == StoreMode::kMemory) {
+    rep.high_seq.assign(cluster.shard_count(), 0);
     cluster_ = &cluster;
     open_.store(true, std::memory_order_release);
-    return recovery_;
+    return rep;
   }
-
   if (config_.dir.empty()) {
     throw std::runtime_error(
         "store: tiered mode needs a store directory "
         "(StoreConfig::dir)");
   }
-  if (!fs::exists(config_.dir)) {
-    if (!config_.create_dir) {
-      throw std::runtime_error("store: missing store directory '" +
-                               config_.dir +
-                               "' (create it or set create_dir)");
-    }
-    fs::create_directories(config_.dir);
-  } else if (!fs::is_directory(config_.dir)) {
-    throw std::runtime_error("store: '" + config_.dir +
-                             "' exists but is not a directory");
-  }
-  // An older build sealed WAL rows into *.seg files and emptied the WAL
-  // behind them; recovering without those rows would silently drop
-  // acknowledged data.
-  for (const auto& entry : fs::directory_iterator(config_.dir)) {
-    if (entry.path().extension() == ".seg") {
-      throw std::runtime_error(
-          "store: '" + entry.path().string() +
-          "' is a sealed segment written by an older build; this build "
-          "recovers from the write-ahead log only and would lose its rows");
-    }
-  }
-  register_dir(config_.dir);
-
+  // Sinks are not attached yet, so the replayed inserts do not loop
+  // back into the WAL.
+  rep = log_.open(config_.dir, config_.create_dir, cluster.shard_count(),
+                  [&cluster](std::size_t s, WalReplay& wal) {
+                    for (const dsos::SchemaPtr& schema : wal.schemas) {
+                      cluster.register_schema(schema);
+                    }
+                    for (dsos::Object& row : wal.rows) {
+                      cluster.insert_at(s, std::move(row));
+                    }
+                  });
+  // Attach sinks last: from here on inserts flow into the WAL.
+  sinks_.clear();
+  std::size_t attached = 0;
   try {
-    // Per shard: replay the WAL (truncating any torn tail) into the
-    // container.  Sinks are not attached yet, so these inserts do not
-    // loop back into us.
-    shards_.clear();
-    shards_.reserve(cluster.shard_count());
-    for (std::size_t s = 0; s < cluster.shard_count(); ++s) {
-      auto shard = std::make_unique<Shard>();
-      shard->store = this;
-      const std::string wal_path =
-          (fs::path(config_.dir) / wal_file_name(s)).string();
-      WalReplay replay;
-      if (!replay_wal(wal_path, &replay)) {
-        throw std::runtime_error("store: cannot replay WAL '" + wal_path +
-                                 "'");
-      }
-      for (const dsos::SchemaPtr& schema : replay.schemas) {
-        cluster.register_schema(schema);
-      }
-      for (dsos::Object& row : replay.rows) {
-        cluster.insert_at(s, std::move(row));
-      }
-      recovery_.wal_frames += replay.frames;
-      recovery_.rows_from_wal += replay.rows.size();
-      recovery_.torn_wal_bytes += replay.torn_bytes;
-      if (replay.torn_bytes != 0) ++recovery_.torn_tails;
-      recovery_.high_seq[s] = replay.last_seq;
-
-      const util::LockGuard shard_lock(shard->m);
-      shard->durable = replay.last_seq;
-      for (const dsos::SchemaPtr& schema : replay.schemas) {
-        // Still described in the (truncated-to-valid) log file.
-        shard->wal_schemas.insert(schema->name());
-      }
-      if (!shard->wal.open(wal_path)) {
-        throw std::runtime_error("store: cannot open WAL '" + wal_path +
-                                 "' for appending");
-      }
-      shards_.push_back(std::move(shard));
-    }
-
-    // Attach sinks last: from here on inserts flow into the WAL.
-    std::size_t attached = 0;
-    try {
-      for (; attached < cluster.shard_count(); ++attached) {
-        cluster.shard(attached).container().set_commit_sink(
-            shards_[attached].get());
-      }
-    } catch (...) {
-      for (std::size_t s = 0; s < attached; ++s) {
-        cluster.shard(s).container().set_commit_sink(nullptr);
-      }
-      throw;
-    }
-    cluster_ = &cluster;
-    open_.store(true, std::memory_order_release);
-
-    if (obs::enabled()) {
-      StoreObs& o = store_obs();
-      o.recovered_rows.add(recovery_.rows_from_wal);
-      o.torn_tails.add(recovery_.torn_tails);
+    for (; attached < cluster.shard_count(); ++attached) {
+      sinks_.push_back(
+          std::make_unique<Sink>(log_, attached, config_.wal_group_records));
+      cluster.shard(attached).container().set_commit_sink(
+          sinks_.back().get());
     }
   } catch (...) {
-    shards_.clear();
-    unregister_dir(config_.dir);
+    for (std::size_t s = 0; s < attached; ++s) {
+      cluster.shard(s).container().set_commit_sink(nullptr);
+    }
+    sinks_.clear();
+    log_.close();
     throw;
   }
-  return recovery_;
+  cluster_ = &cluster;
+  open_.store(true, std::memory_order_release);
+  return rep;
 }
 
 void Store::close() {
   const util::LockGuard lock(state_m_);
-  if (!open_.load(std::memory_order_acquire)) return;
-  if (!crashed()) {
+  if (!is_open()) return;
+  for (auto& sink : sinks_) {
+    const util::LockGuard sink_lock(sink->m);
     // Final durability barrier.  A crash armed to fire here is honored:
     // the store deadens mid-flush, exactly like a death during shutdown.
     try {
-      for (auto& shard_ptr : shards_) {
-        const util::LockGuard shard_lock(shard_ptr->m);
-        shard_ptr->commit_locked();
-      }
+      if (!crashed()) sink->commit_locked();
     } catch (const StoreCrash&) {
     }
-  }
-  for (auto& shard_ptr : shards_) {
-    const util::LockGuard shard_lock(shard_ptr->m);
-    shard_ptr->wal.close();
     // The rows belong to the cluster, which may die once detached.
-    shard_ptr->pending.clear();
+    sink->pending.clear();
   }
   if (cluster_ != nullptr) {
-    for (std::size_t s = 0;
-         s < cluster_->shard_count() && s < shards_.size(); ++s) {
+    for (std::size_t s = 0; s < cluster_->shard_count() && s < sinks_.size();
+         ++s) {
       cluster_->shard(s).container().set_commit_sink(nullptr);
     }
     cluster_ = nullptr;
   }
-  if (config_.mode != StoreMode::kMemory && !crashed()) {
-    unregister_dir(config_.dir);  // a crash already released it
-  }
+  log_.close();
   open_.store(false, std::memory_order_release);
 }
 
 void Store::flush_all() {
-  require_open("flush_all");
-  if (crashed()) return;
-  for (auto& shard_ptr : shards_) {
-    const util::LockGuard shard_lock(shard_ptr->m);
-    shard_ptr->commit_locked();
+  if (!is_open()) {
+    throw std::logic_error("store: flush_all on a store that is not open");
   }
-}
-
-std::uint64_t Store::durable_seq(std::size_t shard) const {
-  if (shard >= shards_.size()) return 0;
-  const util::LockGuard shard_lock(shards_[shard]->m);
-  return shards_[shard]->durable;
+  for (auto& sink : sinks_) {
+    const util::LockGuard sink_lock(sink->m);
+    sink->commit_locked();
+  }
 }
 
 }  // namespace dlc::store

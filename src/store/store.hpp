@@ -1,21 +1,22 @@
-// Durable write-ahead-log store mounted *under* the DSOS container API.
+// Durable write-ahead-log store: a directory of per-shard WALs.
 //
 // The paper's aggregation tier assumes campaign data outlives the
-// process; this subsystem provides that without changing a single
-// ingest/query call site.  Store::open() recovers the on-disk state
-// into a DsosCluster and attaches itself to every shard's Container as
-// a dsos::CommitSink — from then on each insert is logged into a
-// per-shard group-commit buffer, and each Container::commit() flushes
-// the buffer as one CRC-framed group onto that shard's write-ahead log.
-// Queries, zone maps and the websvc keep reading the in-memory
-// Container, which holds every row for the life of the process: the
-// store's whole job is durability — group commit and recovery.
-//
-// Rows are held once.  The store keeps no copy of a row: its group-
-// commit buffer points at the Container's own rows (a std::deque, so
-// they never move) from the insert until the commit that writes them,
-// which is why the cluster must outlive the store or be detached via
-// close().
+// process; this subsystem provides that.  store::Log is its core: open()
+// claims a directory, replays each shard's WAL and hands the rows to
+// the caller, and commit() writes a caller's rows onto one shard's WAL
+// as one CRC-framed group.  The log holds no reference to those rows
+// once commit() returns, whether it succeeded or failed.  It has two
+// users:
+//   * store::Store mounts a Log *under* the DSOS container API without
+//     changing a single ingest/query call site: open(cluster) replays
+//     the rows into the containers and attaches a dsos::CommitSink to
+//     every shard.  Each insert is then buffered as a reference to the
+//     Container's own row (a std::deque, so rows never move) and each
+//     Container::commit() writes the buffer as one group, so the
+//     cluster must outlive the store or be detached via close().
+//     Queries keep reading the in-memory Container.
+//   * rollup::RollupEngine commits each seal batch of its durable spill
+//     as one group of `rollup_cell` rows (rollup/engine.hpp).
 //
 // Durability (StoreConfig::mode, chosen by whoever mounts the store):
 //   memory  — nothing attached; the paper's lose-it-all behaviour.
@@ -23,24 +24,28 @@
 //
 // Acknowledgement contract (at_least_once): a row is *acked* once a
 // commit covering it returns true.  Crash-injection campaigns
-// (relia::FaultPlan `storecrash commit` directives) kill the store
+// (relia::FaultPlan `storecrash commit` directives) kill the log
 // mid-commit, then reopen and assert every acked row is recovered —
-// the zero-acked-loss bar in ROADMAP.md.  A fired crash throws
-// store::StoreCrash and deadens the instance (every later sink call
-// no-ops, simulating the dead process); recovery happens by opening a
-// *new* Store on the same directory.  Arm crashes only under serial
+// the zero-acked-loss bar in ROADMAP.md.  A fired crash tears the group
+// frame, throws store::StoreCrash and deadens the log (every later
+// commit returns false, simulating the dead process); a commit whose
+// write fails deadens it the same way, without the throw, so nothing
+// is ever appended behind a torn frame.  Recovery happens by opening a
+// *new* log on the same directory.  Arm crashes only under serial
 // ingest — a StoreCrash unwinding an ingest-executor worker thread
 // would terminate the process for real.
 //
-// Threading: per-shard state is guarded by the StoreShard lock class
-// (the ingest executor's one-writer-per-shard contract does not cover
-// the drain thread's commit), store-wide state by StoreState, acquired
-// before StoreShard.  See DESIGN.md §5c.
+// Threading: Store guards its open/close state by the StoreState lock
+// class and each sink's pending rows by StoreShard (the ingest
+// executor's one-writer-per-shard contract does not cover the drain
+// thread's commit); a Log serializes each shard's commits under
+// StoreLog.  They nest in that order.  See DESIGN.md §5c.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -108,6 +113,66 @@ struct RecoveryReport {
   std::vector<std::uint64_t> high_seq;
 };
 
+/// The store's core: one directory of per-shard write-ahead logs.
+class Log {
+ public:
+  Log();
+  ~Log();
+
+  Log(const Log&) = delete;
+  Log& operator=(const Log&) = delete;
+
+  /// Receives each shard's replayed WAL during open(), in shard order.
+  using ReplaySink = std::function<void(std::size_t shard, WalReplay& wal)>;
+
+  /// Claims `dir`, replays the WALs of shards [0, shards) into `replay`
+  /// (truncating torn tails) and opens each for appending; its sequence
+  /// continues from the last replayed row.  Throws std::logic_error on a
+  /// double open (this instance, a crashed one, or another live log on
+  /// the same directory) and std::runtime_error on a missing directory
+  /// with `create_dir` false, an unreadable WAL, or a directory holding
+  /// a `*.seg` file: an older build sealed rows out of its WAL into such
+  /// segments, and opening without them would drop acknowledged rows.
+  /// On any throw, `replay`'s included, nothing stays claimed or open.
+  RecoveryReport open(const std::string& dir, bool create_dir,
+                      std::size_t shards, const ReplaySink& replay);
+
+  /// Writes `rows` onto `shard`'s WAL as one group, schema frames
+  /// first, and flushes.  True once every row is durable (an empty
+  /// group is trivially durable); false when the log is not open, is
+  /// dead, or the write fails, which deadens it.  An armed `commit`
+  /// crash point tears the frame, deadens the log and throws StoreCrash.
+  bool commit(std::size_t shard, const std::vector<const dsos::Object*>& rows);
+
+  /// Closes every WAL and releases the directory.  Idempotent; a dead
+  /// log's claim was already released when it died.
+  void close();
+
+  bool is_open() const { return open_.load(std::memory_order_acquire); }
+  /// True once a crash fired or a write failed; the log stays inert.
+  bool crashed() const { return crashed_.load(std::memory_order_acquire); }
+  FaultInjector& faults() { return faults_; }
+
+  /// Ack frontier: every row of `shard` with seq <= durable_seq(shard)
+  /// survives a crash.
+  std::uint64_t durable_seq(std::size_t shard) const;
+
+ private:
+  struct Shard;
+
+  void mark_crashed();
+
+  std::string dir_;
+  FaultInjector faults_;
+  std::vector<std::unique_ptr<Shard>> shards_;  // stable between opens
+
+  // atomic-protocol: kind=flag pairs=Log::open/close
+  std::atomic<bool> open_{false};
+  // atomic-protocol: kind=flag pairs=crash-injection-test-hooks
+  std::atomic<bool> crashed_{false};
+};
+
+/// A Log mounted under a DsosCluster.
 class Store {
  public:
   explicit Store(StoreConfig config);
@@ -119,12 +184,9 @@ class Store {
   /// Replays every shard's WAL into `cluster` and attaches a commit sink
   /// to every shard.  The cluster must outlive the store or be detached
   /// via close(): the store refers to the rows it has not committed yet.
-  /// Throws std::logic_error on double-open (this instance, another
-  /// instance on the same directory, or a container that is already
-  /// attached to a store) and std::runtime_error on a missing store
-  /// directory with create_dir == false, or on a directory holding a
-  /// `*.seg` file: an older build sealed rows out of its WAL into such
-  /// segments, and opening without them would drop acknowledged rows.
+  /// Throws what Log::open throws, std::logic_error on a double open of
+  /// this instance or a container already attached to a store, and
+  /// std::runtime_error in tiered mode without a directory.
   RecoveryReport open(dsos::DsosCluster& cluster);
 
   /// Commits pending rows, drops the store's row references, detaches
@@ -133,39 +195,29 @@ class Store {
   void close();
 
   bool is_open() const { return open_.load(std::memory_order_acquire); }
-  /// True once an armed crash fired; the instance is inert until then.
-  bool crashed() const { return crashed_.load(std::memory_order_acquire); }
-
-  const StoreConfig& config() const { return config_; }
-  FaultInjector& faults() { return faults_; }
-  const RecoveryReport& recovery() const { return recovery_; }
+  bool crashed() const { return log_.crashed(); }
+  FaultInjector& faults() { return log_.faults(); }
 
   /// Durability barrier: group-commits every shard (what drain() hits
   /// through Container::commit on each shard).
   void flush_all();
 
-  /// Ack frontier: every row of `shard` with seq <= durable_seq(shard)
-  /// survives a crash.
-  std::uint64_t durable_seq(std::size_t shard) const;
+  std::uint64_t durable_seq(std::size_t shard) const {
+    return log_.durable_seq(shard);
+  }
 
  private:
-  struct Shard;
-
-  void require_open(const char* op) const;
-  void mark_crashed() const;
+  struct Sink;
 
   StoreConfig config_;
-  FaultInjector faults_;
-  RecoveryReport recovery_;
+  Log log_;
 
   mutable util::Mutex state_m_{"StoreState"};
   dsos::DsosCluster* cluster_ DLC_GUARDED_BY(state_m_) = nullptr;
-  std::vector<std::unique_ptr<Shard>> shards_;  // stable between open/close
+  std::vector<std::unique_ptr<Sink>> sinks_;  // stable between open/close
 
   // atomic-protocol: kind=flag pairs=Store::open/close
   std::atomic<bool> open_{false};
-  // atomic-protocol: kind=flag pairs=crash-injection-test-hooks
-  mutable std::atomic<bool> crashed_{false};
 };
 
 }  // namespace dlc::store

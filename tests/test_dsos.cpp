@@ -358,56 +358,6 @@ TEST(Csv, ExportWritesAllRows) {
 static_assert(!std::is_move_constructible_v<dsos::Container> &&
               !std::is_move_assignable_v<dsos::Container>);
 
-TEST(Container, QueryPlannerPicksLongestEqualityPrefix) {
-  Container c;
-  const auto schema = test_schema();
-  c.register_schema(schema);
-  for (std::uint64_t job = 1; job <= 3; ++job) {
-    for (std::int64_t rank = 0; rank < 4; ++rank) {
-      for (int t = 0; t < 5; ++t) {
-        c.insert(make_event(schema, job, rank, t * 1.0, "write", 0.1));
-      }
-    }
-  }
-  // job+rank equalities -> job_rank_time (2-attr prefix).
-  const Filter jr{{"rank", Cmp::kEq, std::int64_t{1}},
-                  {"job_id", Cmp::kEq, std::uint64_t{2}}};
-  EXPECT_EQ(c.best_index("events", jr).name, "job_rank_time");
-  const auto hits = c.query_auto("events", jr);
-  EXPECT_EQ(hits.size(), 5u);
-  EXPECT_EQ(c.last_scanned(), 5u);  // prefix scan, not full scan
-
-  // Only timestamp equality -> time index.
-  const Filter t_only{{"timestamp", Cmp::kEq, 2.0}};
-  EXPECT_EQ(c.best_index("events", t_only).name, "time");
-
-  // No equalities -> first declared index.
-  EXPECT_EQ(c.best_index("events", {}).name, "job_rank_time");
-}
-
-TEST(Cluster, QueryAutoMatchesExplicitIndex) {
-  ClusterConfig cfg;
-  cfg.shard_count = 3;
-  cfg.parallel_query = false;
-  DsosCluster cluster(cfg);
-  const auto schema = test_schema();
-  cluster.register_schema(schema);
-  Rng rng(77);
-  for (int i = 0; i < 200; ++i) {
-    cluster.insert(make_event(schema, 1 + static_cast<std::uint64_t>(i % 2),
-                              rng.uniform_int(0, 5), rng.uniform(0, 10),
-                              "write", 0.1));
-  }
-  const Filter filter{{"job_id", Cmp::kEq, std::uint64_t{1}},
-                      {"rank", Cmp::kEq, std::int64_t{2}}};
-  const auto manual = cluster.query("events", "job_rank_time", filter);
-  const auto automatic = cluster.query_auto("events", filter);
-  ASSERT_EQ(manual.size(), automatic.size());
-  for (std::size_t i = 0; i < manual.size(); ++i) {
-    EXPECT_EQ(manual[i], automatic[i]);
-  }
-}
-
 // Low bytes collide with the escape alphabet ({0x00,0x01} escapes, 0x00
 // terminator), so ordering around '\0' and '\x01' is the hard case for
 // the string encoding.

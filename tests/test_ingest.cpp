@@ -56,7 +56,7 @@ DsosCluster make_cluster(std::size_t shards, const SchemaPtr& schema) {
   return cluster;
 }
 
-// Full query_auto result, rendered row by row: byte-identical fingerprints
+// Full job_rank_time scan, rendered row by row: byte-identical fingerprints
 // mean identical contents in identical order.
 std::string fingerprint(DsosCluster& cluster) {
   std::string out;
@@ -90,7 +90,7 @@ TEST(Ingest, SerialModeInsertsInline) {
   // No drain needed: serial mode inserts on the submit() call itself.
   EXPECT_EQ(ex.stats().submitted, 50u);
   EXPECT_EQ(ex.stats().inserted, 50u);
-  EXPECT_EQ(cluster.query_auto("events", {}).size(), 50u);
+  EXPECT_EQ(cluster.query("events", "job_rank_time").size(), 50u);
 }
 
 TEST(Ingest, WorkersClampedToShardCount) {
@@ -215,10 +215,10 @@ TEST(Ingest, DrainThenReuse) {
   IngestExecutor ex(cluster, icfg);
   for (Object& obj : random_events(schema, 64, 3)) ex.submit(std::move(obj));
   ex.drain();
-  EXPECT_EQ(cluster.query_auto("events", {}).size(), 64u);
+  EXPECT_EQ(cluster.query("events", "job_rank_time").size(), 64u);
   for (Object& obj : random_events(schema, 32, 5)) ex.submit(std::move(obj));
   ex.drain();
-  EXPECT_EQ(cluster.query_auto("events", {}).size(), 96u);
+  EXPECT_EQ(cluster.query("events", "job_rank_time").size(), 96u);
   EXPECT_EQ(ex.stats().submitted, 96u);
   EXPECT_EQ(ex.stats().inserted, 96u);
 }

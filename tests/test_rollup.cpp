@@ -27,6 +27,7 @@
 #include "dsos/schema.hpp"
 #include "exp/pipeline.hpp"
 #include "exp/specs.hpp"
+#include "heap_in_use.hpp"
 #include "json/parser.hpp"
 #include "relia/fault.hpp"
 #include "rollup/cell.hpp"
@@ -796,6 +797,98 @@ TEST(EquivalenceProperty, ReaderRacingParallelWritersSeesSerialCells) {
   }
 }
 
+// ------------------------------------------------------ durable spill ----
+
+RollupEngineConfig spill_config(const std::string& policy,
+                                const std::string& dir) {
+  RollupEngineConfig cfg;
+  cfg.policies = must_parse(policy).policies;
+  cfg.store_mode = dir.empty() ? store::StoreMode::kMemory
+                               : store::StoreMode::kTiered;
+  cfg.dir = dir;
+  return cfg;
+}
+
+class SealCounter final : public SealObserver {
+ public:
+  void on_sealed(std::string_view, std::size_t, double,
+                 const std::vector<std::pair<CellKey, CellAgg>>&) override {
+    ++batches;
+  }
+  std::size_t batches = 0;
+};
+
+TEST(Spill, FailedGroupCommitDeadensTheEngine) {
+  // A seal batch whose WAL write fails is not durable: it must not be
+  // counted or reach an observer, and the dead engine stops serving
+  // cells (rollup/serve.cpp falls back to raw scans once crashed()).
+  if (!fsys::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full to fail the spill's writes on";
+  }
+  const TempDir dir("devfull");
+  fsys::create_symlink("/dev/full", fsys::path(dir.path()) / "wal-0.log");
+  const auto s = test_schema();
+  dsos::DsosCluster db(cluster_config(2));
+  db.register_schema(s);
+  RollupEngine engine(spill_config("ops key=job_id,op bucket=10s", dir.path()));
+  engine.attach(db);
+  SealCounter seals;
+  engine.add_seal_observer(&seals);
+  for (int i = 0; i < 100; ++i) {
+    db.insert(event(s, 1, i % 4, i % 2 ? "read" : "write", 100.0 + i, 0.01,
+                    64));
+  }
+  EXPECT_NO_THROW(engine.seal_all());
+  EXPECT_TRUE(engine.crashed());
+  EXPECT_EQ(engine.stats().sealed_rows, 0u);
+  EXPECT_EQ(engine.stats().spills, 0u);
+  EXPECT_EQ(seals.batches, 0u);
+  EXPECT_NE(engine.status_json().find("\"crashed\":true"), std::string::npos)
+      << engine.status_json();
+  engine.remove_seal_observer(&seals);
+}
+
+TEST(Spill, DurableEngineKeepsNoSpilledRow) {
+  // A spilled batch lives on in the sealed maps and the WAL, so a
+  // durable engine's heap may exceed a memory engine's over the same
+  // stream only by a bounded log state, not by a copy of every row.
+  const auto s = test_schema();
+  std::vector<dsos::Object> stream;
+  for (int bucket = 0; bucket < 700; ++bucket) {
+    for (std::int64_t rank = 0; rank < 4; ++rank) {
+      for (const char* op : {"read", "write"}) {
+        stream.push_back(
+            event(s, 1, rank, op, bucket + 0.5, 0.01, 64 + bucket));
+      }
+    }
+  }
+  const TempDir dir("heap");
+  std::uint64_t sealed = 0;
+  const auto heap_growth = [&](const std::string& spill_dir) {
+    dsos::DsosCluster db(cluster_config(2));
+    db.register_schema(s);
+    RollupEngine engine(
+        spill_config("cells key=job_id,rank,op bucket=1s", spill_dir));
+    engine.attach(db);
+    const std::size_t before = heap_in_use();
+    for (const dsos::Object& e : stream) db.insert(e);
+    engine.seal_all();
+    const std::size_t after = heap_in_use();
+    sealed = engine.stats().sealed_rows;
+    return static_cast<double>(after) - static_cast<double>(before);
+  };
+  const double memory = heap_growth("");
+  ASSERT_GE(sealed, 5000u);
+  if (memory < 64.0 * static_cast<double>(sealed)) {
+    GTEST_SKIP() << "the allocator does not report heap use (mallinfo2)";
+  }
+  const double durable = heap_growth(dir.path());
+  EXPECT_EQ(sealed, stream.size());
+  EXPECT_LE(durable - memory, 32.0 * static_cast<double>(sealed))
+      << "memory engine " << memory << " B, durable engine " << durable
+      << " B over " << sealed << " sealed cells";
+}
+
 // ------------------------------------------------- crash campaigns --------
 
 /// Drives a deterministic stream into a cluster with a durable-spill
@@ -907,16 +1000,6 @@ void run_rollup_crash_campaign(const std::string& dir,
   }
 }
 
-TEST(CrashCampaign, SealCrashRecoversIdenticalRollups) {
-  const TempDir dir("seal");
-  run_rollup_crash_campaign(dir.path(), "storecrash rollup_seal after 2\n");
-}
-
-TEST(CrashCampaign, SpillCrashRecoversIdenticalRollups) {
-  const TempDir dir("spill");
-  run_rollup_crash_campaign(dir.path(), "storecrash rollup_spill after 2\n");
-}
-
 TEST(CrashCampaign, TornWalCommitRecoversIdenticalRollups) {
   const TempDir dir("wal");
   run_rollup_crash_campaign(dir.path(), "storecrash commit after 2\n");
@@ -926,7 +1009,7 @@ TEST(CrashCampaign, RawWalLossNeverLeavesDurableRollupsAhead) {
   // The ordering half of the bit-identical-recovery invariant: the raw
   // store's WAL group commit runs BEFORE the rollup observer, so a
   // durable rollup spill can never cover raw events lost to a torn raw
-  // WAL frame.  Here the RAW store (not the rollup spill store) crashes
+  // WAL frame.  Here the RAW store (not the rollup spill log) crashes
   // mid group-commit and loses its last batch; the recovered rollups
   // must still agree bit-exactly with a raw scan of what the raw store
   // actually recovered.
@@ -1023,7 +1106,7 @@ TEST(CrashCampaign, RawWalLossNeverLeavesDurableRollupsAhead) {
 
 TEST(CrashCampaign, SealedRollupsSurviveRestartWithoutRawReplay) {
   // Seal everything, restart over an EMPTY raw cluster: every sealed
-  // cell must still be served, purely from the spill store.
+  // cell must still be served, purely from the spill log.
   const TempDir dir("restart");
   const auto s = test_schema();
   RollupEngineConfig cfg;
@@ -1055,24 +1138,13 @@ TEST(CrashCampaign, SealedRollupsSurviveRestartWithoutRawReplay) {
   EXPECT_EQ(cell_fingerprint(engine.query("ops", {})), want);
 }
 
-/// Writes one `rollup_cell` row through a tiered store laid out like the
-/// engine's spill cluster, then returns what attach() throws over a
-/// 2-shard raw cluster ("" when it does not throw).
+/// Commits one `rollup_cell` row to a spill log on `dir`, as the engine
+/// does, then returns what attach() throws over a 2-shard raw cluster
+/// ("" when it does not throw).
 std::string attach_error_over_spilled_row(const std::string& dir,
                                           std::uint64_t shard,
                                           const std::string& dur_hist) {
   {
-    dsos::ClusterConfig cc;
-    cc.shard_count = 1;
-    cc.shard_attr = "shard";
-    cc.parallel_query = false;
-    dsos::DsosCluster spill(cc);
-    spill.register_schema(rollup_cell_schema());
-    store::StoreConfig sc;
-    sc.mode = store::StoreMode::kTiered;
-    sc.dir = dir;
-    store::Store st(sc);
-    st.open(spill);
     CellKey key;
     key.job = 1;
     key.op = "read";
@@ -1082,9 +1154,9 @@ std::string attach_error_over_spilled_row(const std::string& dir,
     dsos::Object row =
         cell_to_row(rollup_cell_schema(), "ops", key, 10.0, agg, shard, 110.0);
     row.values[*row.schema->find_attr("dur_hist")] = dur_hist;
-    spill.insert(std::move(row));
-    spill.commit_shard(0);
-    st.close();
+    store::Log spill;
+    spill.open(dir, true, 1, [](std::size_t, store::WalReplay&) {});
+    EXPECT_TRUE(spill.commit(0, {&row}));
   }
   dsos::DsosCluster db(cluster_config(2));
   db.register_schema(test_schema());

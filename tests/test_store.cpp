@@ -10,13 +10,10 @@
 #include <string>
 #include <vector>
 
-#if __has_include(<malloc.h>)
-#include <malloc.h>
-#endif
-
 #include "dsos/cluster.hpp"
 #include "dsos/ingest.hpp"
 #include "dsos/schema.hpp"
+#include "heap_in_use.hpp"
 #include "relia/fault.hpp"
 #include "store/format.hpp"
 #include "store/store.hpp"
@@ -364,18 +361,6 @@ TEST(Store, AppendsAfterRecoveryAndReplaysEverySession) {
   EXPECT_EQ(rep.high_seq[0] + rep.high_seq[1], 120u);
   EXPECT_EQ(fingerprint(db), want);
   st.close();
-}
-
-/// Heap bytes handed out and not yet freed (arena chunks plus mmap'd
-/// blocks); 0 where the allocator does not report through mallinfo2.
-std::size_t heap_in_use() {
-#if defined(__GLIBC__) && \
-    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33))
-  const struct mallinfo2 mi = mallinfo2();
-  return mi.uordblks + mi.hblkhd;
-#else
-  return 0;
-#endif
 }
 
 TEST(Store, TieredStoreHoldsNoRowCopies) {

@@ -389,23 +389,41 @@ TEST(Strings, CsvEscapeRoundTrip) {
   EXPECT_EQ(csv_parse_line(line), fields);
 }
 
-// --------------------------------------------------------------- queue ----
+// ------------------------------------------------------- queue contract ----
 //
-// BoundedQueue (tests/bounded_queue.hpp) is the reference SpscRing is
-// checked against; these tests pin its contract.
+// SpscRing is the bounded hand-off queue of every 1-producer/1-consumer
+// edge (DESIGN.md section 9); BoundedQueue (tests/bounded_queue.hpp) is
+// the mutex-guarded reference it is checked against.  Both keep one
+// push/pop/close contract, so each behaviour of it is written once,
+// over the queue template Q, and runs on both types under their suite
+// names (Queue.* for BoundedQueue, SpscRing.*) within the SPSC thread
+// contract: at most one thread per side, close() from anywhere.  The
+// tests after the contract fit one type only.  The whole suite runs
+// under TSan in CI.
 
-TEST(Queue, DropsOnOverflow) {
-  BoundedQueue<int> q(2);
+#define QUEUE_CONTRACT_TEST(name)                       \
+  template <template <typename> class Q>                \
+  void name##Contract();                                \
+  TEST(Queue, name) { name##Contract<BoundedQueue>(); } \
+  TEST(SpscRing, name) { name##Contract<SpscRing>(); }  \
+  template <template <typename> class Q>                \
+  void name##Contract()
+
+QUEUE_CONTRACT_TEST(FifoOrderAndOverflow) {
+  Q<int> q(2);
   EXPECT_TRUE(q.try_push(1));
   EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
+  EXPECT_FALSE(q.try_push(3));  // full: item cap binds
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.try_pop().value(), 1);
   EXPECT_TRUE(q.try_push(3));
+  EXPECT_EQ(q.try_pop().value(), 2);
+  EXPECT_EQ(q.try_pop().value(), 3);
+  EXPECT_FALSE(q.try_pop().has_value());
 }
 
-TEST(Queue, CloseDrainsThenSignalsEnd) {
-  BoundedQueue<int> q(8);
+QUEUE_CONTRACT_TEST(CloseDrainsThenSignalsEnd) {
+  Q<int> q(8);
   q.try_push(1);
   q.close();
   EXPECT_FALSE(q.try_push(2));
@@ -413,10 +431,10 @@ TEST(Queue, CloseDrainsThenSignalsEnd) {
   EXPECT_FALSE(q.pop().has_value());
 }
 
-TEST(Queue, TryPopKeepsDrainingAfterClose) {
-  // Documented contract: close() fails new pushes immediately but leaves
-  // everything already queued poppable — shutdown must not lose messages.
-  BoundedQueue<int> q(8);
+QUEUE_CONTRACT_TEST(TryPopKeepsDrainingAfterClose) {
+  // close() fails new pushes immediately but leaves everything already
+  // queued poppable — shutdown must not lose messages.
+  Q<int> q(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(i));
   q.close();
   EXPECT_FALSE(q.try_push(99));
@@ -429,9 +447,9 @@ TEST(Queue, TryPopKeepsDrainingAfterClose) {
   EXPECT_FALSE(q.pop().has_value());  // closed and drained => end-of-stream
 }
 
-TEST(Queue, ZeroCapacityRejectsEverything) {
+QUEUE_CONTRACT_TEST(ZeroCapacityRejectsEverything) {
   // capacity 0 is a valid "drop everything" configuration, not UB.
-  BoundedQueue<int> q(0);
+  Q<int> q(0);
   EXPECT_FALSE(q.try_push(1));
   EXPECT_EQ(q.size(), 0u);
   EXPECT_FALSE(q.try_pop().has_value());
@@ -439,16 +457,16 @@ TEST(Queue, ZeroCapacityRejectsEverything) {
   EXPECT_FALSE(q.pop().has_value());
 }
 
-TEST(Queue, PushWaitSucceedsWithoutBlockingWhenRoomy) {
-  BoundedQueue<int> q(2);
+QUEUE_CONTRACT_TEST(PushWaitSucceedsWithoutBlockingWhenRoomy) {
+  Q<int> q(2);
   bool waited = true;
   EXPECT_TRUE(q.push_wait(1, 0, &waited));
   EXPECT_FALSE(waited);  // room available: no back-pressure recorded
   EXPECT_EQ(q.try_pop().value(), 1);
 }
 
-TEST(Queue, PushWaitBlocksUntilPopMakesRoom) {
-  BoundedQueue<int> q(1);
+QUEUE_CONTRACT_TEST(PushWaitBlocksUntilPopMakesRoom) {
+  Q<int> q(1);
   ASSERT_TRUE(q.try_push(1));
   std::thread popper([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -461,19 +479,21 @@ TEST(Queue, PushWaitBlocksUntilPopMakesRoom) {
   EXPECT_EQ(q.try_pop().value(), 2);
 }
 
-TEST(Queue, PushWaitReturnsFalseWhenItemCanNeverFit) {
+QUEUE_CONTRACT_TEST(PushWaitReturnsFalseWhenItemCanNeverFit) {
   // Impossible items fail immediately instead of blocking forever.
-  BoundedQueue<int> zero(0);
+  Q<int> zero(0);
   bool waited = true;
   EXPECT_FALSE(zero.push_wait(1, 0, &waited));
   EXPECT_FALSE(waited);
-  BoundedQueue<int> bytes(4, 10);
+  Q<int> bytes(4, 10);
   EXPECT_FALSE(bytes.push_wait(1, 11, &waited));  // above the byte cap
   EXPECT_TRUE(bytes.push_wait(2, 10, &waited));   // exactly at it: fits
 }
 
-TEST(Queue, CloseUnblocksPushWait) {
-  BoundedQueue<int> q(1);
+QUEUE_CONTRACT_TEST(CloseUnblocksPushWait) {
+  // The shutdown race the ring's Dekker fence protocol exists for: a
+  // producer asleep on a full queue must see close() and fail, not hang.
+  Q<int> q(1);
   ASSERT_TRUE(q.try_push(1));
   std::thread closer([&q] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -484,8 +504,8 @@ TEST(Queue, CloseUnblocksPushWait) {
   EXPECT_EQ(q.try_pop().value(), 1);  // queued item still drains
 }
 
-TEST(Queue, ByteCapacityBindsIndependently) {
-  BoundedQueue<std::string> q(100, 10);
+QUEUE_CONTRACT_TEST(ByteCapacityBindsIndependently) {
+  Q<std::string> q(100, 10);
   EXPECT_TRUE(q.try_push("aaaa", 4));
   EXPECT_TRUE(q.try_push("bbbb", 4));
   EXPECT_EQ(q.size_bytes(), 8u);
@@ -497,32 +517,65 @@ TEST(Queue, ByteCapacityBindsIndependently) {
   EXPECT_TRUE(q.try_push("dddd", 4));
 }
 
-TEST(Queue, ZeroByteCapacityMeansUnlimited) {
-  BoundedQueue<std::string> q(4);
+QUEUE_CONTRACT_TEST(ZeroByteCapacityMeansUnlimited) {
+  Q<std::string> q(4);
   EXPECT_TRUE(q.try_push("x", 1 << 30));
   EXPECT_TRUE(q.try_push("y", 1 << 30));
   EXPECT_EQ(q.size(), 2u);
 }
 
-TEST(Queue, CrossThreadDelivery) {
-  BoundedQueue<int> q(1024);
+QUEUE_CONTRACT_TEST(CrossThreadDelivery) {
+  // The deployment shape: one producer thread (push_wait, back-pressure
+  // not loss), one consumer thread (pop), items arrive exactly once in
+  // order.  Under TSan this is the ring's release/acquire publication
+  // proof in executable form.
+  Q<int> q(8);  // tiny: constant wrap + frequent blocking
   std::thread producer([&] {
-    for (int i = 0; i < 1000; ++i) {
-      while (!q.try_push(i)) std::this_thread::yield();
-    }
+    for (int i = 0; i < 20000; ++i) ASSERT_TRUE(q.push_wait(i));
     q.close();
   });
   int expected = 0;
   while (auto v = q.pop()) {
-    EXPECT_EQ(*v, expected++);
+    ASSERT_EQ(*v, expected++);
   }
   producer.join();
-  EXPECT_EQ(expected, 1000);
+  EXPECT_EQ(expected, 20000);
 }
 
-// Shutdown semantics under contention: close() must wake every blocked
-// producer AND consumer exactly once, fail all later pushes, and still
-// hand out everything queued before the close — no deadlock, no loss.
+QUEUE_CONTRACT_TEST(CloseRacesPushWaitWithoutLossOfAcceptedItems) {
+  // close() fired from a third thread mid-stream: the producer must come
+  // unstuck and stop, and every push that REPORTED success must still be
+  // delivered.  close() is a producer-quiesce protocol (see
+  // spsc_ring.hpp), so the consumer joins the producer before declaring
+  // the backlog drained — the order the executor and forwarder shut
+  // down in.
+  Q<int> q(2);
+  std::atomic<int> accepted{0};
+  std::thread producer([&] {
+    for (int i = 0; i < 100000; ++i) {
+      if (!q.push_wait(i)) return;  // closed: exit, don't spin
+      accepted.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  std::thread closer([&q] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    q.close();
+  });
+  int drained = 0;
+  while (q.pop()) ++drained;  // end-of-stream after close + apparent-empty
+  producer.join();
+  closer.join();
+  while (q.try_pop()) ++drained;  // in-flight push that raced the close
+  EXPECT_EQ(drained, accepted.load());
+  EXPECT_FALSE(q.try_push(7));  // stays closed
+}
+
+#undef QUEUE_CONTRACT_TEST
+
+// BoundedQueue only: it is multi-producer/multi-consumer, so close() must
+// wake every blocked producer AND consumer, fail all later pushes, and
+// still hand out everything queued before the close — no deadlock, no
+// loss.
 
 TEST(Queue, CloseRacesPushWaitWithoutDeadlockOrLoss) {
   constexpr int kProducers = 4;
@@ -572,28 +625,8 @@ TEST(Queue, CloseWakesAllBlockedPoppers) {
   EXPECT_EQ(woke.load(), kPoppers);
 }
 
-// ----------------------------------------------------------- spsc ring ----
-//
-// SpscRing is the bounded hand-off queue of every 1-producer/1-consumer
-// edge (DESIGN.md section 9), with the BoundedQueue contract above.
-// These tests mirror the Queue suite within the SPSC thread contract (at
-// most one thread per side; close() from anywhere), plus ring-specific
-// boundaries: index wraparound, the non-power-of-two capacity bind, and
-// a randomized model-check of the full/empty transitions.  The whole
-// suite runs under TSan in CI alongside the Queue suite.
-
-TEST(SpscRing, FifoOrderAndOverflow) {
-  SpscRing<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: item cap binds
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.try_pop().value(), 1);
-  EXPECT_TRUE(q.try_push(3));
-  EXPECT_EQ(q.try_pop().value(), 2);
-  EXPECT_EQ(q.try_pop().value(), 3);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
+// SpscRing only: its power-of-two slot array, masked monotonic indices
+// and cached opposing indices.
 
 TEST(SpscRing, NonPowerOfTwoCapacityBinds) {
   // The slot array rounds up to a power of two; the advertised capacity
@@ -621,84 +654,6 @@ TEST(SpscRing, IndexWraparoundPreservesFifo) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(SpscRing, CloseDrainsThenSignalsEnd) {
-  SpscRing<int> q(8);
-  q.try_push(1);
-  q.close();
-  EXPECT_FALSE(q.try_push(2));
-  EXPECT_EQ(q.pop().value(), 1);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(SpscRing, TryPopKeepsDrainingAfterClose) {
-  SpscRing<int> q(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.try_push(i));
-  q.close();
-  EXPECT_FALSE(q.try_push(99));
-  for (int i = 0; i < 5; ++i) {
-    const auto v = q.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.try_pop().has_value());
-  EXPECT_FALSE(q.pop().has_value());  // closed and drained => end-of-stream
-}
-
-TEST(SpscRing, ZeroCapacityRejectsEverything) {
-  SpscRing<int> q(0);
-  EXPECT_FALSE(q.try_push(1));
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_FALSE(q.try_pop().has_value());
-  q.close();
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(SpscRing, PushWaitSucceedsWithoutBlockingWhenRoomy) {
-  SpscRing<int> q(2);
-  bool waited = true;
-  EXPECT_TRUE(q.push_wait(1, 0, &waited));
-  EXPECT_FALSE(waited);  // room available: no back-pressure recorded
-  EXPECT_EQ(q.try_pop().value(), 1);
-}
-
-TEST(SpscRing, PushWaitBlocksUntilPopMakesRoom) {
-  SpscRing<int> q(1);
-  ASSERT_TRUE(q.try_push(1));
-  std::thread popper([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_EQ(q.try_pop().value(), 1);
-  });
-  bool waited = false;
-  EXPECT_TRUE(q.push_wait(2, 0, &waited));  // full until the popper runs
-  popper.join();
-  EXPECT_TRUE(waited);
-  EXPECT_EQ(q.try_pop().value(), 2);
-}
-
-TEST(SpscRing, PushWaitReturnsFalseWhenItemCanNeverFit) {
-  SpscRing<int> zero(0);
-  bool waited = true;
-  EXPECT_FALSE(zero.push_wait(1, 0, &waited));
-  EXPECT_FALSE(waited);
-  SpscRing<int> bytes(4, 10);
-  EXPECT_FALSE(bytes.push_wait(1, 11, &waited));  // above the byte cap
-  EXPECT_TRUE(bytes.push_wait(2, 10, &waited));   // exactly at it: fits
-}
-
-TEST(SpscRing, CloseUnblocksPushWait) {
-  // The shutdown race the Dekker fence protocol exists for: a producer
-  // asleep on a full ring must see close() and fail, not hang.
-  SpscRing<int> q(1);
-  ASSERT_TRUE(q.try_push(1));
-  std::thread closer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    q.close();
-  });
-  EXPECT_FALSE(q.push_wait(2));  // woken by close => push fails, no hang
-  closer.join();
-  EXPECT_EQ(q.try_pop().value(), 1);  // queued item still drains
-}
-
 TEST(SpscRing, CloseWakesBlockedPopper) {
   SpscRing<int> q(8);  // empty: pop() blocks
   std::thread popper([&q] {
@@ -707,26 +662,6 @@ TEST(SpscRing, CloseWakesBlockedPopper) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   q.close();
   popper.join();
-}
-
-TEST(SpscRing, ByteCapacityBindsIndependently) {
-  SpscRing<std::string> q(100, 10);
-  EXPECT_TRUE(q.try_push("aaaa", 4));
-  EXPECT_TRUE(q.try_push("bbbb", 4));
-  EXPECT_EQ(q.size_bytes(), 8u);
-  EXPECT_FALSE(q.try_push("cccc", 4));  // 12 > 10: byte cap binds
-  EXPECT_TRUE(q.try_push("cc", 2));     // exactly at the cap is fine
-  EXPECT_EQ(q.size_bytes(), 10u);
-  EXPECT_EQ(q.try_pop().value(), "aaaa");
-  EXPECT_EQ(q.size_bytes(), 6u);  // pops release their byte cost
-  EXPECT_TRUE(q.try_push("dddd", 4));
-}
-
-TEST(SpscRing, ZeroByteCapacityMeansUnlimited) {
-  SpscRing<std::string> q(4);
-  EXPECT_TRUE(q.try_push("x", 1 << 30));
-  EXPECT_TRUE(q.try_push("y", 1 << 30));
-  EXPECT_EQ(q.size(), 2u);
 }
 
 TEST(SpscRing, FullEmptyBoundaryModelCheck) {
@@ -753,51 +688,6 @@ TEST(SpscRing, FullEmptyBoundaryModelCheck) {
     }
     ASSERT_EQ(q.size(), model.size());
   }
-}
-
-TEST(SpscRing, CrossThreadDelivery) {
-  // The deployment shape: one producer thread (push_wait, back-pressure
-  // not loss), one consumer thread (pop), items arrive exactly once in
-  // order.  Runs under TSan in CI — this is the release/acquire
-  // publication proof in executable form.
-  SpscRing<int> q(8);  // tiny: constant wrap + frequent blocking
-  std::thread producer([&] {
-    for (int i = 0; i < 20000; ++i) ASSERT_TRUE(q.push_wait(i));
-    q.close();
-  });
-  int expected = 0;
-  while (auto v = q.pop()) {
-    ASSERT_EQ(*v, expected++);
-  }
-  producer.join();
-  EXPECT_EQ(expected, 20000);
-}
-
-TEST(SpscRing, CloseRacesPushWaitWithoutLossOfAcceptedItems) {
-  // close() fired from a third thread mid-stream: the producer must come
-  // unstuck and stop, and every push that REPORTED success must still be
-  // delivered.  close() is a producer-quiesce protocol (see spsc_ring.hpp),
-  // so the consumer joins the producer before declaring the backlog
-  // drained — the same order the executor and forwarder shut down in.
-  SpscRing<int> q(2);
-  std::atomic<int> accepted{0};
-  std::thread producer([&] {
-    for (int i = 0; i < 100000; ++i) {
-      if (!q.push_wait(i)) return;  // closed: exit, don't spin
-      accepted.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  std::thread closer([&q] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.close();
-  });
-  int drained = 0;
-  while (q.pop()) ++drained;  // end-of-stream after close + apparent-empty
-  producer.join();
-  closer.join();
-  while (q.try_pop()) ++drained;  // in-flight push that raced the close
-  EXPECT_EQ(drained, accepted.load());
-  EXPECT_FALSE(q.try_push(7));  // stays closed
 }
 
 // ------------------------------------------------------------- lockdep ----
