@@ -162,11 +162,20 @@ struct IngestRun {
   std::unique_ptr<dsos::DsosCluster> cluster;
   double seconds = 0.0;
   std::uint64_t backpressure_waits = 0;
+  /// Rows per commit group (inserted / groups); 0 for serial ingest,
+  /// which commits nothing before the caller does.
+  double rows_per_commit = 0.0;
   /// OS threads that actually carried the run: 1 for serial, the worker
   /// count plus the decoding caller for parallel, capped at what the
   /// host can schedule concurrently.
   std::size_t threads_used = 1;
 };
+
+double rows_per_commit(const dsos::IngestStats& stats) {
+  return stats.batches == 0 ? 0.0
+                            : static_cast<double>(stats.inserted) /
+                                  static_cast<double>(stats.batches);
+}
 
 /// Timing noise guard: each configuration runs kReps times and the row
 /// reports the median run (clusters in the discarded runs are dropped).
@@ -215,6 +224,7 @@ IngestRun run_parallel(const dsos::SchemaPtr& schema, std::size_t shards,
     }
     ingest.drain();  // inside the timed region: cost of determinism
     run.backpressure_waits = ingest.stats().backpressure_waits;
+    run.rows_per_commit = rows_per_commit(ingest.stats());
     run.threads_used = ingest.workers() + 1;  // workers + decoding caller
     run.threads_used = std::min(run.threads_used, util::effective_cpus());
   }
@@ -342,6 +352,7 @@ IngestRun run_hot_parallel(const dsos::SchemaPtr& schema,
     }
     ingest.drain();
     run.backpressure_waits = ingest.stats().backpressure_waits;
+    run.rows_per_commit = rows_per_commit(ingest.stats());
     run.threads_used = ingest.workers() + 1;
     run.threads_used = std::min(run.threads_used, util::effective_cpus());
   }
@@ -439,6 +450,7 @@ int main(int argc, char** argv) {
     double parallel_eps;
     double speedup;
     std::uint64_t backpressure_waits;
+    double rows_per_commit;
     std::size_t threads_used;
   };
   std::vector<ShardResult> shard_results;
@@ -447,7 +459,8 @@ int main(int argc, char** argv) {
   std::printf("timings are the median of %zu runs per configuration\n\n",
               kReps);
   exp::TextTable table({"Shards", "Threads", "Serial ev/s", "Parallel ev/s",
-                        "Speedup", "Backpressure", "Identical"});
+                        "Speedup", "Backpressure", "Rows/commit",
+                        "Identical"});
   for (const std::size_t shards : {1, 2, 4, 8}) {
     const IngestRun serial = median_run(
         [&] { return run_serial(schema, shards, payloads); });
@@ -463,12 +476,14 @@ int main(int argc, char** argv) {
     r.parallel_eps = static_cast<double>(events) / parallel.seconds;
     r.speedup = r.parallel_eps / r.serial_eps;
     r.backpressure_waits = parallel.backpressure_waits;
+    r.rows_per_commit = parallel.rows_per_commit;
     r.threads_used = parallel.threads_used;
     shard_results.push_back(r);
     table.add_row({std::to_string(shards), std::to_string(r.threads_used),
                    exp::cell_f(r.serial_eps, 0),
                    exp::cell_f(r.parallel_eps, 0), exp::cell_f(r.speedup, 2),
-                   exp::cell_u(r.backpressure_waits), same ? "yes" : "NO"});
+                   exp::cell_u(r.backpressure_waits),
+                   exp::cell_f(r.rows_per_commit, 1), same ? "yes" : "NO"});
   }
   std::printf("%s\n", table.render().c_str());
 
@@ -504,8 +519,9 @@ int main(int argc, char** argv) {
               frames.size(), kEventsPerFrame,
               static_cast<double>(frame_bytes) / static_cast<double>(events),
               pin_cpus.size());
-  std::printf("  serial %10.0f ev/s   parallel %10.0f ev/s (%zu threads)\n",
-              hot_serial_eps, hot_eps, hot.threads_used);
+  std::printf("  serial %10.0f ev/s   parallel %10.0f ev/s (%zu threads, "
+              "%.1f rows/commit)\n",
+              hot_serial_eps, hot_eps, hot.threads_used, hot.rows_per_commit);
   std::printf("  vs committed JSON baseline %.0f ev/s: %.2fx\n\n",
               kCommittedParallelEps, hot_speedup);
 
@@ -626,6 +642,7 @@ int main(int argc, char** argv) {
       w.member("parallel_events_per_sec", r.parallel_eps);
       w.member("speedup", r.speedup);
       w.member("backpressure_waits", r.backpressure_waits);
+      w.member("rows_per_commit", r.rows_per_commit);
       w.end_object();
     }
     w.end_array();
@@ -659,6 +676,7 @@ int main(int argc, char** argv) {
     w.member("events_per_sec", hot_eps);
     w.member("speedup_vs_committed_baseline", hot_speedup);
     w.member("backpressure_waits", hot.backpressure_waits);
+    w.member("rows_per_commit", hot.rows_per_commit);
     w.member("byte_identical", hot_identical);
     w.end_object();
     w.key("zone_map_query");

@@ -1,6 +1,8 @@
 #include "dsos/ingest.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <optional>
 #include <string>
 
 #include "obs/registry.hpp"
@@ -10,6 +12,18 @@
 namespace dlc::dsos {
 
 namespace {
+
+/// A full commit group, in rows: a lingering writer commits as soon as one
+/// of its rings holds this many (or the ring's whole capacity, if less).
+constexpr std::size_t kGroupRows = 64;
+
+/// The longest a writer woken from idle waits for its group to gather.
+/// Why 1 ms: in a flat-out JSON pass the writer outruns the decoder, so
+/// it empties its rings and goes idle between rows; the linger caps such
+/// a busy writer's wakeups at about one per millisecond, where waking per
+/// row would cost a futex wake per event.  At a trickle it bounds how long
+/// a row waits to become queryable.
+constexpr std::chrono::microseconds kLinger{1000};
 
 /// Registry mirrors (cached once; see obs/registry.hpp).
 struct IngestObs {
@@ -34,18 +48,16 @@ IngestObs& ingest_obs() {
 IngestExecutor::IngestExecutor(DsosCluster& cluster, IngestConfig config)
     : cluster_(cluster), config_(std::move(config)) {
   const std::size_t shards = cluster_.shard_count();
-  config_.batch = std::max<std::size_t>(1, config_.batch);
   config_.queue_capacity = std::max<std::size_t>(1, config_.queue_capacity);
+  group_rows_ = std::min(kGroupRows, config_.queue_capacity);
   const std::size_t n = std::min(config_.workers, shards);
   if (n == 0) return;  // serial mode: no queues, no threads
 
   queues_.reserve(shards);
-  pending_.resize(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    queues_.push_back(
-        std::make_unique<SpscRing<Batch>>(config_.queue_capacity));
-    pending_[s].objects.reserve(config_.batch);
+    queues_.push_back(std::make_unique<SpscRing<Row>>(config_.queue_capacity));
   }
+  depth_.assign(shards, 0);
   workers_.reserve(n);
   threads_.reserve(n);
   for (std::size_t w = 0; w < n; ++w) {
@@ -78,8 +90,7 @@ void IngestExecutor::submit(Object obj) {
     ++inserted_;
     return;
   }
-  pending_[shard].objects.push_back(std::move(obj));
-  if (pending_[shard].objects.size() >= config_.batch) flush_shard(shard);
+  enqueue(shard, Row{std::move(obj), nullptr});
 }
 
 void IngestExecutor::submit_traced(Object obj, const obs::TraceContext& trace) {
@@ -100,23 +111,18 @@ void IngestExecutor::submit_traced(Object obj, const obs::TraceContext& trace) {
     }
     return;
   }
-  obs::TraceContext anchored = trace;
-  anchored.real_anchor_ns = util::now_ns();
-  pending_[shard].traces.emplace_back(pending_[shard].objects.size(),
-                                      std::move(anchored));
-  pending_[shard].objects.push_back(std::move(obj));
-  if (pending_[shard].objects.size() >= config_.batch) flush_shard(shard);
+  auto anchored = std::make_unique<obs::TraceContext>(trace);
+  anchored->real_anchor_ns = util::now_ns();
+  enqueue(shard, Row{std::move(obj), std::move(anchored)});
 }
 
-void IngestExecutor::flush_shard(std::size_t shard) {
-  if (pending_[shard].objects.empty()) return;
-  Batch batch;
-  batch.objects.reserve(config_.batch);
-  batch.objects.swap(pending_[shard].objects);
-  batch.traces.swap(pending_[shard].traces);
+void IngestExecutor::enqueue(std::size_t shard, Row row) {
+  SpscRing<Row>& ring = *queues_[shard];
+  // Only a ring that looked full after the last push can block this one.
+  const bool may_block = depth_[shard] >= ring.capacity();
+  const std::uint64_t t0 = may_block ? util::now_ns() : 0;
   bool waited = false;
-  const std::uint64_t t0 = util::now_ns();
-  queues_[shard]->push_wait(std::move(batch), 0, &waited);
+  ring.push_wait(std::move(row), 0, &waited);
   if (waited) {
     const std::uint64_t wait_ns = util::now_ns() - t0;
     backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
@@ -126,12 +132,23 @@ void IngestExecutor::flush_shard(std::size_t shard) {
       ingest_obs().backpressure_wait_ns.record(wait_ns);
     }
   }
-  batches_.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t depth = ring.size();
+  depth_[shard] = depth;
   if (obs::enabled()) {
-    ingest_obs().queue_depth.set_max(
-        static_cast<std::int64_t>(queues_[shard]->size()));
+    ingest_obs().queue_depth.set_max(static_cast<std::int64_t>(depth));
   }
-  Worker& worker = *workers_[shard % workers_.size()];
+  // Wake the writer when the ring goes from empty to non-empty (it may be
+  // idle) or holds a full group (it may be lingering); otherwise it is
+  // busy and re-checks its rings after each group.  No wake is lost when
+  // the writer empties the ring concurrently: push and pop each end with
+  // a seq_cst fence (SpscRing's Dekker handshake), so either this read
+  // sees the pop and wakes, or the writer's idle check sees the push.
+  if (depth == 1 || depth == group_rows_) {
+    wake(*workers_[shard % workers_.size()]);
+  }
+}
+
+void IngestExecutor::wake(Worker& worker) {
   {
     // Empty critical section: pairs with the predicate check the worker
     // performs under this mutex, so a push between "predicate false" and
@@ -142,12 +159,16 @@ void IngestExecutor::flush_shard(std::size_t shard) {
 }
 
 void IngestExecutor::drain() {
-  for (std::size_t s = 0; s < pending_.size(); ++s) flush_shard(s);
-  {
-    util::UniqueLock lock(done_m_);
-    done_cv_.wait(lock, [&]() DLC_REQUIRES(done_m_) {
-      return inserted_ == submitted_.load(std::memory_order_relaxed);
-    });
+  if (!threads_.empty()) {
+    draining_.store(true, std::memory_order_release);
+    for (auto& worker : workers_) wake(*worker);
+    {
+      util::UniqueLock lock(done_m_);
+      done_cv_.wait(lock, [&]() DLC_REQUIRES(done_m_) {
+        return inserted_ == submitted_.load(std::memory_order_relaxed);
+      });
+    }
+    draining_.store(false, std::memory_order_release);
   }
   // Durability barrier: group-commit every shard so a drained executor
   // means "acknowledged durable", not just "indexed".  A no-op (false)
@@ -157,14 +178,77 @@ void IngestExecutor::drain() {
   }
 }
 
+bool IngestExecutor::has_rows(std::size_t w, std::size_t rows) const {
+  for (std::size_t s = w; s < queues_.size(); s += workers_.size()) {
+    if (queues_[s]->size() >= rows) return true;
+  }
+  return false;
+}
+
+std::uint64_t IngestExecutor::commit_queued(std::size_t w) {
+  std::uint64_t done = 0;
+  std::vector<std::unique_ptr<obs::TraceContext>> traces;
+  for (std::size_t s = w; s < queues_.size(); s += workers_.size()) {
+    SpscRing<Row>& ring = *queues_[s];
+    // The group is what the ring holds now; rows pushed while it commits
+    // form the next one.
+    const std::size_t rows = ring.size();
+    if (rows == 0) continue;
+    if (config_.commit_hook) config_.commit_hook();
+    const std::uint64_t t0 = util::now_ns();
+    for (std::size_t i = 0; i < rows; ++i) {
+      std::optional<Row> row = ring.try_pop();  // single consumer: present
+      if (row->trace) traces.push_back(std::move(row->trace));
+      cluster_.insert_at(s, std::move(row->obj));
+    }
+    done += rows;
+    batches_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t t_inserted = util::now_ns();
+    // Per-group durability barrier: with a store attached this is the WAL
+    // group commit for everything inserted above; without one it is a
+    // no-op returning false.  Either way the commit observers (rollup
+    // seal check) run once for the group.
+    const bool durable = cluster_.commit_shard(s);
+    const std::uint64_t t_durable = durable ? util::now_ns() : 0;
+    if (obs::enabled()) {
+      ingest_obs().commit_ns.record(util::now_ns() - t0);
+    }
+    if (collector_ != nullptr) {
+      for (const auto& trace : traces) {
+        // Workers run off the virtual timeline: the commit stamp is the
+        // enqueue hop plus real elapsed time since submission.
+        obs::TraceContext& finished = *trace;
+        const std::int64_t enq = finished.hop(obs::Hop::kIngestEnqueued);
+        finished.stamp(obs::Hop::kCommitted,
+                       enq + static_cast<std::int64_t>(
+                                 t_inserted - finished.real_anchor_ns));
+        if (durable) {
+          finished.committed_durable =
+              enq + static_cast<std::int64_t>(t_durable -
+                                              finished.real_anchor_ns);
+        }
+        collector_->complete(finished);
+      }
+    }
+    traces.clear();
+  }
+  if (done != 0) {
+    {
+      const util::LockGuard lock(done_m_);
+      inserted_ += done;
+    }
+    done_cv_.notify_all();
+  }
+  return done;
+}
+
 void IngestExecutor::worker_loop(std::size_t w) {
   Worker& self = *workers_[w];
-  const std::size_t stride = workers_.size();
   // Writer placement (ConnectorConfig::pin): pin this writer so it stays on
   // one core/socket with its rings; record what actually happened —
   // tests and operators read it back via writer_placements() and the
   // dlc.ingest.writer.<w>.cpu gauges on /api/obs.  Cold path: gauges are
-  // looked up once per worker lifetime, set per wakeup round.
+  // looked up once per worker lifetime, set once per busy spell.
   if (!config_.pin_cpus.empty()) {
     const int target =
         config_.pin_cpus[w % config_.pin_cpus.size()];
@@ -180,67 +264,28 @@ void IngestExecutor::worker_loop(std::size_t w) {
   const int startup_cpu = util::current_cpu();
   self.last_cpu.store(startup_cpu, std::memory_order_relaxed);
   cpu_gauge.set(startup_cpu);
-  auto has_work = [&] {
-    for (std::size_t s = w; s < queues_.size(); s += stride) {
-      if (queues_[s]->size() != 0) return true;
-    }
-    return false;
-  };
   for (;;) {
     {
       util::UniqueLock lock(self.m);
+      // Idle: sleep, with no timeout, until a row arrives or shutdown.
       self.cv.wait(lock, [&] {
-        return stop_.load(std::memory_order_acquire) || has_work();
+        return stop_.load(std::memory_order_acquire) || has_rows(w, 1);
+      });
+      if (!has_rows(w, 1)) return;  // shutdown with nothing queued
+      // Linger: give the group up to kLinger to gather.
+      const auto deadline = std::chrono::steady_clock::now() + kLinger;
+      self.cv.wait_until(lock, deadline, [&] {
+        return stop_.load(std::memory_order_acquire) ||
+               draining_.load(std::memory_order_acquire) ||
+               has_rows(w, group_rows_);
       });
     }
-    std::uint64_t done = 0;
-    for (std::size_t s = w; s < queues_.size(); s += stride) {
-      while (auto batch = queues_[s]->try_pop()) {
-        if (config_.commit_hook) config_.commit_hook();
-        const std::uint64_t t0 = util::now_ns();
-        for (Object& obj : batch->objects) {
-          cluster_.insert_at(s, std::move(obj));
-          ++done;
-        }
-        const std::uint64_t t_inserted = util::now_ns();
-        // Per-batch durability barrier: with a store attached this is
-        // the WAL group commit for everything inserted above; without
-        // one it is a no-op returning false.
-        const bool durable = cluster_.commit_shard(s);
-        const std::uint64_t t_durable = durable ? util::now_ns() : 0;
-        if (obs::enabled()) {
-          ingest_obs().commit_ns.record(util::now_ns() - t0);
-        }
-        if (collector_ != nullptr) {
-          for (auto& [index, trace] : batch->traces) {
-            // Workers run off the virtual timeline: the commit stamp is
-            // the enqueue hop plus real elapsed time since submission.
-            obs::TraceContext finished = trace;
-            const std::int64_t enq = finished.hop(obs::Hop::kIngestEnqueued);
-            finished.stamp(obs::Hop::kCommitted,
-                           enq + static_cast<std::int64_t>(
-                                     t_inserted - finished.real_anchor_ns));
-            if (durable) {
-              finished.committed_durable =
-                  enq + static_cast<std::int64_t>(t_durable -
-                                                  finished.real_anchor_ns);
-            }
-            collector_->complete(finished);
-          }
-        }
-      }
+    // Busy: commit group after group, without lingering, until empty.
+    while (commit_queued(w) != 0) {
     }
-    if (done != 0) {
-      {
-        const util::LockGuard lock(done_m_);
-        inserted_ += done;
-      }
-      done_cv_.notify_all();
-      const int cpu = util::current_cpu();
-      self.last_cpu.store(cpu, std::memory_order_relaxed);
-      cpu_gauge.set(cpu);
-    }
-    if (stop_.load(std::memory_order_acquire) && !has_work()) return;
+    const int cpu = util::current_cpu();
+    self.last_cpu.store(cpu, std::memory_order_relaxed);
+    cpu_gauge.set(cpu);
   }
 }
 

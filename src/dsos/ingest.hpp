@@ -5,25 +5,36 @@
 // ingest and query scale with servers; this executor is the client-side
 // half of that bargain.  Decoded events are ROUTED ON THE CALLER THREAD
 // (so the cluster's round-robin fallback and hash routing see events in
-// submission order — identical to serial ingest), buffered into small
-// per-shard batches, and handed to a worker pool through per-shard bounded
-// queues.  Each worker exclusively owns a fixed subset of shards
-// (shard % workers == worker), so every Container has exactly one writer
-// and needs no locking.
+// submission order — identical to serial ingest) and pushed, one row at a
+// time, onto their shard's bounded ring.  Each worker exclusively owns a
+// fixed subset of shards (shard % workers == worker), so every Container
+// has exactly one writer and needs no locking.
 //
-// Determinism: per-shard queues are FIFO and each shard has a single
+// Group commit with a linger: a writer woken from idle waits at most a
+// fixed 1 ms for a group to gather (a full group of 64 rows, drain() or
+// shutdown cuts the wait short), then commits everything its rings hold
+// as one group per shard — one insert run and one Container::commit, so
+// one WAL group commit and one rollup seal check — and keeps committing
+// whatever queued meanwhile, without lingering again, until its rings
+// are empty.  A row is therefore queryable within about the linger plus
+// the groups ahead of it, and under load each group is whatever arrived
+// while the previous one committed.  The submitter wakes a writer only
+// when a ring goes from empty to non-empty or holds a full group.
+//
+// Determinism: per-shard rings are FIFO and each shard has a single
 // inserting worker, so the per-shard insertion order equals the caller's
 // submission order — byte-identical query results to serial ingest, which
-// bench_ingest --check and the ingest property tests verify.
+// bench_ingest --check and the ingest property tests verify.  Where the
+// linger cuts a group changes when rows commit, never what is stored.
 //
 // Back-pressure, not loss: submit() blocks (SpscRing::push_wait) when a
-// shard's queue is full.  The transport tier drops on overflow because
+// shard's ring is full.  The transport tier drops on overflow because
 // LDMS Streams is best-effort, but events that survived decode must reach
 // the store exactly once.
 //
-// drain() flushes caller-side buffers and blocks until every submitted
-// event is inserted — the deterministic flush point virtual-time tests
-// and the pipeline's end-of-run accounting rely on.
+// drain() blocks until every submitted event is inserted, then commits
+// every shard — the deterministic flush and durability point virtual-time
+// tests and the pipeline's end-of-run accounting rely on.
 #pragma once
 
 #include <atomic>
@@ -46,15 +57,13 @@ struct IngestConfig {
   /// preserving pre-executor behaviour).  Clamped to the shard count —
   /// extra workers would own no shards.
   std::size_t workers = 0;
-  /// Per-shard queue capacity, in batches.  Small values exercise
+  /// Per-shard ring capacity, in rows.  Small values exercise
   /// back-pressure (the property tests run with capacity 1).
-  std::size_t queue_capacity = 64;
-  /// Events buffered per shard on the caller side before a batch is
-  /// enqueued (amortises queue locking).  drain() flushes partial batches.
-  std::size_t batch = 64;
-  /// Test seam: the inserting worker calls this once per dequeued batch
-  /// before inserting it.  Lets tests stall workers deterministically to
-  /// force back-pressure (see the ingest back-pressure test).
+  std::size_t queue_capacity = 4096;
+  /// Test seam: the inserting worker calls this once per commit group,
+  /// after the group's rows are fixed and before inserting them.  Lets
+  /// tests stall workers deterministically to force back-pressure or to
+  /// cut groups at chosen points (see the ingest tests).
   std::function<void()> commit_hook;
   /// Writer placement: worker w pins itself to pin_cpus[w % size()] at
   /// startup; empty (the default) = no pinning.  Resolve the
@@ -67,7 +76,7 @@ struct IngestConfig {
 struct IngestStats {
   std::uint64_t submitted = 0;  // events accepted by submit()
   std::uint64_t inserted = 0;   // events inserted into containers
-  std::uint64_t batches = 0;    // batches enqueued
+  std::uint64_t batches = 0;    // commit groups the workers committed
   std::uint64_t backpressure_waits = 0;  // pushes that had to block
   /// Total real (wall-clock) ns submit() spent blocked on full shard
   /// queues; also recorded per wait into dlc.ingest.backpressure_wait_ns.
@@ -85,8 +94,8 @@ class IngestExecutor {
   IngestExecutor(const IngestExecutor&) = delete;
   IngestExecutor& operator=(const IngestExecutor&) = delete;
 
-  /// Routes the event and either inserts inline (serial mode) or buffers
-  /// it toward its shard's queue.  Call from ONE thread (the decoder);
+  /// Routes the event and either inserts inline (serial mode) or pushes
+  /// it onto its shard's ring.  Call from ONE thread (the decoder);
   /// routing order is what makes parallel ingest deterministic.
   void submit(Object obj);
 
@@ -103,8 +112,9 @@ class IngestExecutor {
     collector_ = collector;
   }
 
-  /// Flushes partial batches and blocks until everything submitted so far
-  /// has been inserted.  The executor remains usable afterwards.
+  /// Cuts every writer's linger short, blocks until everything submitted
+  /// so far has been inserted, then commits every shard.  The executor
+  /// remains usable afterwards.
   void drain();
 
   std::size_t workers() const { return threads_.size(); }
@@ -121,7 +131,7 @@ class IngestExecutor {
 
  private:
   struct Worker {
-    // Lock hierarchy: IngestWorker is a leaf (the wakeup predicate polls
+    // Lock hierarchy: IngestWorker is a leaf (the wakeup predicates poll
     // the rings' lock-free sizes under m); see DESIGN.md "Concurrency
     // invariants & lock hierarchy".
     util::Mutex m{"IngestWorker"};
@@ -132,41 +142,50 @@ class IngestExecutor {
     std::atomic<int> last_cpu{-1};
   };
 
-  /// One enqueued unit: a run of routed objects plus the sampled traces
-  /// riding on some of them (sparse — typically none; index into
-  /// `objects`).
-  struct Batch {
-    std::vector<Object> objects;
-    std::vector<std::pair<std::size_t, obs::TraceContext>> traces;
+  /// One ring slot: a routed row plus the sampled trace riding on it
+  /// (null for all but the sampled few).
+  struct Row {
+    Object obj;
+    std::unique_ptr<obs::TraceContext> trace;
   };
 
-  void flush_shard(std::size_t shard);
+  void enqueue(std::size_t shard, Row row);
+  static void wake(Worker& worker);
+  bool has_rows(std::size_t w, std::size_t rows) const;
+  std::uint64_t commit_queued(std::size_t w);
   void worker_loop(std::size_t w);
 
   DsosCluster& cluster_;
   IngestConfig config_;
   obs::TraceCollector* collector_ = nullptr;
 
-  // One queue of event batches per shard.  Every queue is a strict
+  // One ring of rows per shard.  Every ring is a strict
   // 1-producer/1-consumer edge — submit() is single-threaded by contract
   // (the decoder thread, which is also the drain() caller) and worker
   // (shard % workers) is the only consumer — so each is a lock-free
   // SpscRing: steady-state enqueue/dequeue never touches a mutex, and
   // each Container keeps its single-writer invariant.
-  std::vector<std::unique_ptr<SpscRing<Batch>>> queues_;
-  std::vector<Batch> pending_;  // caller-side batch buffers
+  std::vector<std::unique_ptr<SpscRing<Row>>> queues_;
+  // Ring depth each shard showed after the submitter's last push (its
+  // own bookkeeping; a depth below capacity means the next push cannot
+  // block, so only a possibly-blocking push reads the clock).
+  std::vector<std::size_t> depth_;
+  std::size_t group_rows_ = 0;  // a full group: min(64, queue_capacity)
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<util::Thread> threads_;
 
   // atomic-protocol: kind=flag pairs=worker_loop-wakeup-predicate
   std::atomic<bool> stop_{false};
+  // Set by drain() while it waits: lingering writers commit at once.
+  // atomic-protocol: kind=flag pairs=worker_loop-linger-predicate
+  std::atomic<bool> draining_{false};
 
-  // Written only by the submitting thread (which is also the drain()
-  // caller) but read by stats() from ANY thread — the annotation pass
-  // flagged the previous plain-uint64 fields as unguarded cross-thread
-  // reads, so they are relaxed atomics now (single writer, monotonic;
-  // no ordering required).  inserted_ is multi-writer and stays guarded
-  // by done_m_, which also serves the drain() wakeup.
+  // Read by stats() from ANY thread — the annotation pass flagged the
+  // previous plain-uint64 fields as unguarded cross-thread reads, so they
+  // are relaxed atomics (monotonic; no ordering required).  The submitting
+  // thread writes submitted_ and the back-pressure counters; the workers
+  // add their commit groups to batches_.  inserted_ is multi-writer and
+  // stays guarded by done_m_, which also serves the drain() wakeup.
   // atomic-protocol: kind=counter pairs=IngestExecutor::stats/drain
   std::atomic<std::uint64_t> submitted_{0};
   // atomic-protocol: kind=counter pairs=IngestExecutor::stats

@@ -17,6 +17,7 @@
 // invariants & lock hierarchy".
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -155,6 +156,15 @@ class CondVar {
   template <typename Pred>
   void wait(UniqueLock& lock, Pred pred) DLC_NO_THREAD_SAFETY_ANALYSIS {
     cv_.wait(lock.native(), std::move(pred));
+  }
+
+  /// Deadline wait (the ingest writer's linger).  Returns the
+  /// predicate's value at wake-up: false means the deadline passed first.
+  template <typename Clock, typename Duration, typename Pred>
+  bool wait_until(UniqueLock& lock,
+                  const std::chrono::time_point<Clock, Duration>& deadline,
+                  Pred pred) DLC_NO_THREAD_SAFETY_ANALYSIS {
+    return cv_.wait_until(lock.native(), deadline, std::move(pred));
   }
 
  private:

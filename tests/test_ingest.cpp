@@ -1,12 +1,17 @@
 // Tests for the sharded ingest executor: parallel ingest must be
 // indistinguishable from serial ingest (same routing, same per-shard
-// insertion order, byte-identical query results) across worker counts and
-// under queue-full back-pressure.
+// insertion order, byte-identical query results and rollup cells) across
+// worker counts, under queue-full back-pressure and wherever a commit
+// group is cut; and a row must commit without drain().
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -14,8 +19,12 @@
 #include "dsos/csv.hpp"
 #include "dsos/ingest.hpp"
 #include "dsos/schema.hpp"
+#include "rollup/engine.hpp"
+#include "rollup/policy.hpp"
+#include "rollup_fixtures.hpp"
 #include "util/cpu.hpp"
 #include "util/rng.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace dlc::dsos {
 namespace {
@@ -58,9 +67,10 @@ DsosCluster make_cluster(std::size_t shards, const SchemaPtr& schema) {
 
 // Full job_rank_time scan, rendered row by row: byte-identical fingerprints
 // mean identical contents in identical order.
-std::string fingerprint(DsosCluster& cluster) {
+std::string fingerprint(DsosCluster& cluster,
+                        std::string_view schema = "events") {
   std::string out;
-  for (const Object* hit : cluster.query("events", "job_rank_time")) {
+  for (const Object* hit : cluster.query(schema, "job_rank_time")) {
     out += csv_row(*hit);
     out += '\n';
   }
@@ -144,9 +154,8 @@ TEST(Ingest, BackpressureKeepsResultsIdentical) {
   IngestConfig icfg;
   icfg.workers = 2;
   icfg.queue_capacity = 1;
-  icfg.batch = 1;
-  // Hold the workers at their first dequeued batch until the releaser
-  // fires: with capacity-1 queues the submitting thread is then
+  // Hold the workers at their first commit group until the releaser
+  // fires: with capacity-1 rings the submitting thread is then
   // guaranteed to block in push_wait, so the back-pressure duration
   // counters must come back nonzero (not just "may, depending on
   // scheduling").
@@ -163,7 +172,7 @@ TEST(Ingest, BackpressureKeepsResultsIdentical) {
   IngestStats stats;
   EXPECT_EQ(ingest_fingerprint(2, icfg, schema, events, &stats), serial);
   releaser.join();
-  // batch=1 => one enqueued batch per event.
+  // A capacity-1 ring holds one row, so every commit group is one event.
   EXPECT_EQ(stats.batches, events.size());
   EXPECT_EQ(stats.inserted, events.size());
   EXPECT_GT(stats.backpressure_waits, 0u);
@@ -233,7 +242,6 @@ TEST(Ingest, StatsReadableWhileIngesting) {
   DsosCluster cluster = make_cluster(4, schema);
   IngestConfig icfg;
   icfg.workers = 4;
-  icfg.batch = 4;
   IngestExecutor ex(cluster, icfg);
 
   std::atomic<bool> done{false};
@@ -258,6 +266,192 @@ TEST(Ingest, StatsReadableWhileIngesting) {
   const IngestStats s = ex.stats();
   EXPECT_EQ(s.submitted, 2000u);
   EXPECT_EQ(s.inserted, 2000u);
+}
+
+// ------------------------------------------------------ group commit ----
+
+/// Commit observer on one container: records how many rows it held at
+/// its latest commit and lets the test wait for a count, with a deadline
+/// instead of a fixed sleep.
+class CommitWatch final : public CommitSink {
+ public:
+  explicit CommitWatch(const Container& container) : container_(container) {}
+  void on_insert(const Object&) override {}
+  bool on_commit() override {
+    {
+      const util::LockGuard lock(m_);
+      committed_ = container_.size();
+    }
+    cv_.notify_all();
+    return true;
+  }
+  /// True once `rows` rows are committed; false when 5 s pass first.
+  bool wait_for_rows(std::size_t rows) {
+    util::UniqueLock lock(m_);
+    return cv_.wait_until(
+        lock, std::chrono::steady_clock::now() + std::chrono::seconds(5),
+        [&]() DLC_REQUIRES(m_) { return committed_ >= rows; });
+  }
+
+ private:
+  const Container& container_;
+  util::Mutex m_{"CommitWatch"};
+  util::CondVar cv_;
+  std::size_t committed_ DLC_GUARDED_BY(m_) = 0;
+};
+
+// A lone row, and the tail behind a full group, commit within the
+// writer's linger: nothing waits for a batch to fill or for drain().
+TEST(Ingest, IdleRowBecomesVisibleWithoutDrain) {
+  const auto schema = test_schema();
+  DsosCluster cluster = make_cluster(2, schema);
+  std::vector<std::unique_ptr<CommitWatch>> watches;
+  for (std::size_t s = 0; s < cluster.shard_count(); ++s) {
+    watches.push_back(
+        std::make_unique<CommitWatch>(cluster.shard(s).container()));
+    cluster.shard(s).container().add_observer(watches.back().get());
+  }
+  auto row = [&](double ts) {
+    return make_object(schema, {std::uint64_t{1}, std::int64_t{3}, ts,
+                                std::string("write"), 0.5});
+  };
+  const std::size_t shard = cluster.route(row(0.0));
+  {
+    IngestConfig icfg;
+    icfg.workers = 2;
+    IngestExecutor ex(cluster, icfg);
+    ex.submit(row(0.0));
+    EXPECT_TRUE(watches[shard]->wait_for_rows(1))
+        << "a lone row was not committed without drain()";
+    for (int i = 1; i <= 65; ++i) ex.submit(row(i));  // a group plus a tail
+    EXPECT_TRUE(watches[shard]->wait_for_rows(66))
+        << "the rows behind a full group were not committed without drain()";
+    EXPECT_EQ(cluster.shard(shard).container().size(), 66u);
+    EXPECT_EQ(ex.stats().submitted, 66u);
+  }
+  for (std::size_t s = 0; s < cluster.shard_count(); ++s) {
+    cluster.shard(s).container().remove_observer(watches[s].get());
+  }
+}
+
+/// Rows on a coarse, non-decreasing clock over few ranks: many rows share
+/// a (job, rank, time) key, so the job_rank_time scan shows the order they
+/// were inserted in, and no row falls behind a sealed rollup bucket.
+std::vector<Object> tied_events(const SchemaPtr& schema, std::size_t n,
+                                std::uint64_t seed) {
+  const char* ops[] = {"read", "write", "open", "close"};
+  Rng rng(seed);
+  std::vector<Object> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t rank = rng.uniform_int(0, 3);
+    const std::string op = ops[rng.uniform_int(0, 3)];
+    const double ts = 100.0 + 0.25 * static_cast<double>(i / 8);
+    out.push_back(make_object(
+        schema, {std::string("POSIX"), "nid0004" + std::to_string(rank % 2),
+                 rank, std::uint64_t{1}, op, rng.uniform(1e-4, 0.01),
+                 rng.uniform_int(0, 4096), ts}));
+  }
+  return out;
+}
+
+struct GroupRun {
+  std::string rows;                          // job_rank_time scan
+  std::map<std::string, std::string> cells;  // policy -> cells
+  std::uint64_t late_dropped = 0;
+  IngestStats stats;
+};
+
+/// Ingests `events` into a one-shard cluster with the default rollup
+/// policies attached (short buckets, no grace, so cells seal between
+/// groups).  `groups` empty: serial ingest.  Otherwise one writer
+/// commits exactly those group sizes: its commit_hook holds each group
+/// until the next one is queued behind it, and the submitter queues a
+/// group only once the writer has fixed the one before.
+GroupRun ingest_in_groups(const SchemaPtr& schema,
+                          const std::vector<Object>& events,
+                          const std::vector<std::size_t>& groups) {
+  std::vector<rollup::PolicyConfig> policies =
+      rollup::default_rollup_policies();
+  for (rollup::PolicyConfig& p : policies) {
+    p.bucket_s = std::min(p.bucket_s, 10.0);
+    p.grace_s = 0.0;
+  }
+  DsosCluster cluster = make_cluster(1, schema);
+  rollup::RollupEngineConfig rcfg;
+  rcfg.policies = policies;
+  rollup::RollupEngine engine(rcfg);
+  engine.attach(cluster);
+  std::vector<std::size_t> through;  // rows in groups 0..g
+  for (const std::size_t g : groups) {
+    through.push_back(g + (through.empty() ? 0 : through.back()));
+  }
+  if (groups.empty()) through.push_back(events.size());
+  std::atomic<std::size_t> fixed{0};   // groups the writer has fixed
+  std::atomic<std::size_t> pushed{0};  // rows submitted
+  IngestConfig icfg;
+  icfg.workers = groups.empty() ? 0 : 1;
+  icfg.commit_hook = [&] {
+    const std::size_t g = fixed.load(std::memory_order_relaxed);
+    fixed.store(g + 1, std::memory_order_release);
+    const std::size_t want =
+        g + 1 < through.size() ? through[g + 1] : events.size();
+    while (pushed.load(std::memory_order_acquire) < want) {
+      std::this_thread::yield();
+    }
+  };
+  GroupRun run;
+  {
+    IngestExecutor ex(cluster, icfg);
+    std::size_t next = 0;
+    for (std::size_t g = 0; g < through.size(); ++g) {
+      while (fixed.load(std::memory_order_acquire) < g) {
+        std::this_thread::yield();
+      }
+      for (; next < through[g]; ++next) {
+        ex.submit(events[next]);
+        pushed.store(next + 1, std::memory_order_release);
+      }
+    }
+    ex.drain();
+    run.stats = ex.stats();
+  }
+  engine.flush();
+  run.rows = fingerprint(cluster, "darshan_data");
+  for (const rollup::PolicyConfig& p : policies) {
+    run.cells[p.name] = rollup::cell_fingerprint(engine.query(p.name, {}));
+  }
+  run.late_dropped = engine.stats().late_dropped;
+  engine.detach();
+  return run;
+}
+
+// Wherever the linger or a full group cuts a commit group, the stored
+// rows and every rollup cell are those of serial ingest.  Groups of
+// 1..130 rows (a lone row, partial groups, and past one and two full
+// groups) are forced through the commit hook, not by timing.
+TEST(Ingest, GroupsCutAtAnyPointMatchSerial) {
+  const auto schema = rollup::rollup_schema();
+  Rng rng(61);
+  std::vector<std::size_t> groups = {1};  // the row that wakes the writer
+  std::size_t total = 1;
+  while (total < 2500) {
+    groups.push_back(static_cast<std::size_t>(rng.uniform_int(1, 130)));
+    total += groups.back();
+  }
+  const std::vector<Object> events = tied_events(schema, total, 67);
+  const GroupRun serial = ingest_in_groups(schema, events, {});
+  const GroupRun grouped = ingest_in_groups(schema, events, groups);
+  ASSERT_FALSE(serial.rows.empty());
+  EXPECT_EQ(grouped.rows, serial.rows);
+  EXPECT_EQ(grouped.stats.batches, groups.size());
+  EXPECT_EQ(grouped.stats.inserted, total);
+  EXPECT_EQ(serial.late_dropped, 0u);
+  EXPECT_EQ(grouped.late_dropped, 0u);
+  for (const auto& [policy, cells] : serial.cells) {
+    EXPECT_FALSE(cells.empty()) << policy;
+    EXPECT_EQ(grouped.cells.at(policy), cells) << policy;
+  }
 }
 
 // -------------------------------------------------------- writer pinning ----

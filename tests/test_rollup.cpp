@@ -34,6 +34,7 @@
 #include "rollup/engine.hpp"
 #include "rollup/policy.hpp"
 #include "rollup/serve.hpp"
+#include "rollup_fixtures.hpp"
 #include "store/store.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -65,22 +66,6 @@ class TempDir {
 };
 
 std::atomic<int> TempDir::counter_{0};
-
-/// The Table I subset the engine folds (full darshan_data in prod).
-dsos::SchemaPtr test_schema() {
-  using dsos::AttrType;
-  return dsos::SchemaBuilder("darshan_data")
-      .attr("module", AttrType::kString)
-      .attr("ProducerName", AttrType::kString)
-      .attr("rank", AttrType::kInt64)
-      .attr("job_id", AttrType::kUint64)
-      .attr("op", AttrType::kString)
-      .attr("seg_dur", AttrType::kDouble)
-      .attr("seg_len", AttrType::kInt64)
-      .attr("seg_timestamp", AttrType::kTimestamp)
-      .index("job_rank_time", {"job_id", "rank", "seg_timestamp"})
-      .build();
-}
 
 dsos::Object event(const dsos::SchemaPtr& s, std::uint64_t job,
                    std::int64_t rank, const std::string& op, double ts,
@@ -137,31 +122,6 @@ std::map<CellKey, CellAgg> reference_cells(const dsos::DsosCluster& db,
       shard_cells[key].add(obj.as_int("seg_len"), obj.as_double("seg_dur"));
     }
     for (const auto& [key, agg] : shard_cells) out[key].merge(agg);
-  }
-  return out;
-}
-
-/// Canonical byte rendering of one policy's query results (hex-float
-/// doubles: "identical" means bit-identical).
-std::string cell_fingerprint(const std::vector<RollupCell>& cells) {
-  std::string out;
-  char buf[128];
-  for (const RollupCell& c : cells) {
-    std::snprintf(buf, sizeof(buf), "%llu|%s|%lld|%s|%s|%lld|%a|%a|",
-                  static_cast<unsigned long long>(c.key.job),
-                  c.key.producer.c_str(),
-                  static_cast<long long>(c.key.rank), c.key.op.c_str(),
-                  c.key.module.c_str(),
-                  static_cast<long long>(c.key.bucket), c.bucket_start,
-                  c.bucket_w);
-    out += buf;
-    std::snprintf(buf, sizeof(buf), "%llu|%llu|%a|%a|%a|",
-                  static_cast<unsigned long long>(c.agg.count),
-                  static_cast<unsigned long long>(c.agg.bytes),
-                  c.agg.dur_sum, c.agg.dur_min, c.agg.dur_max);
-    out += buf;
-    out += c.agg.dur_hist.encode();
-    out += '\n';
   }
   return out;
 }
@@ -373,7 +333,7 @@ PolicySet must_parse(const std::string& text) {
 }
 
 TEST(Engine, FoldsCommittedEventsIntoProjectedCells) {
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   dsos::DsosCluster db(cluster_config(2));
   db.register_schema(s);
   RollupEngineConfig cfg;
@@ -416,7 +376,7 @@ TEST(Engine, FoldsCommittedEventsIntoProjectedCells) {
 }
 
 TEST(Engine, FoldedRowShowsInItsOpenCellBeforeAnyCommit) {
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   dsos::DsosCluster db(cluster_config(2));
   db.register_schema(s);
   RollupEngineConfig cfg;
@@ -437,7 +397,7 @@ TEST(Engine, FoldedRowShowsInItsOpenCellBeforeAnyCommit) {
 }
 
 TEST(Engine, MatchClausesFilterBeforeFolding) {
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   dsos::DsosCluster db(cluster_config(1));
   db.register_schema(s);
   RollupEngineConfig cfg;
@@ -457,7 +417,7 @@ TEST(Engine, MatchClausesFilterBeforeFolding) {
 }
 
 TEST(Engine, SealsPastTheWatermarkAndMergesSealedWithOpen) {
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   dsos::DsosCluster db(cluster_config(2));
   db.register_schema(s);
   RollupEngineConfig cfg;
@@ -497,7 +457,7 @@ TEST(Engine, SealsPastTheWatermarkAndMergesSealedWithOpen) {
 }
 
 TEST(Engine, LateEventsBehindTheSealedFrontierAreDroppedAndCounted) {
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   dsos::DsosCluster db(cluster_config(1));
   db.register_schema(s);
   RollupEngineConfig cfg;
@@ -519,7 +479,7 @@ TEST(Engine, LateEventsBehindTheSealedFrontierAreDroppedAndCounted) {
 }
 
 TEST(Engine, ReBucketQueriesMergeIntegerMultiplesOnly) {
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   dsos::DsosCluster db(cluster_config(1));
   db.register_schema(s);
   RollupEngineConfig cfg;
@@ -549,7 +509,7 @@ TEST(Engine, ReBucketQueriesMergeIntegerMultiplesOnly) {
 }
 
 TEST(Engine, AttachIsIdempotentPerClusterAndExclusive) {
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   dsos::DsosCluster db(cluster_config(1));
   db.register_schema(s);
   RollupEngineConfig cfg;
@@ -568,7 +528,7 @@ TEST(Engine, AttachIsIdempotentPerClusterAndExclusive) {
 }
 
 TEST(Engine, StatusJsonReportsPoliciesAndTotals) {
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   dsos::DsosCluster db(cluster_config(1));
   db.register_schema(s);
   RollupEngineConfig cfg;
@@ -629,7 +589,7 @@ TEST(Serve, CoveringPolicyPrefersTheTightestProjection) {
 /// rollup cell must equal the raw-scan aggregate of what the cluster
 /// actually stored, bit-exactly — the "dashboards never lie" property.
 TEST(EquivalenceProperty, RandomStreamsWithDupsAndReorderMatchRawScan) {
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   const std::vector<PolicyConfig> policies =
       must_parse("ops key=job_id,op bucket=60s;"
                  "nodes key=job_id,ProducerName,op bucket=60s "
@@ -730,7 +690,7 @@ TEST(EquivalenceProperty, AtLeastOncePipelineRollupsMatchRawScan) {
 /// whole, so a policy's total count never falls; after drain() the
 /// cells equal a serial run's, bit for bit.
 TEST(EquivalenceProperty, ReaderRacingParallelWritersSeesSerialCells) {
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   const char* ops[] = {"read", "write", "open", "close"};
   std::vector<PolicyConfig> policies = default_rollup_policies();
   for (PolicyConfig& p : policies) {
@@ -827,7 +787,7 @@ TEST(Spill, FailedGroupCommitDeadensTheEngine) {
   }
   const TempDir dir("devfull");
   fsys::create_symlink("/dev/full", fsys::path(dir.path()) / "wal-0.log");
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   dsos::DsosCluster db(cluster_config(2));
   db.register_schema(s);
   RollupEngine engine(spill_config("ops key=job_id,op bucket=10s", dir.path()));
@@ -852,7 +812,7 @@ TEST(Spill, DurableEngineKeepsNoSpilledRow) {
   // A spilled batch lives on in the sealed maps and the WAL, so a
   // durable engine's heap may exceed a memory engine's over the same
   // stream only by a bounded log state, not by a copy of every row.
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   std::vector<dsos::Object> stream;
   for (int bucket = 0; bucket < 700; ++bucket) {
     for (std::int64_t rank = 0; rank < 4; ++rank) {
@@ -898,7 +858,7 @@ TEST(Spill, DurableEngineKeepsNoSpilledRow) {
 /// answer every policy query byte-identically to an uninterrupted run.
 void run_rollup_crash_campaign(const std::string& dir,
                                const std::string& plan_text) {
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   const char* ops[] = {"read", "write", "open", "close"};
   const auto make_stream = [&] {
     Rng rng(5);
@@ -1015,7 +975,7 @@ TEST(CrashCampaign, RawWalLossNeverLeavesDurableRollupsAhead) {
   // actually recovered.
   const TempDir raw_dir("rawloss_raw");
   const TempDir roll_dir("rawloss_roll");
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   const char* ops[] = {"read", "write", "open", "close"};
   Rng rng(9);
   std::vector<dsos::Object> stream;
@@ -1108,7 +1068,7 @@ TEST(CrashCampaign, SealedRollupsSurviveRestartWithoutRawReplay) {
   // Seal everything, restart over an EMPTY raw cluster: every sealed
   // cell must still be served, purely from the spill log.
   const TempDir dir("restart");
-  const auto s = test_schema();
+  const auto s = rollup_schema();
   RollupEngineConfig cfg;
   cfg.policies = must_parse("ops key=job_id,op bucket=10s").policies;
   cfg.store_mode = store::StoreMode::kTiered;
@@ -1159,7 +1119,7 @@ std::string attach_error_over_spilled_row(const std::string& dir,
     EXPECT_TRUE(spill.commit(0, {&row}));
   }
   dsos::DsosCluster db(cluster_config(2));
-  db.register_schema(test_schema());
+  db.register_schema(rollup_schema());
   RollupEngineConfig cfg;
   cfg.policies = must_parse("ops key=job_id,op bucket=10s").policies;
   cfg.store_mode = store::StoreMode::kTiered;

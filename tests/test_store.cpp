@@ -729,7 +729,6 @@ TEST(Store, ParallelIngestExecutorCommitsDurably) {
     st.open(db);
     dsos::IngestConfig icfg;
     icfg.workers = 2;
-    icfg.batch = 16;
     dsos::IngestExecutor exec(db, icfg);
     for (const auto& e : events) exec.submit(e);
     exec.drain();  // durability barrier: every shard group-committed
