@@ -63,8 +63,8 @@ struct QueryFixture {
 
 // Query: one rank of one job over time (the paper's example query).
 const dsos::Filter kRankQuery{
-    {"job_id", dsos::Cmp::kEq, std::uint64_t{3}},
-    {"rank", dsos::Cmp::kEq, std::int64_t{7}},
+    {"job_id", std::uint64_t{3}},
+    {"rank", std::int64_t{7}},
 };
 
 void BM_DsosQuery_JobRankTime(benchmark::State& state) {

@@ -1,8 +1,7 @@
-// Storage-side ingest/query benchmark: serial vs parallel sharded ingest,
-// and zone-map-pruned vs unpruned partitioned queries.
+// Storage-side ingest benchmark: serial vs parallel sharded ingest.
 //
 // The DSOS tier exists so decoded Darshan events can be stored and
-// range-queried in parallel across dsosd shards; this benchmark measures
+// queried in parallel across dsosd shards; this benchmark measures
 // whether the reproduction's sink actually scales.  For each shard count
 // it decodes the SAME pre-rendered connector JSON payloads (the zero-copy
 // scanner — the decoder's real path) and ingests them
@@ -11,9 +10,7 @@
 //              one worker per shard,
 // then verifies the two clusters are BYTE-IDENTICAL under a full
 // job_rank_time query (fatal on mismatch, --check or not: determinism is
-// correctness, not performance).  A second phase measures zone-map
-// pruning over eight time-windowed dsos::Containers and limit pushdown
-// on the cluster k-way merge.
+// correctness, not performance).
 //
 // Two further phases measure the multi-million-events/sec hot path:
 //
@@ -44,10 +41,8 @@
 // mask and any cgroup quota, so a 64-core host confined to one core does
 // not enforce an impossible gate — reports >= 4; otherwise the gate
 // prints a loud SKIPPED marker, the same reasoning that keeps timing
-// gates out of sanitizer builds), and pruned queries no slower than
-// unpruned.  Scale knob: DLC_INGEST_EVENTS.
+// gates out of sanitizer builds).  Scale knob: DLC_INGEST_EVENTS.
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -62,7 +57,6 @@
 #include "darshan/events.hpp"
 #include "dsos/cluster.hpp"
 #include "dsos/ingest.hpp"
-#include "dsos/container.hpp"
 #include "exp/table.hpp"
 #include "json/writer.hpp"
 #include "util/cpu.hpp"
@@ -426,7 +420,6 @@ StageNs measure_stage_ns(const dsos::SchemaPtr& schema,
 int main(int argc, char** argv) {
   const bool check = argc > 1 && std::string(argv[1]) == "--check";
   const std::size_t events = env_size("DLC_INGEST_EVENTS", 60000);
-  const std::size_t query_iters = env_size("DLC_INGEST_QUERY_ITERS", 200);
   const auto schema = core::darshan_data_schema();
 
   std::printf("== DSOS ingest: serial vs parallel sharded executor ==\n\n");
@@ -525,94 +518,6 @@ int main(int argc, char** argv) {
   std::printf("  vs committed JSON baseline %.0f ev/s: %.2fx\n\n",
               kCommittedParallelEps, hot_speedup);
 
-  // Phase 2: zone-map pruning over time-windowed containers.  Each
-  // partition is one Container holding one timestamp window, and the
-  // filter targets the last window — with zone maps every older
-  // partition is skipped.
-  constexpr std::size_t kPartitions = 8;
-  std::array<dsos::Container, kPartitions> windows;
-  for (dsos::Container& w : windows) w.register_schema(schema);
-  {
-    std::vector<dsos::Object> rows;
-    const std::size_t per_part = (events + kPartitions - 1) / kPartitions;
-    std::size_t in_part = 0, part = 0;
-    for (const std::string& p : payloads) {
-      if (in_part == per_part && part + 1 < kPartitions) {
-        ++part;
-        in_part = 0;
-      }
-      decode_payload(schema, p, rows);
-      for (auto& obj : rows) windows[part].insert(std::move(obj));
-      ++in_part;
-    }
-  }
-  const auto zone_pruned = [&windows] {
-    std::uint64_t total = 0;
-    for (const dsos::Container& w : windows) total += w.zone_pruned();
-    return total;
-  };
-  // Timestamps advance 1 ms per event: the filter selects the final 5% of
-  // the time range, entirely inside the last partition.
-  const double t_hi = 1.6e9 + 0.001 * static_cast<double>(events);
-  const double t_lo = t_hi - 0.05 * 0.001 * static_cast<double>(events);
-  const dsos::Filter time_filter{
-      {"seg_timestamp", dsos::Cmp::kGe, t_lo},
-      {"seg_timestamp", dsos::Cmp::kLt, t_hi},
-  };
-  const auto time_queries = [&](bool zone_maps) {
-    for (dsos::Container& w : windows) w.set_zone_maps(zone_maps);
-    std::size_t hits = 0;
-    const double t0 = now_seconds();
-    for (std::size_t i = 0; i < query_iters; ++i) {
-      hits = 0;
-      for (const dsos::Container& w : windows) {
-        hits += w.select("darshan_data", "time", time_filter).size();
-      }
-    }
-    const double dt = now_seconds() - t0;
-    return std::pair<double, std::size_t>(dt, hits);
-  };
-  const auto [unpruned_s, unpruned_hits] = time_queries(false);
-  const std::uint64_t pruned_before = zone_pruned();
-  const auto [pruned_s, pruned_hits] = time_queries(true);
-  const std::uint64_t pruned_parts =
-      (zone_pruned() - pruned_before) / query_iters;
-
-  std::printf("Partitioned time-range query (%zu partitions, last-window "
-              "filter, %zu iterations):\n",
-              kPartitions, query_iters);
-  std::printf("  zone maps off: %8.2f ms  (%zu hits)\n", unpruned_s * 1e3,
-              unpruned_hits);
-  std::printf("  zone maps on:  %8.2f ms  (%zu hits, %llu/%zu partitions "
-              "pruned per query)\n",
-              pruned_s * 1e3, pruned_hits,
-              static_cast<unsigned long long>(pruned_parts), kPartitions);
-  const double pruned_speedup = pruned_s > 0 ? unpruned_s / pruned_s : 0.0;
-  std::printf("  pruning speedup: %.2fx\n\n", pruned_speedup);
-
-  // Phase 3: limit pushdown through the cluster k-way merge.
-  const auto limit_cluster = run_serial(schema, 4, payloads).cluster;
-  constexpr std::size_t kLimit = 100;
-  double full_s, limited_s;
-  {
-    const double t0 = now_seconds();
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < query_iters; ++i) {
-      n = limit_cluster->query("darshan_data", "job_rank_time").size();
-    }
-    full_s = now_seconds() - t0;
-    const double t1 = now_seconds();
-    std::size_t m = 0;
-    for (std::size_t i = 0; i < query_iters; ++i) {
-      m = limit_cluster->query("darshan_data", "job_rank_time", {}, kLimit)
-              .size();
-    }
-    limited_s = now_seconds() - t1;
-    std::printf("Cluster query limit pushdown (%zu iterations): full %zu "
-                "hits in %.2f ms, limit %zu -> %zu hits in %.2f ms\n\n",
-                query_iters, n, full_s * 1e3, kLimit, m, limited_s * 1e3);
-  }
-
   // BENCH_ingest.json — the repo's benchmark trajectory artifact.
   {
     const char* out_path = std::getenv("DLC_BENCH_OUT");
@@ -679,22 +584,6 @@ int main(int argc, char** argv) {
     w.member("rows_per_commit", hot.rows_per_commit);
     w.member("byte_identical", hot_identical);
     w.end_object();
-    w.key("zone_map_query");
-    w.begin_object();
-    w.member("partitions", static_cast<std::uint64_t>(kPartitions));
-    w.member("query_iters", static_cast<std::uint64_t>(query_iters));
-    w.member("unpruned_ms", unpruned_s * 1e3);
-    w.member("pruned_ms", pruned_s * 1e3);
-    w.member("partitions_pruned_per_query",
-             static_cast<std::uint64_t>(pruned_parts));
-    w.member("pruning_speedup", pruned_speedup);
-    w.end_object();
-    w.key("limit_query");
-    w.begin_object();
-    w.member("limit", static_cast<std::uint64_t>(kLimit));
-    w.member("full_ms", full_s * 1e3);
-    w.member("limited_ms", limited_s * 1e3);
-    w.end_object();
     w.end_object();
     std::ofstream out(path);
     out << w.str() << "\n";
@@ -708,8 +597,6 @@ int main(int argc, char** argv) {
   gate(hot_identical,
        "binary hot path: pinned-parallel and serial cursor ingest are "
        "byte-identical");
-  gate(pruned_hits == unpruned_hits,
-       "zone-map pruning returns identical hits");
   if (check) {
     // The speedup gate needs real parallelism to be meaningful: the caller
     // thread decodes while >= 4 workers insert, so when the process can
@@ -762,8 +649,6 @@ int main(int argc, char** argv) {
         gate(hot_speedup >= 5.0, buf);
       }
     }
-    gate(pruned_parts > 0, "zone maps prune at least one partition");
-    gate(pruned_s <= unpruned_s, "pruned queries are no slower");
   }
 
   if (!ok) {

@@ -68,7 +68,7 @@ bool parse_condition(const dsos::SchemaPtr& schema, const std::string& token,
   auto value =
       dsos::parse_value(schema->attrs()[*attr_id].type, token.substr(eq + 1));
   if (!value) return false;
-  filter.push_back({attr, dsos::Cmp::kEq, std::move(*value)});
+  filter.push_back({attr, std::move(*value)});
   return true;
 }
 

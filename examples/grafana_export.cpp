@@ -26,8 +26,7 @@ int main() {
               static_cast<unsigned long long>(
                   result.dsos
                       ->query("darshan_data", "time",
-                              dsos::Filter{{"module", dsos::Cmp::kEq,
-                                            std::string("H5D")}})
+                              dsos::Filter{{"module", std::string("H5D")}})
                       .size()));
 
   const std::filesystem::path out_dir = "dlc_export";

@@ -45,8 +45,7 @@ int main() {
   //    joint index.
   const auto rows = result.dsos->query(
       "darshan_data", "job_rank_time",
-      dsos::Filter{{"job_id", dsos::Cmp::kEq, std::uint64_t{101}},
-                   {"rank", dsos::Cmp::kEq, std::int64_t{3}}});
+      dsos::Filter{{"job_id", std::uint64_t{101}}, {"rank", std::int64_t{3}}});
   std::printf("rank 3 timeline (%zu events):\n", rows.size());
   std::printf("  %-6s %-7s %12s %10s %12s\n", "op", "module", "offset",
               "bytes", "dur (s)");

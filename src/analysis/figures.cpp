@@ -43,9 +43,8 @@ JobRows job_rows(const dsos::DsosCluster& db,
                  const std::vector<std::uint64_t>& job_ids) {
   JobRows out;
   for (const std::uint64_t job : job_ids) {
-    const auto rows = db.query(
-        kSchema, "job_time_rank",
-        dsos::Filter{{"job_id", dsos::Cmp::kEq, std::uint64_t{job}}});
+    const auto rows = db.query(kSchema, "job_time_rank",
+                               dsos::Filter{{"job_id", std::uint64_t{job}}});
     out.rows.insert(out.rows.end(), rows.begin(), rows.end());
   }
   if (!out.rows.empty()) out.schema = out.rows.front()->schema.get();

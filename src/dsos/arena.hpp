@@ -39,18 +39,14 @@ class Arena {
     if (n == 0) return nullptr;
     if (n > chunk_bytes_) {
       big_chunks_.push_back(std::make_unique<char[]>(n));
-      reserved_ += n;
-      used_ += n;
       return big_chunks_.back().get();
     }
     if (chunks_.empty() || chunk_used_ + n > chunk_bytes_) {
       chunks_.push_back(std::make_unique<char[]>(chunk_bytes_));
-      reserved_ += chunk_bytes_;
       chunk_used_ = 0;
     }
     char* p = chunks_.back().get() + chunk_used_;
     chunk_used_ += n;
-    used_ += n;
     return p;
   }
 
@@ -62,18 +58,11 @@ class Arena {
     return {p, bytes.size()};
   }
 
-  /// Payload bytes handed out (excluding chunk slack).
-  std::size_t bytes_used() const { return used_; }
-  /// Bytes reserved from the system (chunk slack included).
-  std::size_t bytes_reserved() const { return reserved_; }
-
  private:
   std::size_t chunk_bytes_;
   std::vector<std::unique_ptr<char[]>> chunks_;
   std::vector<std::unique_ptr<char[]>> big_chunks_;
   std::size_t chunk_used_ = 0;
-  std::size_t used_ = 0;
-  std::size_t reserved_ = 0;
 };
 
 }  // namespace dlc::dsos

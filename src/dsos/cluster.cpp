@@ -86,11 +86,9 @@ std::size_t DsosCluster::total_objects() const {
 
 std::vector<const Object*> DsosCluster::query(std::string_view schema_name,
                                               std::string_view index_name,
-                                              const Filter& filter,
-                                              std::size_t limit) const {
+                                              const Filter& filter) const {
   const auto query_t0 = std::chrono::steady_clock::now();
-  // Fan out.  Each shard applies zone-map pruning and the limit itself
-  // (any shard might contribute up to `limit` of the merged result).
+  // Fan out: every shard scans its own prefix range of the index.
   std::vector<std::vector<QueryHit>> per_shard(shards_.size());
   if (config_.parallel_query && shards_.size() > 1) {
     std::vector<std::future<std::vector<QueryHit>>> futures;
@@ -101,10 +99,9 @@ std::vector<const Object*> DsosCluster::query(std::string_view schema_name,
       // (and likely read past) the mutating iteration state.
       Dsosd* s = shard.get();
       futures.push_back(
-          std::async(std::launch::async, [s, schema_name, index_name, &filter,
-                                          limit]() {
-            return s->container().query(schema_name, index_name, filter,
-                                        limit);
+          std::async(std::launch::async, [s, schema_name, index_name,
+                                          &filter]() {
+            return s->container().query(schema_name, index_name, filter);
           }));
     }
     for (std::size_t i = 0; i < futures.size(); ++i) {
@@ -112,8 +109,8 @@ std::vector<const Object*> DsosCluster::query(std::string_view schema_name,
     }
   } else {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
-      per_shard[i] = shards_[i]->container().query(schema_name, index_name,
-                                                   filter, limit);
+      per_shard[i] =
+          shards_[i]->container().query(schema_name, index_name, filter);
     }
   }
 
@@ -135,12 +132,11 @@ std::vector<const Object*> DsosCluster::query(std::string_view schema_name,
     if (!per_shard[s].empty()) heap.push(Cursor{s, 0});
   }
   std::vector<const Object*> merged;
-  merged.reserve(limit != 0 ? std::min(limit, total) : total);
+  merged.reserve(total);
   while (!heap.empty()) {
     Cursor cur = heap.top();
     heap.pop();
     merged.push_back(per_shard[cur.shard][cur.pos].object);
-    if (limit != 0 && merged.size() >= limit) break;  // early merge stop
     if (++cur.pos < per_shard[cur.shard].size()) heap.push(cur);
   }
   if (obs::enabled()) {

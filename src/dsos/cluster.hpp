@@ -72,13 +72,12 @@ class DsosCluster {
 
   std::size_t total_objects() const;
 
-  /// Parallel query across shards, k-way merged into global index order.
-  /// `limit` (0 = unlimited) is pushed down to every shard and stops the
-  /// merge early — the first `limit` hits in global key order.
+  /// Parallel query across shards: each shard answers with its own
+  /// prefix scan (Container::query), and the hits are k-way merged into
+  /// global index order.
   std::vector<const Object*> query(std::string_view schema_name,
                                    std::string_view index_name,
-                                   const Filter& filter = {},
-                                   std::size_t limit = 0) const;
+                                   const Filter& filter = {}) const;
 
  private:
   std::size_t shard_of(const Object& obj);

@@ -1,38 +1,28 @@
 #include "dsos/container.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 namespace dlc::dsos {
 
-bool matches(const Object& obj, const Filter& filter) {
-  for (const Condition& cond : filter) {
-    const auto attr_id = obj.schema->find_attr(cond.attr);
-    if (!attr_id) return false;
-    const int c = compare_values(obj.values[*attr_id], cond.value);
-    switch (cond.cmp) {
-      case Cmp::kEq:
-        if (c != 0) return false;
-        break;
-      case Cmp::kNe:
-        if (c == 0) return false;
-        break;
-      case Cmp::kLt:
-        if (c >= 0) return false;
-        break;
-      case Cmp::kLe:
-        if (c > 0) return false;
-        break;
-      case Cmp::kGt:
-        if (c <= 0) return false;
-        break;
-      case Cmp::kGe:
-        if (c < 0) return false;
-        break;
-    }
+namespace {
+
+/// True when `row` and `cond` encode to the same index-key bytes.  The
+/// encoding is one-to-one within a type, so a per-row check compares the
+/// values instead of encoding every scanned row: same type and value, and
+/// for doubles the same bit pattern.
+bool same_key(const Value& row, const Value& cond) {
+  const double* a = std::get_if<double>(&row);
+  const double* b = std::get_if<double>(&cond);
+  if (a != nullptr && b != nullptr) {
+    return std::bit_cast<std::uint64_t>(*a) ==
+           std::bit_cast<std::uint64_t>(*b);
   }
-  return true;
+  return row == cond;
 }
+
+}  // namespace
 
 void Container::set_commit_sink(CommitSink* sink) {
   if (sink != nullptr && sink_ != nullptr && sink_ != sink) {
@@ -64,12 +54,7 @@ void Container::register_schema(SchemaPtr schema) {
   if (schemas_.contains(schema->name())) return;
   SchemaState state;
   state.schema = schema;
-  state.zones.resize(schema->attrs().size());
-  state.indexed.assign(schema->attrs().size(), 0);
-  for (const IndexDef& def : schema->indices()) {
-    state.indices.emplace_back(def);
-    for (std::size_t attr_id : def.attr_ids) state.indexed[attr_id] = 1;
-  }
+  for (const IndexDef& def : schema->indices()) state.indices.emplace_back(def);
   schemas_.emplace(schema->name(), std::move(state));
 }
 
@@ -100,147 +85,80 @@ std::size_t Container::insert(Object obj) {
   for (Index& index : state.indices) {
     index.insert(stored, slot, key_arena_);
   }
-  for (std::size_t a = 0; a < state.zones.size(); ++a) {
-    if (!state.indexed[a]) continue;
-    Zone& z = state.zones[a];
-    const Value& v = stored.values[a];
-    if (!z.init) {
-      z.init = true;
-      z.min = v;
-      z.max = v;
-    } else {
-      if (compare_values(v, z.min) < 0) z.min = v;
-      if (compare_values(v, z.max) > 0) z.max = v;
-    }
-  }
   if (sink_ != nullptr) sink_->on_insert(stored);
   for (CommitSink* obs : observers_) obs->on_insert(stored);
   return slot;
 }
 
-bool Container::can_match(const SchemaState& state,
-                          const Filter& filter) const {
-  const Schema& schema = *state.schema;
-  for (const Condition& cond : filter) {
-    const auto attr_id = schema.find_attr(cond.attr);
-    // matches() rejects every object on an unknown attribute, so the
-    // filter provably selects nothing.
-    if (!attr_id) return false;
-    if (!state.indexed[*attr_id]) continue;  // no zone for this attr
-    const Zone& z = state.zones[*attr_id];
-    if (!z.init) return false;  // no objects of this schema at all
-    // Mixed-type comparisons order by variant index, not value; stay
-    // conservative and only prune when the types line up.
-    if (!value_matches_type(cond.value, schema.attrs()[*attr_id].type)) {
-      continue;
-    }
-    const int vs_min = compare_values(cond.value, z.min);
-    const int vs_max = compare_values(cond.value, z.max);
-    switch (cond.cmp) {
-      case Cmp::kEq:
-        if (vs_min < 0 || vs_max > 0) return false;
-        break;
-      case Cmp::kNe:
-        // Disjoint only when every value equals cond.value.
-        if (vs_min == 0 && vs_max == 0) return false;
-        break;
-      case Cmp::kLt:  // need some obj < value  =>  min < value
-        if (vs_min <= 0) return false;
-        break;
-      case Cmp::kLe:  // need min <= value
-        if (vs_min < 0) return false;
-        break;
-      case Cmp::kGt:  // need max > value
-        if (vs_max >= 0) return false;
-        break;
-      case Cmp::kGe:  // need max >= value
-        if (vs_max > 0) return false;
-        break;
-    }
-  }
-  return true;
-}
-
-bool Container::can_match(std::string_view schema_name,
-                          const Filter& filter) const {
-  return can_match(schema_state(schema_name), filter);
-}
-
 std::vector<QueryHit> Container::query(std::string_view schema_name,
                                        std::string_view index_name,
-                                       const Filter& filter,
-                                       std::size_t limit) const {
+                                       const Filter& filter) const {
   const SchemaState& state = schema_state(schema_name);
   const Schema& schema = *state.schema;
   const auto index_pos = schema.find_index(index_name);
   if (!index_pos) {
     throw std::out_of_range("dsos: unknown index " + std::string(index_name));
   }
-
-  if (zone_maps_ && !filter.empty() && !can_match(state, filter)) {
-    const util::LockGuard lock(stats_m_);
-    ++zone_pruned_;
-    last_scanned_ = 0;
-    return {};
-  }
-
   const Index& index = state.indices[*index_pos];
-  const IndexDef& def = index.def();
 
-  // Longest run of equality conditions covering the leading key attrs.
-  std::vector<Value> leading;
-  std::vector<bool> consumed(filter.size(), false);
-  for (std::size_t key_pos = 0; key_pos < def.attr_ids.size(); ++key_pos) {
-    const std::string& attr_name = schema.attrs()[def.attr_ids[key_pos]].name;
-    bool found = false;
-    for (std::size_t f = 0; f < filter.size(); ++f) {
-      if (!consumed[f] && filter[f].cmp == Cmp::kEq &&
-          filter[f].attr == attr_name) {
-        leading.push_back(filter[f].value);
-        consumed[f] = true;
-        found = true;
-        break;
-      }
+  // Every condition's type is checked before anything is scanned,
+  // wherever it sits.
+  struct Term {
+    std::size_t attr_id;
+    const Value* value;
+  };
+  std::vector<Term> terms;
+  bool unknown_attr = false;
+  for (const Condition& cond : filter) {
+    const auto attr_id = schema.find_attr(cond.attr);
+    if (!attr_id) {
+      unknown_attr = true;
+      continue;
     }
-    if (!found) break;
+    if (!value_matches_type(cond.value, schema.attrs()[*attr_id].type)) {
+      throw std::invalid_argument("dsos: condition value type mismatch for " +
+                                  cond.attr);
+    }
+    terms.push_back(Term{*attr_id, &cond.value});
   }
 
-  // Residual conditions (those not folded into the prefix).
-  Filter residual;
-  for (std::size_t f = 0; f < filter.size(); ++f) {
-    if (!consumed[f]) residual.push_back(filter[f]);
+  // The longest run of conditions covering the leading key attributes is
+  // the scanned prefix; the terms left over are checked per row.
+  KeyBytes prefix;
+  for (const std::size_t key_attr : index.def().attr_ids) {
+    const auto it =
+        std::find_if(terms.begin(), terms.end(),
+                     [&](const Term& t) { return t.attr_id == key_attr; });
+    if (it == terms.end()) break;
+    encode_value(prefix, *it->value, schema.attrs()[key_attr].type);
+    terms.erase(it);
   }
 
-  // The limit can only bound the scan itself when every scanned entry is a
-  // hit (no residual filter to drop entries afterwards).
-  const std::size_t scan_cap = residual.empty() ? limit : 0;
   const std::vector<Index::Entry> entries =
-      leading.empty()
-          ? index.full_scan(scan_cap)
-          : index.prefix_scan(encode_prefix(schema, def, leading), scan_cap);
+      unknown_attr ? std::vector<Index::Entry>{} : index.prefix_scan(prefix);
   {
     const util::LockGuard lock(stats_m_);
     last_scanned_ = entries.size();
   }
 
   std::vector<QueryHit> hits;
-  hits.reserve(limit != 0 ? std::min(limit, entries.size()) : entries.size());
+  hits.reserve(entries.size());
   for (const auto& [key, slot] : entries) {
     const Object& obj = objects_[slot];
-    if (residual.empty() || matches(obj, residual)) {
-      hits.push_back(QueryHit{key, &obj});
-      if (limit != 0 && hits.size() >= limit) break;
-    }
+    const bool match =
+        std::all_of(terms.begin(), terms.end(), [&obj](const Term& t) {
+          return same_key(obj.values[t.attr_id], *t.value);
+        });
+    if (match) hits.push_back(QueryHit{key, &obj});
   }
   return hits;
 }
 
 std::vector<const Object*> Container::select(std::string_view schema_name,
                                              std::string_view index_name,
-                                             const Filter& filter,
-                                             std::size_t limit) const {
+                                             const Filter& filter) const {
   std::vector<const Object*> out;
-  for (const QueryHit& hit : query(schema_name, index_name, filter, limit)) {
+  for (const QueryHit& hit : query(schema_name, index_name, filter)) {
     out.push_back(hit.object);
   }
   return out;

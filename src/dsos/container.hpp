@@ -1,16 +1,13 @@
 // DSOS container: object storage for one or more schemas with their
-// ordered indices, plus the filtered query machinery.
+// ordered indices, plus the equality query that reads them.
 //
-// Perf layer (see DESIGN.md "Storage-side performance"):
-//   * index keys are interned into a per-container Arena (one container ==
-//     one dsosd shard, so this is the per-shard arena);
-//   * per-schema zone maps track min/max of every indexed attribute so a
-//     query whose filter cannot intersect the container's value range is
-//     answered without touching an index, so a query over many
-//     time-windowed Containers skips every window it cannot match
-//     (bench_ingest measures this);
-//   * queries accept an optional `limit` that is pushed down into the
-//     index scan when no residual filter remains.
+// Every query is a conjunction of equalities.  Its longest run covering
+// an index's leading attributes is one ordered prefix scan of that
+// index (an empty run scans every row); the rest are checked per row.
+// Both parts compare index-key bytes (dsos/index.hpp), so a condition
+// means the same thing wherever it sits in the filter.  Index keys are
+// interned into a per-container Arena (one container == one dsosd shard,
+// so this is the per-shard arena).
 #pragma once
 
 #include <cstdint>
@@ -28,19 +25,14 @@
 
 namespace dlc::dsos {
 
-enum class Cmp : std::uint8_t { kEq, kNe, kLt, kLe, kGt, kGe };
-
+/// One equality: attribute `attr` holds `value`.
 struct Condition {
   std::string attr;
-  Cmp cmp = Cmp::kEq;
   Value value;
 };
 
 /// Conjunction of conditions (DSOS filter expressions are ANDs).
 using Filter = std::vector<Condition>;
-
-/// True when `obj` satisfies every condition.
-bool matches(const Object& obj, const Filter& filter);
 
 struct QueryHit {
   std::string_view key;  // encoded index key (arena-owned; valid while the
@@ -77,28 +69,29 @@ class Container {
   void register_schema(SchemaPtr schema);
   SchemaPtr schema(std::string_view name) const;
 
-  /// Inserts an object and updates all of its schema's indices and zone
-  /// maps.  Returns the object slot.  Single-writer (the ingest executor
-  /// guarantees one writer per shard/container).
+  /// Inserts an object and updates all of its schema's indices.  Returns
+  /// the object slot.  Single-writer (the ingest executor guarantees one
+  /// writer per shard/container).
   std::size_t insert(Object obj);
 
   std::size_t size() const { return objects_.size(); }
   const Object& object(std::size_t slot) const { return objects_[slot]; }
 
-  /// Index-ordered query: uses the longest equality prefix of `filter`
-  /// matching the index's leading attributes as a byte-range scan, then
-  /// applies the remaining conditions.  `limit` (0 = unlimited) caps the
-  /// number of hits, in key order.
+  /// Index-ordered query: the longest run of conditions covering the
+  /// index's leading attributes is scanned as one byte prefix, and each
+  /// remaining condition is checked per row.  A condition equals a value
+  /// when both encode to the same index-key bytes.  Throws
+  /// std::invalid_argument when a condition's value type differs from its
+  /// attribute's; a condition on an attribute the schema lacks matches no
+  /// row.
   std::vector<QueryHit> query(std::string_view schema_name,
                               std::string_view index_name,
-                              const Filter& filter = {},
-                              std::size_t limit = 0) const;
+                              const Filter& filter = {}) const;
 
   /// Convenience: query returning objects only.
   std::vector<const Object*> select(std::string_view schema_name,
                                     std::string_view index_name,
-                                    const Filter& filter = {},
-                                    std::size_t limit = 0) const;
+                                    const Filter& filter = {}) const;
 
   /// Diagnostic: how many index entries were scanned by the last query on
   /// this container (measures joint-index selectivity; bench_dsos).
@@ -106,20 +99,6 @@ class Container {
     const util::LockGuard lock(stats_m_);
     return last_scanned_;
   }
-
-  /// Zone-map pruning toggle (on by default; bench_ingest compares).
-  void set_zone_maps(bool enabled) { zone_maps_ = enabled; }
-  bool zone_maps() const { return zone_maps_; }
-  /// Queries answered empty straight from the zone maps.
-  std::uint64_t zone_pruned() const {
-    const util::LockGuard lock(stats_m_);
-    return zone_pruned_;
-  }
-
-  /// True when some object in this container could satisfy `filter`
-  /// according to the per-attribute min/max zones.  False is definitive
-  /// ("no object matches"); true only means "cannot rule it out".
-  bool can_match(std::string_view schema_name, const Filter& filter) const;
 
   /// Attaches (or, with nullptr, detaches) the persistence sink.
   /// Replacing a live sink with a different one throws — two stores
@@ -162,39 +141,27 @@ class Container {
   }
 
  private:
-  /// Min/max of one indexed attribute over all inserted objects.
-  struct Zone {
-    bool init = false;
-    Value min;
-    Value max;
-  };
-
   struct SchemaState {
     SchemaPtr schema;
     std::vector<Index> indices;
-    std::vector<Zone> zones;     // per attr id; maintained iff indexed[i]
-    std::vector<char> indexed;   // attr id appears in some index
   };
 
   const SchemaState& schema_state(std::string_view name) const;
-  bool can_match(const SchemaState& state, const Filter& filter) const;
 
-  // Object/index/zone state is single-writer by contract (the ingest
+  // Object/index state is single-writer by contract (the ingest
   // executor gives each Container exactly one inserting worker) and
   // read-stable during queries, so it carries no lock.  The mutable QUERY
-  // DIAGNOSTICS below are different: const query() mutates them, and the
+  // DIAGNOSTIC below is different: const query() mutates it, and the
   // cluster runs per-shard queries on real threads — two concurrent
-  // queries against the same container raced on these counters until the
-  // annotation migration surfaced it.  They get their own leaf mutex.
+  // queries against the same container raced on it until the annotation
+  // migration surfaced it.  It gets its own leaf mutex.
   std::deque<Object> objects_;
   std::map<std::string, SchemaState, std::less<>> schemas_;
   Arena key_arena_;
-  bool zone_maps_ = true;
   CommitSink* sink_ = nullptr;  // borrowed; single-writer, like objects_
   std::vector<CommitSink*> observers_;  // borrowed; single-writer
   mutable util::Mutex stats_m_{"ContainerStats"};
   mutable std::uint64_t last_scanned_ DLC_GUARDED_BY(stats_m_) = 0;
-  mutable std::uint64_t zone_pruned_ DLC_GUARDED_BY(stats_m_) = 0;
 };
 
 }  // namespace dlc::dsos

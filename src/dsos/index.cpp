@@ -1,8 +1,6 @@
 #include "dsos/index.hpp"
 
-#include <algorithm>
 #include <cstring>
-#include <stdexcept>
 
 namespace dlc::dsos {
 
@@ -59,35 +57,11 @@ void encode_value(KeyBytes& out, const Value& v, AttrType type) {
   }
 }
 
-KeyBytes encode_key(const Object& obj, const IndexDef& def) {
-  KeyBytes key;
-  encode_key_into(key, obj, def);
-  return key;
-}
-
 void encode_key_into(KeyBytes& out, const Object& obj, const IndexDef& def) {
   out.reserve(out.size() + def.attr_ids.size() * 9);
   for (std::size_t attr_id : def.attr_ids) {
     encode_value(out, obj.values[attr_id], obj.schema->attrs()[attr_id].type);
   }
-}
-
-KeyBytes encode_prefix(const Schema& schema, const IndexDef& def,
-                       const std::vector<Value>& leading_values) {
-  if (leading_values.size() > def.attr_ids.size()) {
-    throw std::invalid_argument("prefix longer than index key");
-  }
-  KeyBytes key;
-  key.reserve(leading_values.size() * 9);
-  for (std::size_t i = 0; i < leading_values.size(); ++i) {
-    const std::size_t attr_id = def.attr_ids[i];
-    const AttrType type = schema.attrs()[attr_id].type;
-    if (!value_matches_type(leading_values[i], type)) {
-      throw std::invalid_argument("prefix value type mismatch");
-    }
-    encode_value(key, leading_values[i], type);
-  }
-  return key;
 }
 
 KeyBytes prefix_upper_bound(KeyBytes p) {
@@ -106,32 +80,13 @@ void Index::insert(const Object& obj, std::size_t slot, Arena& arena) {
   map_.emplace(arena.intern(scratch_), slot);
 }
 
-std::vector<Index::Entry> Index::prefix_scan(const KeyBytes& prefix,
-                                             std::size_t max_entries) const {
+std::vector<Index::Entry> Index::prefix_scan(const KeyBytes& prefix) const {
   const KeyBytes hi = prefix_upper_bound(prefix);
-  return range_scan(prefix, hi, max_entries);
-}
-
-std::vector<Index::Entry> Index::range_scan(const KeyBytes& lo,
-                                            const KeyBytes& hi,
-                                            std::size_t max_entries) const {
-  auto it = lo.empty() ? map_.begin() : map_.lower_bound(lo);
   const auto end = hi.empty() ? map_.end() : map_.lower_bound(hi);
   std::vector<Entry> entries;
-  for (; it != end; ++it) {
+  if (prefix.empty()) entries.reserve(map_.size());
+  for (auto it = map_.lower_bound(prefix); it != end; ++it) {
     entries.emplace_back(it->first, it->second);
-    if (max_entries != 0 && entries.size() >= max_entries) break;
-  }
-  return entries;
-}
-
-std::vector<Index::Entry> Index::full_scan(std::size_t max_entries) const {
-  std::vector<Entry> entries;
-  entries.reserve(max_entries != 0 ? std::min(max_entries, map_.size())
-                                   : map_.size());
-  for (const auto& [key, slot] : map_) {
-    entries.emplace_back(key, slot);
-    if (max_entries != 0 && entries.size() >= max_entries) break;
   }
   return entries;
 }

@@ -13,6 +13,12 @@
 // leading attributes of a joint index becomes a byte-prefix range scan —
 // exactly the DSOS query pattern the paper describes for job_rank_time.
 //
+// The same encoding is the one equality a query applies: a condition
+// equals a row's value when both encode to the same bytes, whether the
+// condition sits in the scanned prefix or is checked per row.  For
+// doubles that means the same bit pattern (NaN equals only the NaN it was
+// written as; 0.0 and -0.0 differ).
+//
 // Storage: key bytes are interned into the owning container's per-shard
 // Arena and the ordered map holds `string_view` keys, so an insert costs a
 // bump allocation instead of one heap string per key per index.  The
@@ -43,15 +49,8 @@ void encode_string(KeyBytes& out, std::string_view v);
 /// Encodes one typed value per its attribute type.
 void encode_value(KeyBytes& out, const Value& v, AttrType type);
 
-/// Builds the composite key of `obj` under index `def`.
-KeyBytes encode_key(const Object& obj, const IndexDef& def);
-/// Same, appending into a caller-owned (reusable) buffer.
+/// Appends the composite key of `obj` under index `def` to `out`.
 void encode_key_into(KeyBytes& out, const Object& obj, const IndexDef& def);
-
-/// Given values for the first k attrs of `def`, builds the byte prefix
-/// shared by all keys with those leading values.
-KeyBytes encode_prefix(const Schema& schema, const IndexDef& def,
-                       const std::vector<Value>& leading_values);
 
 /// Smallest string strictly greater than every string with prefix `p`
 /// (i.e. p with a 0xFF... increment); empty optional when p is all-0xFF.
@@ -73,25 +72,9 @@ class Index {
   /// per index (the per-shard ingest invariant).
   void insert(const Object& obj, std::size_t slot, Arena& arena);
 
-  /// Entries whose key has prefix `prefix`, in key order.  `max_entries`
-  /// (0 = unlimited) stops the scan early — query limit pushdown.
-  std::vector<Entry> prefix_scan(const KeyBytes& prefix,
-                                 std::size_t max_entries = 0) const;
-
-  /// Entries with lo <= key < hi (byte order); empty strings mean
-  /// unbounded.
-  std::vector<Entry> range_scan(const KeyBytes& lo, const KeyBytes& hi,
-                                std::size_t max_entries = 0) const;
-
-  /// All entries in key order.
-  std::vector<Entry> full_scan(std::size_t max_entries = 0) const;
-
-  std::size_t size() const { return map_.size(); }
-
-  /// Exposes entries for merge iteration: (key, slot) pairs in order.
-  const std::multimap<std::string_view, std::size_t>& entries() const {
-    return map_;
-  }
+  /// Entries whose key starts with `prefix`, in key order; every entry
+  /// for an empty prefix.
+  std::vector<Entry> prefix_scan(const KeyBytes& prefix) const;
 
  private:
   IndexDef def_;

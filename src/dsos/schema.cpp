@@ -37,22 +37,6 @@ bool value_matches_type(const Value& v, AttrType t) {
   return false;
 }
 
-int compare_values(const Value& a, const Value& b) {
-  if (a.index() != b.index()) {
-    // Mixed types are a schema violation; order by alternative index so the
-    // comparison is still a strict weak order.
-    return a.index() < b.index() ? -1 : 1;
-  }
-  return std::visit(
-      [&b](const auto& lhs) -> int {
-        const auto& rhs = std::get<std::decay_t<decltype(lhs)>>(b);
-        if (lhs < rhs) return -1;
-        if (rhs < lhs) return 1;
-        return 0;
-      },
-      a);
-}
-
 namespace {
 
 template <typename Int>

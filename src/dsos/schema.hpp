@@ -39,9 +39,6 @@ using ValueOf = std::conditional_t<
 /// True when `v`'s alternative is compatible with `t`.
 bool value_matches_type(const Value& v, AttrType t);
 
-/// Total order consistent with the index key encoding (same-type only).
-int compare_values(const Value& a, const Value& b);
-
 /// Parses `text` as a value of type `t`.  Integers must be decimal and in
 /// range; doubles must be non-empty and strtod must consume all of
 /// `text`; strings are taken verbatim.  nullopt when `text` is not such a

@@ -92,19 +92,18 @@ Response guarded(const Route& route) {
 }
 
 /// Builds an equality filter from the query params that name schema
-/// attributes (anything that is not a control key).  Throws BadParam for
-/// a value that does not parse as its attribute's type.
+/// attributes, `module` included; `index` and `limit` are the routes' own
+/// controls.  Throws BadParam for a value that does not parse as its
+/// attribute's type.
 dsos::Filter filter_from_params(const dsos::Schema& schema,
                                 const Params& params) {
-  static const std::set<std::string> kControl = {"index", "limit", "module",
-                                                 "schema"};
   dsos::Filter filter;
   for (const auto& [key, value] : params) {
-    if (kControl.contains(key)) continue;
+    if (key == "index" || key == "limit") continue;
     const auto attr_id = schema.find_attr(key);
     if (!attr_id) continue;
-    filter.push_back({key, dsos::Cmp::kEq,
-                      parse_param(schema.attrs()[*attr_id].type, key, value)});
+    filter.push_back(
+        {key, parse_param(schema.attrs()[*attr_id].type, key, value)});
   }
   return filter;
 }

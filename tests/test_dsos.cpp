@@ -3,12 +3,15 @@
 // queries, CSV round-trips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <thread>
 #include <type_traits>
 #include <vector>
 
+#include "core/schema_darshan.hpp"
 #include "dsos/cluster.hpp"
 #include "dsos/container.hpp"
 #include "dsos/csv.hpp"
@@ -173,8 +176,7 @@ TEST(Container, EqualityPrefixNarrowsScan) {
     }
   }
   // job==2 && rank==3 via job_rank_time: exactly 10 entries scanned.
-  const Filter filter{{"job_id", Cmp::kEq, std::uint64_t{2}},
-                      {"rank", Cmp::kEq, std::int64_t{3}}};
+  const Filter filter{{"job_id", std::uint64_t{2}}, {"rank", std::int64_t{3}}};
   const auto hits = c.select("events", "job_rank_time", filter);
   EXPECT_EQ(hits.size(), 10u);
   EXPECT_EQ(c.last_scanned(), 10u);
@@ -192,33 +194,56 @@ TEST(Container, ResidualConditionsApply) {
     c.insert(make_event(schema, 1, 0, t * 1.0, t % 2 ? "read" : "write",
                         t * 0.1));
   }
-  const Filter filter{{"job_id", Cmp::kEq, std::uint64_t{1}},
-                      {"op", Cmp::kEq, std::string("read")},
-                      {"dur", Cmp::kGt, 0.25}};
-  const auto hits = c.select("events", "job_rank_time", filter);
-  ASSERT_EQ(hits.size(), 4u);  // t in {3,5,7,9}
-  for (const Object* o : hits) {
-    EXPECT_EQ(o->as_string("op"), "read");
-    EXPECT_GT(o->as_double("dur"), 0.25);
-  }
+  // job_id is the job_rank_time prefix; op and dur are checked per row.
+  const Filter reads{{"job_id", std::uint64_t{1}}, {"op", std::string("read")}};
+  const auto hits = c.select("events", "job_rank_time", reads);
+  ASSERT_EQ(hits.size(), 5u);  // t in {1,3,5,7,9}
+  for (const Object* o : hits) EXPECT_EQ(o->as_string("op"), "read");
+  Filter one = reads;
+  one.push_back({"dur", 0.5});
+  const auto hit = c.select("events", "job_rank_time", one);
+  ASSERT_EQ(hit.size(), 1u);
+  EXPECT_EQ(hit[0]->as_double("timestamp"), 5.0);
+  EXPECT_EQ(c.last_scanned(), 10u);
 }
 
+// Equality is the one comparison a condition makes; it holds for every
+// attribute type, as the scanned prefix and as a per-row check.
 TEST(Container, ComparisonOperatorsWork) {
   Container c;
   const auto schema = test_schema();
   c.register_schema(schema);
   for (int t = 0; t < 5; ++t) {
-    c.insert(make_event(schema, 1, t, t * 10.0, "w", 1.0));
+    c.insert(make_event(schema, 1, t, t * 10.0, t % 2 ? "r" : "w", t * 0.5));
   }
-  EXPECT_EQ(c.select("events", "time",
-                     {{"timestamp", Cmp::kGe, 20.0}}).size(),
-            3u);
-  EXPECT_EQ(c.select("events", "time",
-                     {{"timestamp", Cmp::kLt, 20.0}}).size(),
-            2u);
-  EXPECT_EQ(c.select("events", "time",
-                     {{"rank", Cmp::kNe, std::int64_t{0}}}).size(),
-            4u);
+  const auto ranks = [&c](std::string_view index, const Filter& f) {
+    std::vector<std::int64_t> out;
+    for (const Object* o : c.select("events", index, f)) {
+      out.push_back(o->as_int("rank"));
+    }
+    return out;
+  };
+  using Ranks = std::vector<std::int64_t>;
+  // timestamp is the `time` prefix; the other attributes are per-row checks.
+  EXPECT_EQ(ranks("time", {{"timestamp", 20.0}}), Ranks{2});
+  EXPECT_TRUE(ranks("time", {{"timestamp", 25.0}}).empty());
+  EXPECT_EQ(ranks("time", {{"job_id", std::uint64_t{1}}}),
+            (Ranks{0, 1, 2, 3, 4}));
+  EXPECT_TRUE(ranks("time", {{"job_id", std::uint64_t{2}}}).empty());
+  EXPECT_EQ(ranks("time", {{"rank", std::int64_t{3}}}), Ranks{3});
+  EXPECT_EQ(ranks("time", {{"op", std::string("w")}}), (Ranks{0, 2, 4}));
+  EXPECT_EQ(ranks("time", {{"dur", 1.0}}), Ranks{2});
+  EXPECT_TRUE(
+      ranks("time", {{"op", std::string("r")}, {"dur", 1.0}}).empty());
+  // job_id and rank as the job_rank_time prefix.
+  EXPECT_EQ(ranks("job_rank_time",
+                  {{"job_id", std::uint64_t{1}}, {"rank", std::int64_t{3}}}),
+            Ranks{3});
+  EXPECT_EQ(c.last_scanned(), 1u);
+  EXPECT_TRUE(ranks("job_rank_time",
+                    {{"job_id", std::uint64_t{1}}, {"rank", std::int64_t{7}}})
+                  .empty());
+  EXPECT_EQ(c.last_scanned(), 0u);
 }
 
 TEST(Container, DuplicateKeysAreKept) {
@@ -284,8 +309,8 @@ TEST(Cluster, ParallelAndSerialQueriesAgree) {
     b.insert(obj);
     a.insert(std::move(obj));
   }
-  const Filter filter{{"job_id", Cmp::kEq, std::uint64_t{1}},
-                      {"op", Cmp::kEq, std::string("read")}};
+  const Filter filter{{"job_id", std::uint64_t{1}},
+                      {"op", std::string("read")}};
   const auto ra = a.query("events", "job_rank_time", filter);
   const auto rb = b.query("events", "job_rank_time", filter);
   ASSERT_EQ(ra.size(), rb.size());
@@ -368,122 +393,63 @@ TEST(Encoding, StringOrderPreservedWithLowBytes) {
       [](KeyBytes& out, const std::string& v) { encode_string(out, v); });
 }
 
-// ----------------------------------------------------------- zone maps ----
+// ------------------------------------------------------------ equality ----
 
-TEST(Container, ZoneMapsPruneDisjointTimeFilter) {
-  Container c;
-  const auto schema = test_schema();
-  c.register_schema(schema);
-  for (int t = 0; t < 10; ++t) {
-    c.insert(make_event(schema, 1, t % 4, t * 1.0, "w", 0.1));
-  }
-  // Timestamps span [0, 9]: a filter for >= 100 is provably empty.
-  const Filter disjoint{{"timestamp", Cmp::kGe, 100.0}};
-  EXPECT_FALSE(c.can_match("events", disjoint));
-  const std::uint64_t pruned_before = c.zone_pruned();
-  EXPECT_TRUE(c.query("events", "time", disjoint).empty());
-  EXPECT_EQ(c.zone_pruned(), pruned_before + 1);
-  EXPECT_EQ(c.last_scanned(), 0u);  // skipped without touching the index
-
-  // With zone maps off the same query scans and still returns nothing.
-  c.set_zone_maps(false);
-  EXPECT_TRUE(c.query("events", "time", disjoint).empty());
-  EXPECT_GT(c.last_scanned(), 0u);
-  c.set_zone_maps(true);
-
-  // A filter overlapping the zone must not be pruned.
-  const Filter overlapping{{"timestamp", Cmp::kGe, 5.0}};
-  EXPECT_TRUE(c.can_match("events", overlapping));
-  EXPECT_EQ(c.query("events", "time", overlapping).size(), 5u);
-}
-
-TEST(Container, ZoneMapsMatchUnprunedResults) {
-  Container c;
-  const auto schema = test_schema();
-  c.register_schema(schema);
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    c.insert(make_event(schema, 1 + static_cast<std::uint64_t>(i % 3),
-                        rng.uniform_int(0, 7), rng.uniform(0, 50), "w",
-                        rng.uniform()));
-  }
-  const std::vector<Filter> filters{
-      {{"timestamp", Cmp::kLt, 10.0}},
-      {{"job_id", Cmp::kEq, std::uint64_t{2}}},
-      {{"job_id", Cmp::kEq, std::uint64_t{9}}},  // disjoint: prunable
-      {{"rank", Cmp::kGe, std::int64_t{6}}},
-      {{"op", Cmp::kEq, std::string("w")}},  // unindexed attr: no zone
-  };
-  for (const Filter& f : filters) {
-    c.set_zone_maps(true);
-    const auto pruned = c.query("events", "time", f);
-    c.set_zone_maps(false);
-    const auto unpruned = c.query("events", "time", f);
-    ASSERT_EQ(pruned.size(), unpruned.size());
-    for (std::size_t i = 0; i < pruned.size(); ++i) {
-      EXPECT_EQ(pruned[i].object, unpruned[i].object);
-    }
-  }
-  c.set_zone_maps(true);
-}
-
-TEST(Container, ZoneMapsUnknownAttrIsProvablyEmpty) {
+TEST(Container, UnknownAttrMatchesNoRow) {
   Container c;
   const auto schema = test_schema();
   c.register_schema(schema);
   c.insert(make_event(schema, 1, 0, 1.0, "w", 0.1));
-  // matches() rejects every object on an unknown attribute, so pruning
-  // the whole scan is exact, not approximate.
-  const Filter f{{"no_such_attr", Cmp::kEq, std::int64_t{1}}};
-  EXPECT_FALSE(c.can_match("events", f));
+  // A conjunction with a condition no row can satisfy selects nothing.
+  const Filter f{{"no_such_attr", std::int64_t{1}}};
   EXPECT_TRUE(c.query("events", "time", f).empty());
+  EXPECT_EQ(c.last_scanned(), 0u);
 }
 
-// ---------------------------------------------------------------- limit ----
-
-TEST(Container, QueryLimitCapsResultsInOrder) {
+// One equality wherever a condition sits: a scanned prefix and a per-row
+// check both compare index-key bytes, so a double matches only its own
+// bit pattern (NaN included), and a value of the wrong type throws.
+TEST(Container, EqualityIsIndexKeyEquality) {
   Container c;
   const auto schema = test_schema();
   c.register_schema(schema);
-  for (int t = 9; t >= 0; --t) {
-    c.insert(make_event(schema, 1, 0, t * 1.0, "w", 0.1));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  c.insert(make_event(schema, 1, 0, 0.0, "w", 0.5));
+  c.insert(make_event(schema, 1, 1, -0.0, "w", nan));
+  c.insert(make_event(schema, 1, 2, nan, "w", -0.0));
+  c.insert(make_event(schema, 1, 3, 2.0, "w", 0.0));
+  const auto ranks = [&c](std::string_view index, const Filter& f) {
+    std::vector<std::int64_t> out;
+    for (const Object* o : c.select("events", index, f)) {
+      out.push_back(o->as_int("rank"));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  using Ranks = std::vector<std::int64_t>;
+  // dur is in no index: always a per-row check.
+  EXPECT_EQ(ranks("time", {{"dur", nan}}), Ranks{1});
+  EXPECT_EQ(ranks("time", {{"dur", 0.0}}), Ranks{3});
+  EXPECT_EQ(ranks("time", {{"dur", -0.0}}), Ranks{2});
+  EXPECT_TRUE(ranks("time", {{"dur", 12345.5}}).empty());
+  // timestamp is the `time` prefix and a per-row check on job_rank_time
+  // (no job_id given); both answer alike.
+  for (const double ts : {nan, 0.0, -0.0, 2.0, 7.0}) {
+    EXPECT_EQ(ranks("time", {{"timestamp", ts}}),
+              ranks("job_rank_time", {{"timestamp", ts}}))
+        << ts;
   }
-  const auto full = c.query("events", "time");
-  ASSERT_EQ(full.size(), 10u);
-  const auto limited = c.query("events", "time", {}, 3);
-  ASSERT_EQ(limited.size(), 3u);
-  for (std::size_t i = 0; i < limited.size(); ++i) {
-    EXPECT_EQ(limited[i].object, full[i].object);
-  }
-  // Residual filtering happens before the cap: the limit counts matching
-  // rows, not scanned rows.
-  const Filter odd_dur{{"op", Cmp::kEq, std::string("w")},
-                       {"timestamp", Cmp::kGe, 4.0}};
-  const auto filtered = c.query("events", "time", odd_dur, 2);
-  ASSERT_EQ(filtered.size(), 2u);
-  EXPECT_EQ(filtered[0].object->as_double("timestamp"), 4.0);
-  EXPECT_EQ(filtered[1].object->as_double("timestamp"), 5.0);
-}
-
-TEST(Cluster, QueryLimitReturnsGlobalPrefix) {
-  ClusterConfig cfg;
-  cfg.shard_count = 4;
-  cfg.shard_attr = "rank";
-  DsosCluster cluster(cfg);
-  const auto schema = test_schema();
-  cluster.register_schema(schema);
-  Rng rng(13);
-  for (int i = 0; i < 200; ++i) {
-    cluster.insert(make_event(schema, 1, rng.uniform_int(0, 15),
-                              rng.uniform(0, 100), "w", 0.1));
-  }
-  const auto full = cluster.query("events", "job_rank_time");
-  ASSERT_EQ(full.size(), 200u);
-  const auto limited = cluster.query("events", "job_rank_time", {}, 25);
-  ASSERT_EQ(limited.size(), 25u);
-  // The limited result is exactly the first 25 of the global merge order.
-  for (std::size_t i = 0; i < limited.size(); ++i) {
-    EXPECT_EQ(limited[i], full[i]);
+  EXPECT_EQ(ranks("time", {{"timestamp", nan}}), Ranks{2});
+  EXPECT_EQ(ranks("job_rank_time", {{"timestamp", 0.0}}), Ranks{0});
+  // A value of another type throws as a prefix and as a per-row check.
+  for (const std::string_view index : {"job_rank_time", "time"}) {
+    EXPECT_THROW(c.query("events", index, {{"job_id", std::int64_t{1}}}),
+                 std::invalid_argument)
+        << index;
+    const Filter bad_dur{{"job_id", std::uint64_t{1}},
+                         {"dur", std::int64_t{0}}};
+    EXPECT_THROW(c.query("events", index, bad_dur), std::invalid_argument)
+        << index;
   }
 }
 
@@ -521,10 +487,184 @@ TEST(Cluster, ParallelQueryCapturesShardByValue) {
   }
 }
 
+// ------------------------------------------------------ planner oracle ----
+
+/// A brute-force reading of one equality: same type and same value, and
+/// for doubles the same bit pattern.
+bool oracle_equal(const Value& row, const Value& cond) {
+  const double* a = std::get_if<double>(&row);
+  const double* b = std::get_if<double>(&cond);
+  if (a != nullptr && b != nullptr) {
+    return std::memcmp(a, b, sizeof(double)) == 0;
+  }
+  return row == cond;
+}
+
+// Random equality filters over darshan rows: on every index, with
+// parallel and serial fan-out, a cluster query equals a brute-force
+// filter of all rows sorted by that index's key (ties by shard, then
+// insertion order, the merge's tie-break).  Filters mix indexed and
+// unindexed attributes, repeat attributes, and use values the data lacks,
+// NaN and -0.0.
+TEST(Cluster, EqualityQueriesMatchBruteForce) {
+  const SchemaPtr schema = core::darshan_data_schema();
+  ClusterConfig par;
+  par.shard_count = 4;
+  par.shard_attr = "rank";
+  ClusterConfig ser = par;
+  ser.parallel_query = false;
+  DsosCluster a(par), b(ser);
+  a.register_schema(schema);
+  b.register_schema(schema);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::size_t job = schema->attr_id("job_id");
+  const std::size_t rank = schema->attr_id("rank");
+  const std::size_t ts = schema->attr_id("seg_timestamp");
+  const std::size_t dur = schema->attr_id("seg_dur");
+  const std::size_t op = schema->attr_id("op");
+  const std::size_t producer = schema->attr_id("ProducerName");
+  const std::size_t id = schema->attr_id("record_id");
+  const std::vector<double> times{0.0, -0.0, 0.5, 1.0, 1.5, 2.0, nan};
+  const std::vector<double> durs{0.0, -0.0, 0.25, 1.5, nan};
+  const std::vector<std::string> ops{"read", "write", "open"};
+
+  Rng rng(43);
+  const auto pick = [&rng](const auto& values) {
+    return values[rng.next_u64() % values.size()];
+  };
+  std::vector<Object> rows;
+  std::vector<std::size_t> shard_of;
+  for (std::uint64_t i = 0; i < 600; ++i) {
+    std::vector<Value> values = core::darshan_default_row();
+    values[job] = std::uint64_t{1 + rng.next_u64() % 3};
+    values[rank] = rng.uniform_int(0, 7);
+    values[ts] = pick(times);
+    values[dur] = pick(durs);
+    values[op] = pick(ops);
+    values[producer] = "nid" + std::to_string(rng.uniform_int(40, 42));
+    values[id] = i;
+    rows.push_back(make_object(schema, std::move(values)));
+    shard_of.push_back(a.route(rows.back()));
+    a.insert(rows.back());
+    b.insert(rows.back());
+  }
+
+  // Attribute pool: job, rank and time are indexed; the rest are not.
+  const std::vector<std::size_t> attrs{job, rank, ts, dur, op, producer};
+  const auto condition = [&]() -> Condition {
+    const std::size_t attr = pick(attrs);
+    const std::string& name = schema->attrs()[attr].name;
+    switch (rng.next_u64() % 4) {
+      case 0:  // a value the data lacks
+        if (attr == job) return {name, std::uint64_t{99}};
+        if (attr == rank) return {name, std::int64_t{42}};
+        if (attr == op || attr == producer) return {name, std::string("x")};
+        return {name, 7.75};
+      case 1:  // NaN, where the type allows it
+        if (attr == ts || attr == dur) return {name, nan};
+        [[fallthrough]];
+      default:  // a value some row holds
+        return {name, rows[rng.next_u64() % rows.size()].values[attr]};
+    }
+  };
+
+  for (int f = 0; f < 300; ++f) {
+    Filter filter;
+    const std::uint64_t n = rng.next_u64() % 4;
+    for (std::uint64_t k = 0; k < n; ++k) filter.push_back(condition());
+    if (f % 10 == 0 && !filter.empty()) filter.push_back(filter.front());
+
+    for (const IndexDef& index : schema->indices()) {
+      std::vector<std::tuple<KeyBytes, std::size_t, std::uint64_t>> want;
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        const bool match =
+            std::all_of(filter.begin(), filter.end(), [&](const Condition& c) {
+              return oracle_equal(rows[r].values[schema->attr_id(c.attr)],
+                                  c.value);
+            });
+        if (!match) continue;
+        KeyBytes key;
+        encode_key_into(key, rows[r], index);
+        want.emplace_back(std::move(key), shard_of[r], r);
+      }
+      std::sort(want.begin(), want.end());
+      std::vector<std::uint64_t> want_ids;
+      for (const auto& w : want) want_ids.push_back(std::get<2>(w));
+
+      for (const DsosCluster* cluster : {&a, &b}) {
+        std::vector<std::uint64_t> got_ids;
+        for (const Object* o : cluster->query("darshan_data", index.name,
+                                              filter)) {
+          got_ids.push_back(o->as_uint("record_id"));
+        }
+        ASSERT_EQ(got_ids, want_ids)
+            << "filter " << f << " on " << index.name
+            << (cluster == &a ? " (parallel)" : " (serial)");
+      }
+    }
+  }
+}
+
+// The filters that per-container zone maps used to prune (a job the
+// container lacks) or could not (an unindexed attribute) now scan like
+// any other; on every index each answer equals the unpruned reading, a
+// brute-force filter of every row in index-key order.  An absent job as
+// the prefix still scans nothing.
+TEST(Container, ZoneMapsMatchUnprunedResults) {
+  Container c;
+  const auto schema = test_schema();
+  c.register_schema(schema);
+  Rng rng(5);
+  std::vector<Object> rows;
+  for (int i = 0; i < 200; ++i) {
+    rows.push_back(make_event(schema, 1 + static_cast<std::uint64_t>(i % 3),
+                              rng.uniform_int(0, 7), rng.uniform(0, 50), "w",
+                              rng.uniform()));
+    c.insert(rows.back());
+  }
+  const std::vector<Filter> filters{
+      {{"timestamp", rows[17].values[schema->attr_id("timestamp")]}},
+      {{"job_id", std::uint64_t{2}}},
+      {{"job_id", std::uint64_t{9}}},  // a job the container lacks
+      {{"rank", std::int64_t{6}}},
+      {{"op", std::string("w")}},  // unindexed attr
+      {{"job_id", std::uint64_t{2}}, {"rank", std::int64_t{6}}},
+  };
+  for (std::size_t f = 0; f < filters.size(); ++f) {
+    for (const IndexDef& index : schema->indices()) {
+      std::vector<std::pair<KeyBytes, std::size_t>> want;
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        const bool match = std::all_of(
+            filters[f].begin(), filters[f].end(), [&](const Condition& cond) {
+              return oracle_equal(rows[r].values[schema->attr_id(cond.attr)],
+                                  cond.value);
+            });
+        if (!match) continue;
+        KeyBytes key;
+        encode_key_into(key, rows[r], index);
+        want.emplace_back(std::move(key), r);
+      }
+      std::sort(want.begin(), want.end());
+      const auto got = c.select("events", index.name, filters[f]);
+      ASSERT_EQ(got.size(), want.size()) << "filter " << f << " on "
+                                         << index.name;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i]->values, rows[want[i].second].values)
+            << "filter " << f << " on " << index.name << " at " << i;
+      }
+    }
+  }
+  EXPECT_TRUE(c.query("events", "job_rank_time", filters[2]).empty());
+  EXPECT_EQ(c.last_scanned(), 0u);
+  EXPECT_TRUE(c.query("events", "time", filters[2]).empty());
+  EXPECT_EQ(c.last_scanned(), rows.size());
+}
+
 // Regression for a race the annotation pass surfaced: query() is const
-// but mutates the last_scanned_/zone_pruned_ diagnostics, and the cluster
-// runs per-shard queries on real threads — two concurrent queries against
-// one container raced on the counters (now behind the stats mutex).
+// but mutates the last_scanned_ diagnostic, and the cluster runs
+// per-shard queries on real threads — two concurrent queries against one
+// container raced on it (now behind the stats mutex).
 TEST(Container, ConcurrentQueriesKeepStatsCoherent) {
   Container c;
   const auto schema = test_schema();
@@ -534,24 +674,21 @@ TEST(Container, ConcurrentQueriesKeepStatsCoherent) {
   }
   constexpr int kThreads = 4;
   constexpr int kIters = 200;
-  const Filter disjoint{{"timestamp", Cmp::kGe, 1e6}};  // always pruned
-  const std::uint64_t pruned_before = c.zone_pruned();
+  // A job the container does not hold: an empty prefix range.
+  const Filter absent{{"job_id", std::uint64_t{9}}};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&c, &disjoint] {
+    threads.emplace_back([&c, &absent] {
       for (int i = 0; i < kIters; ++i) {
-        EXPECT_TRUE(c.query("events", "time", disjoint).empty());
+        EXPECT_TRUE(c.query("events", "job_rank_time", absent).empty());
         // Identical queries => every thread should observe a coherent
-        // value written by SOME pruned query, never a torn/stale mix.
+        // value written by SOME absent-job query, never a torn/stale mix.
         EXPECT_EQ(c.last_scanned(), 0u);
       }
     });
   }
   for (auto& t : threads) t.join();
-  // No lost increments: each of the kThreads * kIters pruned queries
-  // bumped the counter exactly once.
-  EXPECT_EQ(c.zone_pruned(), pruned_before + kThreads * kIters);
 }
 
 }  // namespace

@@ -137,9 +137,8 @@ TEST_F(FullStory, PersistReloadAnswersIdentically) {
   EXPECT_EQ(rep.rows_from_wal, dataset_->db->total_objects());
   EXPECT_EQ(reloaded.total_objects(), dataset_->db->total_objects());
 
-  const dsos::Filter filter{
-      {"job_id", dsos::Cmp::kEq, dataset_->anomalous_job},
-      {"rank", dsos::Cmp::kEq, std::int64_t{3}}};
+  const dsos::Filter filter{{"job_id", dataset_->anomalous_job},
+                            {"rank", std::int64_t{3}}};
   const auto before =
       dataset_->db->query("darshan_data", "job_rank_time", filter);
   const auto after = reloaded.query("darshan_data", "job_rank_time", filter);

@@ -511,8 +511,8 @@ TEST(Persist, ContainerRoundTrip) {
   EXPECT_EQ(loaded.total_objects(), original.total_objects());
   // A filtered query over the indices rebuilt on reopen agrees row for
   // row with the container the rows were written from.
-  const dsos::Filter filter{{"job_id", dsos::Cmp::kEq, std::uint64_t{2}},
-                            {"op", dsos::Cmp::kEq, std::string("read")}};
+  const dsos::Filter filter{{"job_id", std::uint64_t{2}},
+                            {"op", std::string("read")}};
   const auto a = original.query("darshan_data", "job_rank_time", filter);
   const auto b = loaded.query("darshan_data", "job_rank_time", filter);
   ASSERT_EQ(a.size(), b.size());

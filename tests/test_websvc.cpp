@@ -110,6 +110,75 @@ TEST(Service, QueryFiltersAndLimits) {
   EXPECT_EQ(ldoc->get_uint("returned"), 3u);
 }
 
+// One equality for every condition: a double matches only its own bit
+// pattern, as an index prefix and as a per-row check alike.
+TEST(Service, QueryDoubleEqualityIsBitExact) {
+  DashboardService service(demo_db());
+  const auto total = [&service](const std::string& url) {
+    const Response r = service.handle(url);
+    EXPECT_EQ(r.status, 200) << url;
+    const auto doc = json::parse(r.body);
+    return doc ? doc->get_uint("total", 99) : 99;
+  };
+  EXPECT_EQ(total("/api/query?job_id=1&seg_dur=nan"), 0u);
+  EXPECT_EQ(total("/api/query?job_id=1&seg_dur=12345.5"), 0u);
+  EXPECT_EQ(total("/api/query?job_id=1&seg_dur=0.5"), 2u);
+  EXPECT_EQ(total("/api/query?index=time&seg_timestamp=nan"), 0u);
+  EXPECT_EQ(total("/api/query?index=time&seg_timestamp=101"), 2u);
+  EXPECT_EQ(total("/api/query?index=job_rank_time&seg_timestamp=101"), 2u);
+}
+
+// `module` is darshan_data's first attribute, not a control key.
+TEST(Service, QueryAndCsvFilterOnModule) {
+  DashboardService service(demo_db());
+  const auto total = [&service](const std::string& url) {
+    const auto doc = json::parse(service.handle(url).body);
+    return doc ? doc->get_uint("total", 99) : 99;
+  };
+  EXPECT_EQ(total("/api/query?job_id=1&module=NOSUCH"), 0u);
+  EXPECT_EQ(total("/api/query?job_id=1&module=POSIX"), 4u);
+  const Response none = service.handle("/api/csv?module=NOSUCH");
+  ASSERT_EQ(none.status, 200);
+  EXPECT_EQ(std::count(none.body.begin(), none.body.end(), '\n'), 1);
+  const Response all = service.handle("/api/csv?module=POSIX");
+  EXPECT_EQ(std::count(all.body.begin(), all.body.end(), '\n'), 9);
+}
+
+// A job the database does not hold: every panel and /api/query answer
+// 200 with no rows, from raw scans and from rollup cells alike.
+TEST(Service, AbsentJobAnswersEmpty) {
+  auto db = demo_db();
+  rollup::RollupEngineConfig cfg;
+  cfg.policies = rollup::default_rollup_policies();
+  rollup::RollupEngine engine(cfg);
+  engine.attach(*db);
+  engine.flush();
+  DashboardService raw(db);
+  DashboardService served(db);
+  served.set_rollup(&engine);
+  for (const DashboardService* service : {&raw, &served}) {
+    for (const char* module : {"fig5", "fig6", "fig7", "fig7_summary", "fig8",
+                               "fig9", "hot_files"}) {
+      const std::string url =
+          std::string("/api/panel?module=") + module + "&job=7";
+      const Response r = service->handle(url);
+      ASSERT_EQ(r.status, 200) << url;
+      const auto doc = json::parse(r.body);
+      ASSERT_TRUE(doc.has_value()) << url;
+      const json::Value* data = doc->find("data");
+      ASSERT_NE(data, nullptr) << url;
+      EXPECT_TRUE(data->find("rows")->as_array().empty())
+          << url << " -> " << r.body;
+    }
+    const Response q = service->handle("/api/query?job_id=7");
+    ASSERT_EQ(q.status, 200);
+    const auto doc = json::parse(q.body);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(doc->get_uint("total", 99), 0u);
+    EXPECT_TRUE(doc->find("data")->find("rows")->as_array().empty());
+  }
+}
+
 TEST(Service, QueryRejectsUnknownIndex) {
   DashboardService service(demo_db());
   EXPECT_EQ(service.handle("/api/query?index=bogus").status, 400);
